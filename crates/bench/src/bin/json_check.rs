@@ -10,8 +10,9 @@
 //! * `json_check bench <file>` — validates `BENCH_parse.json`: the
 //!   pipeline speedup is a number, or null with a `reason`, the
 //!   `self_overhead` section is present with its timing fields, the
-//!   per-stage breakdown is complete, and the correlate/cache sections
-//!   carry their throughput numbers.
+//!   per-stage breakdown is complete, the correlate/cache sections
+//!   carry their throughput numbers, and a warm `serve` request is
+//!   faster than the cold one.
 //! * `json_check limits <file>` — validates the obs snapshot written by
 //!   `fuzz_decode --metrics-out`: the `limit_hits_total` and
 //!   `cancellations_total` counters exist, are numeric, and fired at
@@ -184,6 +185,18 @@ fn check_bench(doc: &Json) -> Result<(), String> {
         if serve.get(field).and_then(|v| v.as_f64()).is_none() {
             return Err(format!("serve.{field} missing or non-numeric"));
         }
+    }
+    // A cache hit skips recover + analyze + render; a warm request that
+    // is not faster than the cold one is paying for something else.
+    let serve_secs = |field| serve.get(field).and_then(|v| v.as_f64()).unwrap_or(0.0);
+    let (cold, warm) = (
+        serve_secs("request_cold_secs"),
+        serve_secs("request_warm_secs"),
+    );
+    if warm >= cold {
+        return Err(format!(
+            "serve.request_warm_secs ({warm}) is not below serve.request_cold_secs ({cold})"
+        ));
     }
 
     eprintln!(

@@ -26,13 +26,20 @@
 //!   client cannot pin a worker, and oversized request heads are refused
 //!   with `431`.
 //!
+//! Transport: both ends set `TCP_NODELAY`, and a response's head and
+//! body go out through one vectored write, so an answer leaves as one
+//! segment instead of a body that waits ~40 ms for the peer's delayed
+//! ACK. The last response a connection carries says `Connection: close`,
+//! and [`HttpClient`] reconnects after it. The accept loop blocks in
+//! `accept()`; [`HttpServer::join`] wakes it with one loopback connect.
+//!
 //! Handlers are plain `Fn(&Request) -> Response` closures; conditional
 //! requests (`ETag` / `If-None-Match` / `304`) are expressed through
 //! [`Response::not_modified`] and [`Response::with_header`].
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -42,6 +49,9 @@ use std::time::{Duration, Instant};
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Default per-connection read/write deadline.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// Most a client reserves up front from a response's `Content-Length`;
+/// past it the body buffer grows only with the bytes that arrive.
+const MAX_BODY_RESERVE: usize = 1 << 20;
 
 /// Tuning knobs for an [`HttpServer`].
 #[derive(Clone)]
@@ -174,8 +184,17 @@ impl HttpServer {
     }
 
     /// Wait for the accept loop and every worker to exit (after the stop
-    /// flag is set).
+    /// flag is set). The accept loop is parked in `accept()`, so one
+    /// loopback connect to the bound port wakes it to see the flag.
     pub fn join(mut self) {
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, IO_TIMEOUT);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -288,7 +307,6 @@ pub fn serve(
     on_shed: Option<Box<dyn Fn() + Send + Sync>>,
 ) -> io::Result<HttpServer> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let bound = listener.local_addr()?;
     let shared = Arc::new(Shared {
         limiter: config.rate_limit.map(RateLimiter::new),
@@ -329,9 +347,16 @@ fn accept_loop(
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `HttpServer::join` connects once after the flag flips; that
+        // connection (or any other) wakes this loop to leave.
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
+                let _ = stream.set_nodelay(true);
                 if let Err(mut stream) = queue.push(stream) {
                     // Queue full: shed inline with a fast 503 rather
                     // than queueing without bound or stalling accepts.
@@ -341,9 +366,8 @@ fn accept_loop(
                         write_response(&mut stream, &Response::text(503, "server busy\n"), false);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors or an aborted handshake: back off
+            // rather than spin on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -357,7 +381,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, stop: &AtomicBool) -
     stream.set_read_timeout(Some(shared.config.io_timeout))?;
     stream.set_write_timeout(Some(shared.config.io_timeout))?;
     let mut carry: Vec<u8> = Vec::new();
-    for _ in 0..shared.config.max_requests_per_conn {
+    let cap = shared.config.max_requests_per_conn;
+    for served in 1..=cap {
         if stop.load(Ordering::Relaxed) {
             break;
         }
@@ -378,6 +403,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, stop: &AtomicBool) -
             }
             Err(HttpError::Io) => break,
         };
+        // The last response this connection carries says so, so the
+        // client reconnects instead of writing into a closed socket.
+        let keep_alive = keep_alive && served < cap;
         if let Some(limiter) = &shared.limiter {
             if !limiter.admit() {
                 shared.shed();
@@ -515,9 +543,28 @@ fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool)
         "Connection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    write_all_vectored(
+        stream,
+        &mut [
+            IoSlice::new(head.as_bytes()),
+            IoSlice::new(response.body.as_bytes()),
+        ],
+    )
+}
+
+/// `write_all` over several buffers: one `writev` per pass, resuming
+/// after a short write, so head and body leave together and the body is
+/// never copied into the head's buffer.
+fn write_all_vectored(out: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match out.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -591,29 +638,44 @@ pub type ClientResponse = (u16, Vec<(String, String)>, String);
 /// A persistent keep-alive HTTP/1.1 client for loopback use: issues
 /// sequential GETs on one connection, exposing status, headers, and
 /// body — enough to exercise ETag revalidation and keep-alive reuse.
+/// After a response that says `Connection: close` the next GET
+/// reconnects to the same address.
 pub struct HttpClient {
     stream: TcpStream,
     addr: String,
     carry: Vec<u8>,
+    /// The last response said `Connection: close`.
+    closed: bool,
 }
 
 impl HttpClient {
     /// Connect to `addr` (host:port) with the default io deadline.
     pub fn connect(addr: &str) -> io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         Ok(HttpClient {
-            stream,
+            stream: Self::open(addr)?,
             addr: addr.to_string(),
             carry: Vec::new(),
+            closed: false,
         })
+    }
+
+    fn open(addr: &str) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        Ok(stream)
     }
 
     /// Issue one GET with extra headers; returns
     /// `(status, headers, body)`. Headers come back lower-cased.
     pub fn get(&mut self, path: &str, headers: &[(&str, &str)]) -> io::Result<ClientResponse> {
         use std::fmt::Write as _;
+        if self.closed {
+            self.stream = Self::open(&self.addr)?;
+            self.carry.clear();
+            self.closed = false;
+        }
         let mut req = format!("GET {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
         for (name, value) in headers {
             let _ = write!(req, "{name}: {value}\r\n");
@@ -636,8 +698,7 @@ impl HttpClient {
                 n => buf.extend_from_slice(&chunk[..n]),
             }
         };
-        let rest = buf.split_off(head_end + 4);
-        let head = String::from_utf8_lossy(&buf).into_owned();
+        let head = String::from_utf8_lossy(&buf[..head_end]);
         let mut lines = head.lines();
         let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
         let status: u16 = status_line
@@ -657,15 +718,28 @@ impl HttpClient {
                 headers.push((name, value));
             }
         }
-        let mut body_bytes = rest;
-        while body_bytes.len() < content_length {
-            match self.stream.read(&mut chunk)? {
-                0 => return Err(bad("eof mid-body")),
-                n => body_bytes.extend_from_slice(&chunk[..n]),
+        self.closed = headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
+        // The body is read once, straight into a buffer sized from
+        // `Content-Length`; the reservation is capped so a lying header
+        // cannot size an allocation.
+        let body_start = head_end + 4;
+        let body_end = buf.len().min(body_start.saturating_add(content_length));
+        let mut body = Vec::with_capacity(content_length.min(MAX_BODY_RESERVE));
+        body.extend_from_slice(&buf[body_start..body_end]);
+        self.carry = buf.split_off(body_end);
+        let missing = content_length - body.len();
+        if missing > 0 {
+            let got = (&mut self.stream)
+                .take(missing as u64)
+                .read_to_end(&mut body)?;
+            if got < missing {
+                return Err(bad("eof mid-body"));
             }
         }
-        self.carry = body_bytes.split_off(content_length);
-        let body = String::from_utf8_lossy(&body_bytes).into_owned();
+        let body = String::from_utf8(body)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
         Ok((status, headers, body))
     }
 }
@@ -716,6 +790,42 @@ mod tests {
             Response::json(format!("{{\"path\":\"{}\"}}\n", req.path)).with_header("ETag", "\"x\"")
         });
         let stop = Arc::new(AtomicBool::new(false));
+        let config = HttpConfig::default();
+        let cap = config.max_requests_per_conn;
+        let server = serve("127.0.0.1:0", config, handler, stop.clone(), None).expect("bind");
+        let mut client = HttpClient::connect(&server.addr().to_string()).expect("connect");
+        let mut ports = Vec::new();
+        // Two full connections and the first request of a third: the
+        // cap's last response says `close` and the client reconnects.
+        for i in 1..=2 * cap + 1 {
+            let (status, headers, body) = client.get(&format!("/r{i}"), &[]).expect("get");
+            let port = client.stream.local_addr().expect("local addr").port();
+            if ports.last() != Some(&port) {
+                ports.push(port);
+            }
+            assert_eq!(status, 200);
+            assert!(body.contains(&format!("/r{i}")));
+            assert!(headers.iter().any(|(k, v)| k == "etag" && v == "\"x\""));
+            let want = if i % cap == 0 { "close" } else { "keep-alive" };
+            assert!(
+                headers.iter().any(|(k, v)| k == "connection" && v == want),
+                "response {i} should say Connection: {want}: {headers:?}"
+            );
+        }
+        assert_eq!(ports.len(), 3, "one connection per {cap} requests");
+        drop(client);
+        stop.store(true, Ordering::Relaxed);
+        server.join();
+    }
+
+    /// A keep-alive response must not wait for the client's delayed ACK
+    /// (~40 ms): head and body leave as one segment on a `TCP_NODELAY`
+    /// socket. The body is below one loopback MSS, where the stall shows.
+    #[test]
+    fn keep_alive_answers_do_not_wait_for_delayed_acks() {
+        let body = "y".repeat(24 * 1024);
+        let handler: Handler = Arc::new(move |_req: &Request| Response::json(body.clone()));
+        let stop = Arc::new(AtomicBool::new(false));
         let server = serve(
             "127.0.0.1:0",
             HttpConfig::default(),
@@ -725,17 +835,192 @@ mod tests {
         )
         .expect("bind");
         let mut client = HttpClient::connect(&server.addr().to_string()).expect("connect");
-        for i in 0..5 {
-            let (status, headers, body) = client.get(&format!("/r{i}"), &[]).expect("get");
-            assert_eq!(status, 200);
-            assert!(body.contains(&format!("/r{i}")));
-            assert!(headers.iter().any(|(k, v)| k == "etag" && v == "\"x\""));
-            assert!(headers
-                .iter()
-                .any(|(k, v)| k == "connection" && v == "keep-alive"));
-        }
+        // The first answer on a fresh connection is fast either way.
+        client.get("/", &[]).expect("first get");
+        let mut times: Vec<Duration> = (0..32)
+            .map(|_| {
+                let t = Instant::now();
+                let (status, _, got) = client.get("/", &[]).expect("get");
+                let dt = t.elapsed();
+                assert_eq!((status, got.len()), (200, 24 * 1024));
+                dt
+            })
+            .collect();
+        times.sort();
+        let median = times[times.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median keep-alive answer took {median:?}"
+        );
+        drop(client);
         stop.store(true, Ordering::Relaxed);
         server.join();
+    }
+
+    #[test]
+    fn large_body_arrives_intact_and_the_connection_stays_usable() {
+        // 8 MiB: more than the loopback socket buffers hold at once.
+        let big: Arc<String> = Arc::new(
+            (0..8 * 1024 * 1024u32)
+                .map(|i| char::from(b'a' + (i % 23) as u8))
+                .collect(),
+        );
+        let served = Arc::clone(&big);
+        let handler: Handler = Arc::new(move |req: &Request| match req.path.as_str() {
+            "/big" => Response::ok("text/plain", served.as_str()),
+            _ => Response::json("{}\n"),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = serve(
+            "127.0.0.1:0",
+            HttpConfig::default(),
+            handler,
+            stop.clone(),
+            None,
+        )
+        .expect("bind");
+        let mut client = HttpClient::connect(&server.addr().to_string()).expect("connect");
+        let port = client.stream.local_addr().expect("local addr").port();
+        let (status, _, body) = client.get("/big", &[]).expect("big get");
+        assert_eq!(status, 200);
+        assert!(body == *big, "8 MiB body must arrive byte-identical");
+        let (status, _, body) = client.get("/small", &[]).expect("second get");
+        assert_eq!((status, body.as_str()), (200, "{}\n"));
+        assert_eq!(
+            client.stream.local_addr().expect("local addr").port(),
+            port,
+            "second request reuses the connection"
+        );
+        drop(client);
+        stop.store(true, Ordering::Relaxed);
+        server.join();
+    }
+
+    /// A writer that takes at most 7 bytes per call and is interrupted
+    /// every third call.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(7);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_write_resumes_after_short_writes() {
+        let mut out = Trickle {
+            out: Vec::new(),
+            calls: 0,
+        };
+        let (head, body) = (b"HTTP/1.1 200 OK\r\n\r\n", b"0123456789abcdefghij");
+        write_all_vectored(&mut out, &mut [IoSlice::new(head), IoSlice::new(body)]).expect("write");
+        assert_eq!(out.out, [&head[..], &body[..]].concat());
+    }
+
+    #[test]
+    fn lying_content_length_fails_promptly() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut head = [0u8; 1024];
+            let _ = stream.read(&mut head);
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n0123456789")
+                .expect("write");
+        });
+        let mut client = HttpClient::connect(&addr).expect("connect");
+        let started = Instant::now();
+        assert!(client.get("/", &[]).is_err(), "a short body is an error");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the error must come at EOF, not after a deadline"
+        );
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn full_queue_sheds_503_and_join_wakes_a_blocked_accept() {
+        let handler: Handler = Arc::new(|_req: &Request| Response::json("{}\n"));
+        let shed = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let shed2 = Arc::clone(&shed);
+        let stop = Arc::new(AtomicBool::new(false));
+        let config = HttpConfig {
+            workers: 1,
+            backlog: 1,
+            io_timeout: Duration::from_secs(30),
+            ..HttpConfig::default()
+        };
+        let server = serve(
+            "127.0.0.1:0",
+            config,
+            handler,
+            stop.clone(),
+            Some(Box::new(move || {
+                shed2.fetch_add(1, Ordering::Relaxed);
+            })),
+        )
+        .expect("bind");
+        let addr = server.addr().to_string();
+        // An answered request proves the only worker holds this
+        // connection; it then idles, waiting for the next request.
+        let mut idle = HttpClient::connect(&addr).expect("connect idle");
+        assert_eq!(idle.get("/", &[]).expect("get").0, 200);
+        let queued = TcpStream::connect(&addr).expect("connect queued");
+        let mut third = TcpStream::connect(&addr).expect("connect third");
+        third
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut answer = String::new();
+        third.read_to_string(&mut answer).expect("read 503");
+        assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+        assert_eq!(shed.load(Ordering::Relaxed), 1);
+
+        // The accept loop closed the third connection after its 503 and
+        // is back in accept(), with nothing pending.
+        drop((idle, queued, third));
+        stop_and_join_promptly(server, &stop);
+    }
+
+    #[test]
+    fn join_wakes_a_wildcard_listener() {
+        let handler: Handler = Arc::new(|_req: &Request| Response::json("{}\n"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = serve(
+            "0.0.0.0:0",
+            HttpConfig::default(),
+            handler,
+            stop.clone(),
+            None,
+        )
+        .expect("bind");
+        stop_and_join_promptly(server, &stop);
+    }
+
+    /// Flip `stop` and fail unless `join` returns within a second.
+    fn stop_and_join_promptly(server: HttpServer, stop: &AtomicBool) {
+        stop.store(true, Ordering::Relaxed);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            server.join();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("join returns within 1 s");
+        waiter.join().expect("join thread");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use crate::parser::AnalysisOptions;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk cache format version. Bump when the report format, the
 /// analysis semantics, or the key derivation changes.
@@ -166,8 +167,15 @@ impl AnalysisCache {
     /// Persist a rendered result under `key`, atomically (temp + rename),
     /// so a killed process never leaves a torn entry behind.
     pub fn store(&self, key: &CacheKey, rendered: &str) -> io::Result<()> {
+        // One temp file per store: threads storing the same key at once
+        // (the query daemon's workers) must not truncate each other's
+        // file before its rename publishes it.
+        static STORES: AtomicU64 = AtomicU64::new(0);
         let name = key.file_name();
-        let tmp = self.dir.join(format!(".tmp-{}-{name}", std::process::id()));
+        let seq = STORES.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!(".tmp-{}-{seq}-{name}", std::process::id()));
         std::fs::write(&tmp, rendered)?;
         std::fs::rename(&tmp, self.dir.join(name))?;
         tempest_obs::global().counter("cache_stores_total").inc();
@@ -321,6 +329,32 @@ mod tests {
             AnalysisCache::audit(&dir).unwrap().version,
             Some(CACHE_VERSION)
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Stores racing on one key from several threads (the query
+    /// daemon's workers answering one question at once) must each
+    /// succeed and never publish a torn entry: a lookup sees nothing or
+    /// the whole text.
+    #[test]
+    fn racing_stores_never_publish_a_torn_entry() {
+        let dir = temp_dir("race");
+        let cache = AnalysisCache::open(&dir).unwrap();
+        let key = CacheKey::new(b"raced", AnalysisOptions::default(), "text");
+        let text = "r".repeat(64 * 1024);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        cache.store(&key, &text).expect("store");
+                        let got = cache.lookup(&key).expect("stored above");
+                        assert_eq!(got.len(), text.len(), "torn entry");
+                    }
+                });
+            }
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 
