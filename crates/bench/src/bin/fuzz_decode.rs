@@ -7,10 +7,10 @@
 //! ```
 //!
 //! Each iteration starts from a *valid* byte stream (a synthetic trace,
-//! a real spool segment, or a ship wire message), applies one seeded
-//! mutation — truncation, bit flips, extreme-value stomps on length and
-//! count fields — and feeds the result to the strict-limits decoder
-//! inside `catch_unwind`. The invariants checked on every single
+//! real local and collector-written spool segments, or a ship wire
+//! message), applies one seeded mutation — truncation, bit flips,
+//! extreme-value stomps on length and count fields — and feeds the
+//! result to the strict-limits decoder inside `catch_unwind`. The invariants checked on every single
 //! iteration:
 //!
 //! * **no panic** — hostile bytes produce an error or a bounded partial
@@ -37,8 +37,8 @@ use tempest_probe::ship::{
     decode_err, decode_hello, encode_err, encode_hello, Hello, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    self, decode_shipped, parse_segment_frames, shipped_payload, SpoolConfig, SpoolWriter,
-    FRAME_EVENTS,
+    self, decode_shipped2, parse_segment_frames, shipped2_payload, SpoolConfig, SpoolWriter,
+    FRAME_EVENTS, FRAME_SHIPPED2,
 };
 use tempest_probe::synth::{TraceGenerator, TraceSpec};
 use tempest_probe::trace::Trace;
@@ -177,7 +177,7 @@ fn build_corpus() -> Corpus {
     w.append_batch(&trace.events[..trace.events.len().min(2_000)])
         .expect("corpus batch");
     w.finish(&trace.functions, 0, 0).expect("corpus finish");
-    let segment_bytes: Vec<Vec<u8>> = spool::list_segment_files(&spool_dir)
+    let mut segment_bytes: Vec<Vec<u8>> = spool::list_segment_files(&spool_dir)
         .expect("corpus segments")
         .into_iter()
         .map(|(_, p)| std::fs::read(p).expect("corpus segment bytes"))
@@ -186,6 +186,17 @@ fn build_corpus() -> Corpus {
         !segment_bytes.is_empty(),
         "corpus spool produced no segments"
     );
+    // One collector-style segment: the same frames, each wrapped in a
+    // FRAME_SHIPPED2 envelope, so mutations also reach the envelope
+    // unwrap in recovery and fsck.
+    let mut collected = spool::segment_header_bytes(0).to_vec();
+    for (seq, seg) in segment_bytes.iter().enumerate() {
+        for f in parse_segment_frames(seg).0 {
+            let wrapped = shipped2_payload(seq as u64, f.offset, 1, 2, f.kind, f.payload);
+            spool::encode_frame_into(&mut collected, FRAME_SHIPPED2, &wrapped);
+        }
+    }
+    segment_bytes.push(collected);
 
     let hello = encode_hello(&Hello {
         version: SHIP_VERSION,
@@ -193,9 +204,11 @@ fn build_corpus() -> Corpus {
         session: "fuzz-session".into(),
         hostname: "fuzzbox".into(),
     });
-    let shipped = shipped_payload(
+    let shipped = shipped2_payload(
         1,
         64,
+        2,
+        3,
         FRAME_EVENTS,
         &trace_bytes[..256.min(trace_bytes.len())],
     );
@@ -258,7 +271,7 @@ fn run_iteration(corpus: &Corpus, seed: u64, iter: u64) -> Result<(), String> {
                 let mut bytes = corpus.ship_msgs[rng.below(corpus.ship_msgs.len())].clone();
                 mutate(&mut rng, &mut bytes);
                 let _ = decode_hello(&bytes);
-                let _ = decode_shipped(&bytes);
+                let _ = decode_shipped2(&bytes);
                 let _ = decode_err(&bytes);
                 let _ = parse_segment_frames(&bytes);
                 Ok(())

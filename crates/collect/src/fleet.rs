@@ -239,28 +239,18 @@ pub fn member_dirs(dir: &Path) -> Vec<PathBuf> {
 /// directly) or collected (inside a shipped envelope).
 pub fn latest_telemetry(dir: &Path) -> Option<Telemetry> {
     use tempest_probe::spool as sp;
+    let limits = tempest_probe::limits::DecodeLimits::default();
     let mut latest: Option<Telemetry> = None;
     for (_, path) in sp::list_segment_files(dir).ok()? {
         let Ok(bytes) = std::fs::read(&path) else {
             continue;
         };
         let (frames, _) = sp::parse_segment_frames(&bytes);
-        for f in frames {
-            let (kind, payload) = match f.kind {
-                sp::FRAME_SHIPPED => match sp::decode_shipped(f.payload) {
-                    Some((_, k, p)) => (k, p),
-                    None => continue,
-                },
-                sp::FRAME_SHIPPED2 => match sp::decode_shipped2(f.payload) {
-                    Some((_, _, k, p)) => (k, p),
-                    None => continue,
-                },
-                k => (k, f.payload),
-            };
-            if kind != sp::FRAME_METRICS {
+        for f in frames.iter().filter_map(sp::unwrap_frame) {
+            if f.kind != sp::FRAME_METRICS {
                 continue;
             }
-            if let Some(t) = tempest_obs::decode_telemetry(payload) {
+            if let Ok(sp::Decoded::Telemetry(t)) = sp::decode_frame(f.kind, f.payload, &limits) {
                 if latest
                     .as_ref()
                     .is_none_or(|l| t.origin_unix_ns >= l.origin_unix_ns)

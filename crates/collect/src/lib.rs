@@ -7,7 +7,8 @@
 //! Profiled nodes spool locally and a shipper streams those spool frames
 //! here over TCP. The collector writes every received frame back out as
 //! a **standard spool segment** — each frame wrapped with its source
-//! cursor as a [`tempest_probe::spool::FRAME_SHIPPED`] frame — so a
+//! cursor and transit stamps as a
+//! [`tempest_probe::spool::FRAME_SHIPPED2`] frame — so a
 //! collected session directory is recoverable and analyzable by the
 //! exact same `spool::recover` → analyze pipeline as a local spool, and
 //! the resume cursor it owes a reconnecting shipper is derivable by

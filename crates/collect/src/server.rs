@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use crate::fleet::FleetState;
 use parking_lot::Mutex;
+use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{
     decode_data, decode_hello, encode_err, read_msg, write_msg, Cursor, DATA_PREFIX_LEN,
     ERR_CORRUPT, ERR_DEADLINE, ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED,
@@ -19,10 +20,9 @@ use tempest_probe::ship::{
     MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    decode_shipped, decode_shipped2, encode_frame_into, frame_crc, list_segment_files,
-    parse_segment_frames, segment_header_bytes, shipped2_payload, write_manifest_file,
-    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED, FRAME_SHIPPED2,
-    SHIPPED2_PREFIX_LEN,
+    decode_frame, encode_frame_into, frame_crc, list_segment_files, parse_segment_frames,
+    segment_header_bytes, shipped2_payload, unwrap_frame, write_manifest_file, Decoded,
+    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -443,7 +443,7 @@ fn handle_connection(
                     send_err(&mut stream, ERR_CORRUPT, "undecodable DATA frame");
                     break;
                 };
-                if inner_kind == FRAME_SHIPPED || inner_kind == FRAME_SHIPPED2 {
+                if inner_kind == FRAME_SHIPPED2 {
                     quarantine(&dir, &payload, shared, metrics);
                     send_err(&mut stream, ERR_CORRUPT, "nested shipped frame");
                     break;
@@ -492,8 +492,8 @@ fn handle_connection(
                 metrics
                     .frame_latency
                     .record(collect_ns.saturating_sub(origin_ns));
-                // What lands on disk is the v2 envelope: source cursor
-                // plus both trace stamps ahead of the original frame.
+                // What lands on disk is the FRAME_SHIPPED2 envelope: source
+                // cursor plus both trace stamps ahead of the original frame.
                 let frame_bytes =
                     (FRAME_HEADER_LEN + SHIPPED2_PREFIX_LEN + inner_payload.len()) as u64;
                 if let Some(budget) = config.disk_budget_bytes {
@@ -638,8 +638,7 @@ fn quarantine(dir: &Path, bytes: &[u8], shared: &Arc<Shared>, metrics: &CollectM
 // ---- session writer --------------------------------------------------------
 
 /// Writes one shipped session as a standard spool directory. Every
-/// received frame is appended wrapped as a [`FRAME_SHIPPED2`] envelope
-/// (older [`FRAME_SHIPPED`] segments still resume), so
+/// received frame is appended wrapped as a [`FRAME_SHIPPED2`] envelope, so
 /// the directory is self-describing: the resume cursor is recomputed at
 /// open by scanning the segments, and a torn tail atomically loses the
 /// data and the cursor that covered it — there is no window where one
@@ -677,33 +676,30 @@ impl SessionWriter {
         let mut next: Option<Cursor> = None;
         let mut footer_seen = false;
         let mut max_seq: Option<u64> = None;
+        let limits = DecodeLimits::default();
         for (seq, path) in list_segment_files(dir)? {
             max_seq = Some(max_seq.map_or(seq, |m: u64| m.max(seq)));
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
             let (frames, _) = parse_segment_frames(&bytes);
-            for f in frames {
-                // Both envelope generations resume identically; v1
-                // segments written by an older collector stay honest.
-                let decoded = match f.kind {
-                    FRAME_SHIPPED => decode_shipped(f.payload),
-                    FRAME_SHIPPED2 => {
-                        decode_shipped2(f.payload).map(|(cur, _stamps, k, p)| (cur, k, p))
-                    }
-                    _ => continue,
-                };
-                let Some(((seg, off), inner_kind, inner_payload)) = decoded else {
+            for f in frames.iter().filter_map(unwrap_frame) {
+                let Some(shipped) = f.shipped else {
                     continue;
                 };
                 let after = Cursor {
-                    seg,
-                    off: off + (FRAME_HEADER_LEN + inner_payload.len()) as u64,
+                    seg: shipped.seg,
+                    off: shipped.off + (FRAME_HEADER_LEN + f.payload.len()) as u64,
                 };
                 if next.is_none_or(|n| after > n) {
                     next = Some(after);
                 }
-                if inner_kind == FRAME_FOOTER {
+                if f.kind == FRAME_FOOTER
+                    && matches!(
+                        decode_frame(f.kind, f.payload, &limits),
+                        Ok(Decoded::Footer(_))
+                    )
+                {
                     footer_seen = true;
                 }
             }

@@ -1,18 +1,11 @@
-//! The consolidated analysis entry point.
+//! The consolidated analysis entry point, and the only public one.
 //!
-//! Tempest's analysis surface grew one function at a time:
-//! `analyze_trace` (strict), `analyze_trace_salvaged` (fold in salvage
-//! losses), `Engine::analyze_files` (parallel, from paths), plus a bag
-//! of knobs scattered across [`AnalysisOptions`] fields and per-call
-//! parameters. Every new caller had to know which of the four doors to
-//! knock on. This module replaces them with one request type and one
-//! verb: build an [`AnalysisRequest`] (jobs, recovery, deadline, cache,
-//! sampling — all in one place), call [`AnalysisRequest::analyze`] (or
-//! [`analyze`]), get a typed [`AnalysisOutcome`] back.
-//!
-//! The old entry points remain as `#[deprecated]` shims forwarding
-//! here, so downstream code migrates gradually; nothing inside this
-//! workspace still calls them.
+//! One request type and one verb: build an [`AnalysisRequest`] (jobs,
+//! recovery, deadline, cache, sampling — all in one place), call
+//! [`AnalysisRequest::analyze`] (or [`analyze`]), get a typed
+//! [`AnalysisOutcome`] back. Already-decoded traces go through
+//! [`AnalysisRequest::analyze_trace`] and
+//! [`AnalysisRequest::analyze_salvaged`].
 //!
 //! Both `AnalysisRequest` and `AnalysisOutcome` are `#[non_exhaustive]`:
 //! fields can be added (a new knob, a new result facet) without a
@@ -137,7 +130,7 @@ impl AnalysisRequest {
 
     /// Analyze one already-decoded trace on the calling thread.
     pub fn analyze_trace(&self, trace: &Trace) -> Result<NodeProfile, ParseError> {
-        crate::parser::analyze_trace_salvaged_impl(trace, None, self.options())
+        crate::parser::analyze_trace_salvaged(trace, None, self.options())
     }
 
     /// Analyze one trace, folding a salvage reader's losses into the
@@ -147,7 +140,7 @@ impl AnalysisRequest {
         trace: &Trace,
         salvage: Option<&SalvageReport>,
     ) -> Result<NodeProfile, ParseError> {
-        crate::parser::analyze_trace_salvaged_impl(trace, salvage, self.options())
+        crate::parser::analyze_trace_salvaged(trace, salvage, self.options())
     }
 
     /// Run the full load → decode → analyze pipeline over `paths`,
@@ -162,7 +155,7 @@ impl AnalysisRequest {
     /// shares one clamped pool width instead of re-resolving it.
     pub fn analyze_on(&self, engine: &Engine, paths: &[String]) -> AnalysisOutcome {
         AnalysisOutcome {
-            profiles: engine.analyze_files_impl(paths, self.options()),
+            profiles: engine.analyze_files(paths, self.options()),
             jobs: engine.width(),
         }
     }
@@ -277,17 +270,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn request_matches_deprecated_entry_points() {
-        let trace = mini_trace();
-        let via_api = AnalysisRequest::new().analyze_trace(&trace).unwrap();
-        #[allow(deprecated)]
-        let via_old = crate::parser::analyze_trace(&trace, AnalysisOptions::default()).unwrap();
-        assert_eq!(via_api.node, via_old.node);
-        assert_eq!(via_api.functions.len(), via_old.functions.len());
-        assert_eq!(via_api.span_ns, via_old.span_ns);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! 7. [`merge`] — multi-node aggregation for cluster runs.
 //! 8. [`analysis`] — hot-spot ranking, node-divergence metrics,
 //!    synchronisation-event detection, and phase↔sensor correlation.
-//! 9. [`parser`] — the one-call front door: [`parser::analyze_trace`].
+//! 9. [`parser`] — the analysis body behind the one-call front door,
+//!    [`api::AnalysisRequest`].
 //!
 //! Beyond the pipeline: [`callgraph`] recovers gprof's caller/callee view
 //! exactly from the timeline, [`phases`] segments runs into thermal
@@ -73,8 +74,6 @@ pub use cache::AnalysisCache;
 pub use chrome::{chrome_fleet_trace_json, chrome_trace_json};
 pub use engine::Engine;
 pub use merge::ClusterProfile;
-#[allow(deprecated)]
-pub use parser::{analyze_trace, analyze_trace_salvaged};
 pub use parser::{AnalysisOptions, ParseError};
 pub use profile::{DataQuality, FunctionProfile, NodeProfile};
 pub use stats::SummaryStats;

@@ -1,8 +1,8 @@
 //! The one-call front door: trace in, profile out.
 //!
 //! Figure 1 of the paper: users "invoke the Tempest parser for post
-//! processing" after a run. [`analyze_trace`] is that invocation — it
-//! chains timeline reconstruction, symbolisation (validating that every
+//! processing" after a run. This module is that invocation, reached
+//! through [`crate::api::AnalysisRequest`] — it chains timeline reconstruction, symbolisation (validating that every
 //! event's function id resolves through the trace's symbol table, as the
 //! original resolved addresses against the executable), correlation, and
 //! profile assembly.
@@ -14,9 +14,10 @@
 //!   a non-finite sample temperature — is a typed [`ParseError`].
 //! * **Recover** ([`AnalysisOptions::recover`]): malformed content is
 //!   dropped, the longest usable subsequence is analysed, and every loss
-//!   is tallied in the profile's [`DataQuality`] record. Use
-//!   [`analyze_trace_salvaged`] to also fold in the losses a
-//!   [`SalvageReport`] observed while reading a truncated trace file.
+//!   is tallied in the profile's [`DataQuality`] record.
+//!   [`crate::api::AnalysisRequest::analyze_salvaged`] also folds in the
+//!   losses a [`SalvageReport`] observed while reading a truncated trace
+//!   file.
 
 use crate::correlate::correlate_with_cancel;
 use crate::profile::{build_profiles, DataQuality, NodeProfile};
@@ -158,32 +159,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Analyse one node's trace into a [`NodeProfile`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use tempest_core::api::AnalysisRequest::analyze_trace instead"
-)]
-pub fn analyze_trace(trace: &Trace, options: AnalysisOptions) -> Result<NodeProfile, ParseError> {
-    analyze_trace_salvaged_impl(trace, None, options)
-}
-
-/// [`analyze_trace`], additionally folding the losses a salvage read
-/// observed ([`Trace::read_salvage`]) into the profile's [`DataQuality`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use tempest_core::api::AnalysisRequest::analyze_salvaged instead"
-)]
-pub fn analyze_trace_salvaged(
-    trace: &Trace,
-    salvage: Option<&SalvageReport>,
-    options: AnalysisOptions,
-) -> Result<NodeProfile, ParseError> {
-    analyze_trace_salvaged_impl(trace, salvage, options)
-}
-
-/// The real analysis body behind both deprecated public shims and the
-/// [`crate::api`] facade.
-pub(crate) fn analyze_trace_salvaged_impl(
+/// Analyse one node's trace into a [`NodeProfile`], folding the losses a
+/// salvage read observed ([`Trace::read_salvage`]) into its
+/// [`DataQuality`]. The analysis body behind the [`crate::api`] facade.
+pub(crate) fn analyze_trace_salvaged(
     trace: &Trace,
     salvage: Option<&SalvageReport>,
     options: AnalysisOptions,
@@ -348,18 +327,8 @@ mod tests {
     use tempest_probe::func::{FunctionDef, FunctionId, ScopeKind};
     use tempest_sensors::{SensorId, Temperature};
 
-    // Shadow the deprecated shims with the impl so the unit tests keep
-    // their call shape without tripping `-D deprecated`.
     fn analyze_trace(trace: &Trace, options: AnalysisOptions) -> Result<NodeProfile, ParseError> {
-        analyze_trace_salvaged_impl(trace, None, options)
-    }
-
-    fn analyze_trace_salvaged(
-        trace: &Trace,
-        salvage: Option<&SalvageReport>,
-        options: AnalysisOptions,
-    ) -> Result<NodeProfile, ParseError> {
-        analyze_trace_salvaged_impl(trace, salvage, options)
+        analyze_trace_salvaged(trace, None, options)
     }
 
     fn mini_trace() -> Trace {

@@ -37,8 +37,8 @@
 //!   `tempest-collect` daemon with retry/backoff, heartbeats, and an
 //!   idempotent resume cursor; degrades to local-spool-only when the
 //!   collector stays unreachable.
-//! * [`session`] — ties a profiler, a tempd, and a trace writer together
-//!   for one profiled run.
+//! * [`session`] — ties a profiler and a tempd to an in-memory trace or a
+//!   spool for one profiled run.
 
 pub mod buffer;
 pub mod clock;
@@ -51,7 +51,6 @@ pub mod profiler;
 pub mod session;
 pub mod ship;
 pub mod spool;
-pub mod stream;
 pub mod synth;
 pub mod tempd;
 pub mod trace;
@@ -64,7 +63,7 @@ pub use func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 pub use guard::ScopeGuard;
 pub use limits::{CancelToken, DecodeLimits, LimitExceeded, LimitKind, ResourceBudget};
 pub use profiler::Profiler;
-pub use session::{ProfilingSession, SpooledSession, StreamingSession};
+pub use session::{ProfilingSession, SpooledSession};
 pub use ship::{RetryPolicy, ShipConfig, ShipReport};
 pub use spool::{FsyncPolicy, SpoolConfig, SpoolReport, SpoolSink, SpoolStats, SpoolWriter};
 pub use synth::{TraceGenerator, TraceSpec};

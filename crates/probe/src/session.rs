@@ -120,119 +120,13 @@ impl ProfilingSession {
     }
 }
 
-/// A streaming profiling session: events are written to a trace file
-/// *while the program runs* (a crash leaves a parsable prefix), via a
-/// dedicated writer thread fed by a [`crate::buffer::ChannelSink`].
-///
-/// This is closest to the original tool's behaviour, which aggregated
-/// trace files during execution rather than holding runs in memory.
-pub struct StreamingSession {
-    profiler: Arc<Profiler>,
-    tempd: Option<Tempd>,
-    node: NodeMeta,
-    writer: Option<std::thread::JoinHandle<std::io::Result<(u64, u64)>>>,
-    sink: Arc<crate::buffer::ChannelSink>,
-}
-
-impl StreamingSession {
-    /// Start a streaming session writing to `path`, with an optional
-    /// sensor source for tempd.
-    pub fn start(
-        path: &std::path::Path,
-        clock: Arc<dyn Clock>,
-        source: Option<Box<dyn SensorSource>>,
-        config: TempdConfig,
-    ) -> std::io::Result<StreamingSession> {
-        let (sink, rx) = crate::buffer::ChannelSink::new();
-        let profiler = Profiler::new(clock.clone(), sink.clone());
-        let sensors = source
-            .as_ref()
-            .map(|s| {
-                s.sensors()
-                    .iter()
-                    .map(|m| SensorMeta {
-                        id: m.id,
-                        label: m.label.clone(),
-                        kind: m.kind,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let node = NodeMeta {
-            node_id: 0,
-            hostname: hostname(),
-            sensors,
-        };
-        let tempd = source.map(|s| Tempd::spawn(s, clock, sink.clone(), config));
-
-        let file = std::fs::File::create(path)?;
-        let out = std::io::BufWriter::new(file);
-        // The writer thread owns the file; it learns the final symbol
-        // table through a snapshot taken when the channel closes — so the
-        // registry handle travels with it.
-        let registry = profiler.registry().clone();
-        let node_for_writer = node.clone();
-        let writer = std::thread::Builder::new()
-            .name("tempest-writer".to_string())
-            .spawn(move || {
-                let mut w = crate::stream::StreamWriter::new(out)?;
-                for batch in rx.iter() {
-                    w.write_batch(&batch)?;
-                }
-                w.finish(&node_for_writer, &registry.snapshot())
-            })?;
-
-        Ok(StreamingSession {
-            profiler,
-            tempd,
-            node,
-            writer: Some(writer),
-            sink,
-        })
-    }
-
-    /// The session's profiler.
-    pub fn profiler(&self) -> &Arc<Profiler> {
-        &self.profiler
-    }
-
-    /// A recording handle for the calling thread.
-    pub fn thread_profiler(&self) -> ThreadProfiler {
-        self.profiler.thread_profiler()
-    }
-
-    /// Node metadata recorded in the stream.
-    pub fn node(&self) -> &NodeMeta {
-        &self.node
-    }
-
-    /// Stop tempd, close the channel, and wait for the writer to flush.
-    /// Returns `(events, samples)` written.
-    pub fn finish(mut self) -> std::io::Result<(u64, u64)> {
-        if let Some(t) = self.tempd.take() {
-            t.shutdown();
-        }
-        // Dropping the last sender closes the channel; the writer then
-        // finishes the file. The profiler holds a sink Arc too, so drop
-        // both our handle and the profiler's by replacing the sink… the
-        // profiler's Arc<dyn EventSink> clone keeps the channel open, so
-        // we must drop the whole profiler (thread profilers must already
-        // be gone, per the finish contract).
-        let writer = self.writer.take().expect("finish called once");
-        drop(self.sink);
-        drop(self.profiler);
-        writer.join().expect("writer thread panicked")
-    }
-}
-
 /// A profiling session whose events are spooled to a crash-consistent
 /// segmented log (see [`crate::spool`]) while the program runs.
 ///
-/// Unlike [`StreamingSession`]'s single append-only file, the spool
-/// checksums every frame, seals bounded segments atomically, and bounds
-/// the submit queue with an explicit overflow policy — so a `kill -9`
-/// mid-run leaves a directory that [`crate::spool::recover`] can always
-/// turn back into a verified trace.
+/// The spool checksums every frame, seals bounded segments atomically,
+/// and bounds the submit queue with an explicit overflow policy — so a
+/// `kill -9` mid-run leaves a directory that [`crate::spool::recover`]
+/// can always turn back into a verified trace.
 pub struct SpooledSession {
     profiler: Arc<Profiler>,
     tempd: Option<Tempd>,
@@ -384,35 +278,6 @@ mod tests {
             inside >= 5,
             "expected several samples inside the 30 ms scope, got {inside}"
         );
-    }
-
-    #[test]
-    fn streaming_session_writes_parsable_file() {
-        let path =
-            std::env::temp_dir().join(format!("tempest-stream-{}.trace", std::process::id()));
-        let session = StreamingSession::start(
-            &path,
-            Arc::new(MonotonicClock::new()),
-            Some(Box::new(ConstantSource::single(41.0))),
-            TempdConfig::at_rate(200.0),
-        )
-        .unwrap();
-        {
-            let tp = session.thread_profiler();
-            let _g = tp.scope("streamed_main");
-            std::thread::sleep(std::time::Duration::from_millis(30));
-        } // thread profiler dropped (flushes) before finish
-        let (events, samples) = session.finish().unwrap();
-        assert_eq!(events, 2);
-        assert!(samples > 0);
-
-        let (trace, truncated) = crate::stream::load_stream(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(!truncated);
-        assert_eq!(trace.events.len(), 2);
-        assert!(trace.samples.len() as u64 == samples);
-        assert!(trace.functions.iter().any(|f| f.name == "streamed_main"));
-        assert_eq!(trace.node.sensors.len(), 1);
     }
 
     #[test]

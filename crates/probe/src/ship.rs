@@ -15,7 +15,7 @@
 //!   expects. The server is authoritative: whatever the client believes,
 //!   it resumes where the collector's durable state says. That, plus the
 //!   collector writing each frame wrapped with its source cursor
-//!   ([`spool::FRAME_SHIPPED`]), is what makes resume idempotent — an
+//!   ([`spool::FRAME_SHIPPED2`]), is what makes resume idempotent — an
 //!   ACK lost to a reset can only cause a re-send, which recovery
 //!   discards by cursor.
 //! * `DATA` carries one spool frame tagged with its source cursor; the
@@ -33,9 +33,10 @@
 //! The acked cursor is persisted next to the manifest (`ship.cursor`) so
 //! even a restarted shipper process resumes cheaply.
 
+use crate::limits::DecodeLimits;
 use crate::spool::{
-    self, frame_crc, list_segment_files, parse_segment_frames, FLIGHT_DUMP_NAME, FRAME_FOOTER,
-    FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
+    self, frame_crc, list_segment_files, parse_segment_frames, Decoded, FLIGHT_DUMP_NAME,
+    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -607,20 +608,18 @@ pub fn ship(config: &ShipConfig) -> io::Result<ShipReport> {
 /// Identify the node from the spool's first decodable node frame; the
 /// anonymous fallback keeps HELLO well-formed for header-damaged spools.
 fn spool_identity(dir: &Path) -> (u32, String) {
-    if let Ok(files) = list_segment_files(dir) {
-        for (_, path) in files {
-            let Ok(bytes) = std::fs::read(&path) else {
+    let limits = DecodeLimits::default();
+    for (_, path) in list_segment_files(dir).unwrap_or_default() {
+        let Ok(bytes) = std::fs::read(&path) else {
+            continue;
+        };
+        let (frames, _) = parse_segment_frames(&bytes);
+        for f in frames.iter().filter_map(spool::unwrap_frame) {
+            if f.kind != FRAME_NODE {
                 continue;
-            };
-            let (frames, _) = parse_segment_frames(&bytes);
-            for f in frames {
-                if f.kind == FRAME_NODE {
-                    if let Ok(node) =
-                        spool::decode_node(f.payload, &crate::limits::DecodeLimits::default())
-                    {
-                        return (node.node_id, node.hostname);
-                    }
-                }
+            }
+            if let Ok(Decoded::Node(node)) = spool::decode_frame(f.kind, f.payload, &limits) {
+                return (node.node_id, node.hostname);
             }
         }
     }

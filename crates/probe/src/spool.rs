@@ -1,7 +1,6 @@
 //! Crash-consistent trace spooling: a segmented write-ahead log.
 //!
-//! The in-memory [`Trace`] loses everything on a crash and the chunked
-//! stream format (`stream.rs`) only tolerates a torn *tail*. This module
+//! The in-memory [`Trace`] loses everything on a crash. This module
 //! gives Tempest a durability story strong enough for `kill -9`: events
 //! stream to disk as CRC-checksummed, length-prefixed frames inside
 //! bounded-size *segment* files. The active segment is `seg-NNNNNN.open`;
@@ -17,16 +16,23 @@
 //! the CRC-32 computed over `kind || len || payload` so a bit flip in any
 //! of the three is caught. Frame kinds: 1 = event batch (fixed 21-byte
 //! records), 2 = symbol-table snapshot, 3 = node metadata, 4 = session
-//! footer. The footer is written only on orderly shutdown — its presence
+//! footer, 6 = self-telemetry, 7 = shipped envelope (collector spools
+//! only). The footer is written only on orderly shutdown — its presence
 //! is the "clean" marker — and carries the backpressure drop counters so
 //! shed events are reported, never silently forgotten.
+//!
+//! Readers go through two rules that live only here: [`unwrap_frame`]
+//! takes a frame out of its shipped envelope, and [`decode_frame`] turns
+//! a kind and payload into a typed [`Decoded`] value or a [`FrameFail`].
 
 use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
-use crate::stream::synthesize_functions;
-use crate::trace::{NodeMeta, SalvageReport, SensorMeta, Trace, TraceError, TraceSection};
+use crate::trace::{
+    decode_sensor_kind, encode_sensor_kind, NodeMeta, SalvageReport, SensorMeta, Trace, TraceError,
+    TraceSection,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -60,15 +66,9 @@ pub const FRAME_SYMBOLS: u8 = 2;
 pub const FRAME_NODE: u8 = 3;
 /// Frame kind: the orderly-shutdown session footer.
 pub const FRAME_FOOTER: u8 = 4;
-/// Frame kind: a network-shipped frame. The payload is a source-spool
-/// cursor (`seg: u64 | off: u64`) followed by the original frame's kind
-/// byte and payload. The collector daemon writes every received frame
-/// wrapped this way so its spool is self-describing: recovery unwraps the
-/// inner frame and uses the cursor to discard duplicates a reconnecting
-/// shipper may have re-sent, which is what makes resume idempotent.
-pub const FRAME_SHIPPED: u8 = 5;
-/// The shipped-frame wrapper prefix: cursor (two u64) + inner kind.
-pub const SHIPPED_PREFIX_LEN: usize = 8 + 8 + 1;
+// Kind 5 is reserved and must never be reused: spools collected before
+// FRAME_SHIPPED2 may still hold the retired cursor-only envelope under
+// it. Readers treat it as an unknown kind.
 /// Frame kind: an encoded [`tempest_obs::Telemetry`] snapshot of the
 /// writing process's metric registry plus sampling health. Written
 /// periodically by the spool writer thread so self-telemetry rides the
@@ -76,13 +76,17 @@ pub const SHIPPED_PREFIX_LEN: usize = 8 + 8 + 1;
 /// Recovery verifies and counts these frames but does not fold them into
 /// the trace; readers that predate them skip them as unknown kinds.
 pub const FRAME_METRICS: u8 = 6;
-/// Frame kind: a network-shipped frame wrapped with its source cursor
-/// *and* transit timestamps — the v2 of [`FRAME_SHIPPED`]. The collector
-/// stamps each accepted frame with the shipper's send time and its own
-/// receive time (both wall-clock Unix nanoseconds), which is what lets
-/// recovery reconstruct per-frame spool→ship→collect latency.
+/// Frame kind: the shipped envelope, the only one there is. The payload
+/// is the source-spool cursor (`seg: u64 | off: u64`), the shipper's send
+/// time and the collector's receive time (both wall-clock Unix
+/// nanoseconds), then the original frame's kind byte and payload. The
+/// collector daemon writes every received frame wrapped this way so its
+/// spool is self-describing: recovery unwraps the inner frame, uses the
+/// cursor to discard duplicates a reconnecting shipper may have re-sent
+/// (which is what makes resume idempotent), and turns the two stamps
+/// into per-frame spool→ship→collect latency.
 pub const FRAME_SHIPPED2: u8 = 7;
-/// The v2 wrapper prefix: cursor (two u64), origin and collect
+/// The [`FRAME_SHIPPED2`] prefix: cursor (two u64), origin and collect
 /// timestamps (two u64), inner kind.
 pub const SHIPPED2_PREFIX_LEN: usize = 8 + 8 + 8 + 8 + 1;
 /// Flight-recorder dump file name beside a spool's segments.
@@ -890,7 +894,7 @@ fn encode_node(node: &NodeMeta) -> Vec<u8> {
     buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
     for s in &node.sensors {
         buf.extend_from_slice(&s.id.0.to_le_bytes());
-        buf.push(crate::stream::sensor_kind_code(s.kind));
+        buf.push(encode_sensor_kind(s.kind));
         push_str(&mut buf, &s.label);
     }
     buf
@@ -968,13 +972,16 @@ impl<'a> Reader<'a> {
 }
 
 /// Why a checksum-valid frame still failed to decode: structural damage
-/// (discard the frame, keep scanning) versus a resource-limit overrun
-/// (stop and surface the typed error — scanning further would let a
-/// hostile spool keep costing us).
+/// or a kind no reader knows (discard the frame, keep scanning) versus a
+/// resource-limit overrun (stop and surface the typed error — scanning
+/// further would let a hostile spool keep costing us).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum FrameFail {
+pub enum FrameFail {
     /// Structurally undecodable payload.
     Corrupt,
+    /// A kind this reader does not decode: a retired one (5) or one from
+    /// a newer format revision.
+    UnknownKind,
     /// A declared quantity exceeded the configured [`DecodeLimits`].
     Limit(LimitExceeded),
 }
@@ -982,6 +989,57 @@ pub(crate) enum FrameFail {
 impl From<LimitExceeded> for FrameFail {
     fn from(e: LimitExceeded) -> Self {
         FrameFail::Limit(e)
+    }
+}
+
+impl std::fmt::Display for FrameFail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameFail::Corrupt => f.write_str("checksum ok but payload undecodable"),
+            FrameFail::UnknownKind => f.write_str("unknown frame kind"),
+            FrameFail::Limit(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// One frame's payload, decoded by [`decode_frame`].
+#[derive(Debug)]
+pub enum Decoded {
+    /// A [`FRAME_EVENTS`] batch, scope events and samples interleaved.
+    Events(Vec<Event>),
+    /// A [`FRAME_SYMBOLS`] snapshot.
+    Symbols(Vec<FunctionDef>),
+    /// A [`FRAME_NODE`] record.
+    Node(NodeMeta),
+    /// A [`FRAME_FOOTER`]: events and samples written, then events and
+    /// samples dropped.
+    Footer([u64; 4]),
+    /// A [`FRAME_METRICS`] snapshot.
+    Telemetry(tempest_obs::Telemetry),
+}
+
+/// The one frame-kind rule: decode an unwrapped frame's payload by its
+/// kind under `limits`. Every reader of spool frames decides what a
+/// frame holds here, so recovery and fsck cannot disagree about one.
+pub fn decode_frame(kind: u8, payload: &[u8], limits: &DecodeLimits) -> Result<Decoded, FrameFail> {
+    match kind {
+        FRAME_EVENTS => decode_events(payload)
+            .map(Decoded::Events)
+            .ok_or(FrameFail::Corrupt),
+        FRAME_SYMBOLS => decode_symbols(payload, limits).map(Decoded::Symbols),
+        FRAME_NODE => decode_node(payload, limits).map(Decoded::Node),
+        FRAME_FOOTER if payload.len() == FOOTER_LEN => {
+            let mut vals = [0u64; 4];
+            for (v, b) in vals.iter_mut().zip(payload.chunks_exact(8)) {
+                *v = u64::from_le_bytes(b.try_into().unwrap());
+            }
+            Ok(Decoded::Footer(vals))
+        }
+        FRAME_FOOTER => Err(FrameFail::Corrupt),
+        FRAME_METRICS => tempest_obs::decode_telemetry(payload)
+            .map(Decoded::Telemetry)
+            .ok_or(FrameFail::Corrupt),
+        _ => Err(FrameFail::UnknownKind),
     }
 }
 
@@ -1054,7 +1112,7 @@ fn decode_symbols(payload: &[u8], limits: &DecodeLimits) -> Result<Vec<FunctionD
     Ok(out)
 }
 
-pub(crate) fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeMeta, FrameFail> {
+fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeMeta, FrameFail> {
     let mut r = Reader::new(payload);
     let node_id = r.u32().ok_or(FrameFail::Corrupt)?;
     let hostname = r.str(limits, "hostname")?;
@@ -1067,7 +1125,7 @@ pub(crate) fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeM
         Vec::with_capacity(limits.clamp_prealloc(nsensors, r.remaining(), SENSOR_ENTRY_MIN_LEN));
     for _ in 0..nsensors {
         let id = SensorId(r.u16().ok_or(FrameFail::Corrupt)?);
-        let kind = crate::stream::decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
+        let kind = decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
             .map_err(|_| FrameFail::Corrupt)?;
         let label = r.str(limits, "sensor label")?;
         sensors.push(SensorMeta { id, label, kind });
@@ -1108,8 +1166,7 @@ pub struct SpoolReport {
     /// Telemetry ([`FRAME_METRICS`]) frames that decoded cleanly.
     pub telemetry_frames: u64,
     /// Per-frame transit records recovered from [`FRAME_SHIPPED2`]
-    /// wrappers, in cursor order. Empty for locally-written spools and
-    /// spools collected by a pre-v2 collector.
+    /// wrappers, in cursor order. Empty for locally-written spools.
     pub frame_traces: Vec<FrameTrace>,
     /// The equivalent [`SalvageReport`], for feeding the analyzer's data
     /// quality accounting.
@@ -1258,34 +1315,12 @@ pub fn parse_segment_frames(bytes: &[u8]) -> (Vec<RawFrame<'_>>, u64) {
     (frames, 0)
 }
 
-/// Build a [`FRAME_SHIPPED`] payload: the source-spool cursor of the
-/// wrapped frame followed by the frame it wraps. The collector writes
-/// these instead of the inner frame directly so its spool is
-/// self-describing — the resume cursor survives any crash because it is
-/// part of the same checksummed frame as the data it covers.
-pub fn shipped_payload(seg: u64, off: u64, inner_kind: u8, inner_payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SHIPPED_PREFIX_LEN + inner_payload.len());
-    out.extend_from_slice(&seg.to_le_bytes());
-    out.extend_from_slice(&off.to_le_bytes());
-    out.push(inner_kind);
-    out.extend_from_slice(inner_payload);
-    out
-}
-
-/// Split a [`FRAME_SHIPPED`] payload back into `((seg, off), kind, payload)`.
-/// `None` if the payload is too short to hold the cursor prefix.
-pub fn decode_shipped(payload: &[u8]) -> Option<((u64, u64), u8, &[u8])> {
-    if payload.len() < SHIPPED_PREFIX_LEN {
-        return None;
-    }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    Some(((seg, off), payload[16], &payload[SHIPPED_PREFIX_LEN..]))
-}
-
 /// Build a [`FRAME_SHIPPED2`] payload: the source cursor, the shipper's
 /// send timestamp, the collector's receive timestamp (both wall-clock
-/// Unix nanoseconds), then the wrapped frame. The two stamps are what
+/// Unix nanoseconds), then the wrapped frame. The collector writes these
+/// instead of the inner frame directly so its spool is self-describing —
+/// the resume cursor survives any crash because it is part of the same
+/// checksummed frame as the data it covers, and the two stamps are what
 /// recovery turns into per-frame transit latency.
 pub fn shipped2_payload(
     seg: u64,
@@ -1326,6 +1361,47 @@ pub fn decode_shipped2(payload: &[u8]) -> Option<DecodedShipped2<'_>> {
         payload[32],
         &payload[SHIPPED2_PREFIX_LEN..],
     ))
+}
+
+/// A frame with its envelope, if it had one, taken off.
+#[derive(Debug, Clone, Copy)]
+pub struct Unwrapped<'a> {
+    /// Kind of the carried frame.
+    pub kind: u8,
+    /// Payload of the carried frame.
+    pub payload: &'a [u8],
+    /// Source cursor and transit stamps of a collector-written frame;
+    /// `None` for a frame a local spool writer appended directly.
+    pub shipped: Option<FrameTrace>,
+}
+
+/// The one envelope rule: take a checksum-verified frame out of its
+/// [`FRAME_SHIPPED2`] envelope, or pass any other kind through as it is.
+/// `None` for a runt envelope (too short for its prefix) or a nested one
+/// (nothing writes an envelope inside an envelope, so it is damage).
+pub fn unwrap_frame<'a>(frame: &RawFrame<'a>) -> Option<Unwrapped<'a>> {
+    if frame.kind != FRAME_SHIPPED2 {
+        return Some(Unwrapped {
+            kind: frame.kind,
+            payload: frame.payload,
+            shipped: None,
+        });
+    }
+    let ((seg, off), (origin_unix_ns, collect_unix_ns), kind, payload) =
+        decode_shipped2(frame.payload)?;
+    if kind == FRAME_SHIPPED2 {
+        return None;
+    }
+    Some(Unwrapped {
+        kind,
+        payload,
+        shipped: Some(FrameTrace {
+            seg,
+            off,
+            origin_unix_ns,
+            collect_unix_ns,
+        }),
+    })
 }
 
 /// Scan a spool directory and reassemble the trace it holds.
@@ -1374,113 +1450,59 @@ pub fn recover_with(
         let (frames, discarded) = parse_segment_frames(&bytes);
         report.frames_discarded += discarded;
         for frame in frames {
-            // Collector-written spools wrap every frame with its source
-            // cursor (and, since v2, transit timestamps); unwrap, and
-            // drop any frame whose cursor does not advance (a re-send
-            // after a reconnect).
-            let (kind, payload) = if frame.kind == FRAME_SHIPPED || frame.kind == FRAME_SHIPPED2 {
-                let unwrapped = if frame.kind == FRAME_SHIPPED {
-                    decode_shipped(frame.payload).map(|(c, k, p)| (c, None, k, p))
-                } else {
-                    decode_shipped2(frame.payload).map(|(c, t, k, p)| (c, Some(t), k, p))
-                };
-                match unwrapped {
-                    Some((cursor, stamps, inner_kind, inner_payload))
-                        if inner_kind != FRAME_SHIPPED && inner_kind != FRAME_SHIPPED2 =>
-                    {
-                        if report.shipped_through.is_some_and(|c| cursor <= c) {
-                            report.frames_deduped += 1;
-                            continue;
-                        }
-                        report.shipped_through = Some(cursor);
-                        if let Some((origin_unix_ns, collect_unix_ns)) = stamps {
-                            report.frame_traces.push(FrameTrace {
-                                seg: cursor.0,
-                                off: cursor.1,
-                                origin_unix_ns,
-                                collect_unix_ns,
-                            });
-                        }
-                        (inner_kind, inner_payload)
-                    }
-                    _ => {
-                        report.frames_discarded += 1;
-                        continue;
-                    }
-                }
-            } else {
-                (frame.kind, frame.payload)
+            let Some(inner) = unwrap_frame(&frame) else {
+                report.frames_discarded += 1;
+                continue;
             };
-            let decoded = match kind {
-                FRAME_EVENTS => match decode_events(payload) {
-                    Some(events) => {
-                        // The accumulated mixed stream is the one spot a
-                        // many-segment spool can grow without bound —
-                        // meter it against the byte budget.
-                        if let Err(e) = budget.charge(
-                            "spool events",
-                            (events.len() * std::mem::size_of::<Event>()) as u64,
-                        ) {
-                            limit_hit = Some(e);
-                            break 'scan;
-                        }
-                        mixed.extend_from_slice(&events);
-                        true
-                    }
-                    None => false,
-                },
-                FRAME_SYMBOLS => match decode_symbols(payload, limits) {
-                    Ok(syms) => {
-                        // Later snapshots supersede earlier ones: the
-                        // registry only grows, so the newest is a superset.
-                        functions = syms;
-                        true
-                    }
-                    Err(FrameFail::Limit(e)) => {
-                        limit_hit = Some(e);
-                        break 'scan;
-                    }
-                    Err(FrameFail::Corrupt) => false,
-                },
-                FRAME_NODE => match decode_node(payload, limits) {
-                    Ok(n) => {
-                        if node.is_none() {
-                            node = Some(n);
-                        }
-                        true
-                    }
-                    Err(FrameFail::Limit(e)) => {
-                        limit_hit = Some(e);
-                        break 'scan;
-                    }
-                    Err(FrameFail::Corrupt) => false,
-                },
-                FRAME_FOOTER if payload.len() == FOOTER_LEN => {
-                    let mut vals = [0u64; 4];
-                    for (i, v) in vals.iter_mut().enumerate() {
-                        *v = u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap());
-                    }
-                    footer = Some(vals);
-                    true
+            // A collector-written frame whose cursor does not advance is
+            // a re-send after a reconnect: drop it.
+            if let Some(shipped) = inner.shipped {
+                let cursor = (shipped.seg, shipped.off);
+                if report.shipped_through.is_some_and(|c| cursor <= c) {
+                    report.frames_deduped += 1;
+                    continue;
                 }
+                report.shipped_through = Some(cursor);
+                report.frame_traces.push(shipped);
+            }
+            match decode_frame(inner.kind, inner.payload, limits) {
+                Ok(Decoded::Events(events)) => {
+                    // The accumulated mixed stream is the one spot a
+                    // many-segment spool can grow without bound — meter
+                    // it against the byte budget.
+                    if let Err(e) = budget.charge(
+                        "spool events",
+                        (events.len() * std::mem::size_of::<Event>()) as u64,
+                    ) {
+                        limit_hit = Some(e);
+                        break 'scan;
+                    }
+                    mixed.extend_from_slice(&events);
+                }
+                // Later snapshots supersede earlier ones: the registry
+                // only grows, so the newest is a superset.
+                Ok(Decoded::Symbols(syms)) => functions = syms,
+                Ok(Decoded::Node(n)) => {
+                    if node.is_none() {
+                        node = Some(n);
+                    }
+                }
+                Ok(Decoded::Footer(vals)) => footer = Some(vals),
                 // Self-telemetry snapshots are verified and counted but
                 // not folded into the trace; `tempest fleet` reads them.
-                FRAME_METRICS => match tempest_obs::decode_telemetry(payload) {
-                    Some(_) => {
-                        report.telemetry_frames += 1;
-                        true
-                    }
-                    None => false,
-                },
-                // Unknown kind with a valid checksum: written by a newer
-                // format revision; skip it rather than distrust the rest.
-                _ => false,
-            };
-            if decoded {
-                report.frames_recovered += 1;
-            } else {
-                report.frames_discarded += 1;
+                Ok(Decoded::Telemetry(_)) => report.telemetry_frames += 1,
+                Err(FrameFail::Limit(e)) => {
+                    limit_hit = Some(e);
+                    break 'scan;
+                }
+                // Damaged, or a kind this reader does not know: skip it
+                // rather than distrust the rest.
+                Err(FrameFail::Corrupt | FrameFail::UnknownKind) => {
+                    report.frames_discarded += 1;
+                    continue;
+                }
             }
+            report.frames_recovered += 1;
         }
     }
 
@@ -1549,6 +1571,28 @@ pub fn recover_with(
     Ok((trace, report))
 }
 
+/// Build a placeholder symbol table (ids only) for an event stream whose
+/// real symbol table was lost to a crash.
+fn synthesize_functions(events: &[Event]) -> Vec<FunctionDef> {
+    let mut ids: Vec<u32> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Enter { func } | EventKind::Exit { func } => Some(func.0),
+            _ => None,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+        .map(|id| FunctionDef {
+            id: FunctionId(id),
+            name: format!("fn#{id}"),
+            address: 0x400000 + 16 * id as u64,
+            kind: ScopeKind::Function,
+        })
+        .collect()
+}
+
 // ---- deep verification (doctor --fsck) -------------------------------------
 
 /// Per-segment result of a deep verification pass ([`fsck_dir`]).
@@ -1562,8 +1606,9 @@ pub struct SegmentFsck {
     /// Frames lost to tearing or checksum failure (at most one per
     /// segment — the scan stops at the first).
     pub frames_torn: u64,
-    /// Human-readable violations: checksum-valid frames that failed to
-    /// decode, or whose declared quantities exceeded the limits.
+    /// Human-readable violations: malformed envelopes, and checksum-valid
+    /// frames that failed to decode, are of an unknown kind, or declare
+    /// quantities beyond the limits.
     pub violations: Vec<String>,
 }
 
@@ -1591,50 +1636,19 @@ pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck
             violations: Vec::new(),
         };
         for frame in frames {
-            let (kind, payload) = if frame.kind == FRAME_SHIPPED || frame.kind == FRAME_SHIPPED2 {
-                let unwrapped = if frame.kind == FRAME_SHIPPED {
-                    decode_shipped(frame.payload).map(|(_, k, p)| (k, p))
-                } else {
-                    decode_shipped2(frame.payload).map(|(_, _, k, p)| (k, p))
-                };
-                match unwrapped {
-                    Some((inner_kind, inner_payload))
-                        if inner_kind != FRAME_SHIPPED && inner_kind != FRAME_SHIPPED2 =>
-                    {
-                        (inner_kind, inner_payload)
-                    }
-                    _ => {
-                        fsck.violations.push(format!(
-                            "frame @{}: malformed shipped wrapper",
-                            frame.offset
-                        ));
-                        continue;
-                    }
-                }
-            } else {
-                (frame.kind, frame.payload)
+            let Some(inner) = unwrap_frame(&frame) else {
+                fsck.violations.push(format!(
+                    "frame @{}: malformed shipped wrapper",
+                    frame.offset
+                ));
+                continue;
             };
-            let verdict: Result<(), FrameFail> = match kind {
-                FRAME_EVENTS => decode_events(payload).map(drop).ok_or(FrameFail::Corrupt),
-                FRAME_SYMBOLS => decode_symbols(payload, limits).map(drop),
-                FRAME_NODE => decode_node(payload, limits).map(drop),
-                FRAME_FOOTER if payload.len() == FOOTER_LEN => Ok(()),
-                FRAME_FOOTER => Err(FrameFail::Corrupt),
-                FRAME_METRICS => tempest_obs::decode_telemetry(payload)
-                    .map(drop)
-                    .ok_or(FrameFail::Corrupt),
-                // Unknown kinds are forward-compatibility, not damage.
-                _ => Ok(()),
-            };
-            match verdict {
-                Ok(()) => fsck.frames_ok += 1,
-                Err(FrameFail::Corrupt) => fsck.violations.push(format!(
-                    "frame @{} kind {}: checksum ok but payload undecodable",
-                    frame.offset, kind
+            match decode_frame(inner.kind, inner.payload, limits) {
+                Ok(_) => fsck.frames_ok += 1,
+                Err(fail) => fsck.violations.push(format!(
+                    "frame @{} kind {}: {fail}",
+                    frame.offset, inner.kind
                 )),
-                Err(FrameFail::Limit(e)) => fsck
-                    .violations
-                    .push(format!("frame @{} kind {}: {e}", frame.offset, kind)),
             }
         }
         out.push(fsck);
@@ -2385,12 +2399,13 @@ mod tests {
         let (src_trace, _) = recover(&src).unwrap();
 
         // ...and replay its frames into a collector-style spool wrapped
-        // with their source cursors, then re-send everything after the
-        // node frame a second time — what a shipper that lost an ACK and
-        // resumed from a stale cursor would produce.
+        // with their source cursors and transit stamps, then re-send
+        // everything after the node frame a second time — what a shipper
+        // that lost an ACK and resumed from a stale cursor would produce.
         let push_shipped = |out: &mut Vec<u8>, f: &RawFrame| {
-            let payload = shipped_payload(0, f.offset, f.kind, f.payload);
-            encode_frame_into(out, FRAME_SHIPPED, &payload);
+            let (sent, received) = (1_000 + f.offset, 1_250 + f.offset);
+            let payload = shipped2_payload(0, f.offset, sent, received, f.kind, f.payload);
+            encode_frame_into(out, FRAME_SHIPPED2, &payload);
         };
         let dst = temp_spool_dir("shipdst");
         std::fs::create_dir_all(&dst).unwrap();
@@ -2407,7 +2422,7 @@ mod tests {
         }
         // A shipped frame too short to hold its cursor prefix is
         // quarantined as discarded, never decoded.
-        encode_frame_into(&mut out, FRAME_SHIPPED, &[0u8; 4]);
+        encode_frame_into(&mut out, FRAME_SHIPPED2, &[0u8; 4]);
         std::fs::write(dst.join("seg-000000.seg"), &out).unwrap();
 
         let (trace, report) = recover(&dst).unwrap();
@@ -2418,11 +2433,65 @@ mod tests {
             Some((0, frames.last().unwrap().offset))
         );
         assert!(report.clean_shutdown, "the wrapped footer still counts");
+        // One transit record per frame that was not a re-send, in cursor
+        // order, each carrying its envelope's stamps.
+        let traced: Vec<u64> = report.frame_traces.iter().map(|t| t.off).collect();
+        let offsets: Vec<u64> = frames.iter().map(|f| f.offset).collect();
+        assert_eq!(traced, offsets);
+        assert!(report
+            .frame_traces
+            .iter()
+            .all(|t| t.transit_ns() == Some(250)));
         assert_eq!(
             trace, src_trace,
             "collector-side recovery must equal local recovery"
         );
         std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dst).ok();
+    }
+
+    #[test]
+    fn recover_and_fsck_give_one_verdict_per_frame() {
+        // A collector segment holding one good envelope and four frames
+        // every reader must refuse: a runt envelope, a nested envelope,
+        // the retired kind 5 (laid out as the old cursor-only envelope)
+        // and a kind no format revision defines.
+        let dir = temp_spool_dir("verdict");
+        let node = encode_node(&demo_node());
+        let good = shipped2_payload(0, 16, 1, 2, FRAME_NODE, &node);
+        let nested = shipped2_payload(0, 99, 1, 2, FRAME_SHIPPED2, &good);
+        let mut retired = Vec::new();
+        retired.extend_from_slice(&0u64.to_le_bytes());
+        retired.extend_from_slice(&200u64.to_le_bytes());
+        retired.push(FRAME_NODE);
+        retired.extend_from_slice(&node);
+        raw_segment(
+            &dir,
+            &[
+                (FRAME_SHIPPED2, good),
+                (FRAME_SHIPPED2, vec![0u8; SHIPPED2_PREFIX_LEN - 1]),
+                (FRAME_SHIPPED2, nested),
+                (5, retired),
+                (0x42, b"from a newer revision".to_vec()),
+            ],
+        );
+
+        let limits = DecodeLimits::strict();
+        let (trace, report) = recover_with(&dir, &limits, &CancelToken::default()).unwrap();
+        let fsck = fsck_dir(&dir, &limits).unwrap();
+        let violations: Vec<&String> = fsck.iter().flat_map(|s| &s.violations).collect();
+        assert_eq!(report.frames_discarded, 4);
+        assert_eq!(violations.len() as u64, report.frames_discarded, "{fsck:?}");
+        assert_eq!(
+            fsck.iter().map(|s| s.frames_ok).sum::<u64>(),
+            report.frames_recovered
+        );
+        assert_eq!(trace.node, demo_node(), "the enveloped node frame survives");
+        assert!(!report.salvage.is_clean());
+        for kind in [5, 0x42] {
+            let named = format!("kind {kind}: unknown frame kind");
+            assert!(violations.iter().any(|v| v.contains(&named)), "{fsck:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

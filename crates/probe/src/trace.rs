@@ -620,7 +620,7 @@ fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-fn encode_sensor_kind(k: SensorKind) -> u8 {
+pub(crate) fn encode_sensor_kind(k: SensorKind) -> u8 {
     match k {
         SensorKind::CpuCore => 0,
         SensorKind::CpuPackage => 1,
@@ -631,7 +631,7 @@ fn encode_sensor_kind(k: SensorKind) -> u8 {
     }
 }
 
-fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
+pub(crate) fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
     Ok(match b {
         0 => SensorKind::CpuCore,
         1 => SensorKind::CpuPackage,

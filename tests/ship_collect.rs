@@ -14,6 +14,7 @@ use std::time::Duration;
 use tempest_collect::{Collector, CollectorConfig, CollectorHandle};
 use tempest_core::report::render_stdout;
 use tempest_core::AnalysisRequest;
+use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{self, RetryPolicy, ShipConfig};
 use tempest_probe::spool::{self, FsyncPolicy, SpoolConfig, SpoolWriter};
 use tempest_probe::trace::SensorMeta;
@@ -136,6 +137,15 @@ fn shipped_session_is_byte_identical_to_local_analysis() {
     let (_, spool_report) = spool::recover(&collected).unwrap();
     assert!(spool_report.clean_shutdown, "shipped footer marks clean");
     assert_eq!(spool_report.frames_deduped, 0, "clean run has no re-sends");
+
+    // A deep check of the collector-written spool agrees with recovery:
+    // every segment clean, and every recovered frame verified.
+    let fsck = spool::fsck_dir(&collected, &DecodeLimits::strict()).unwrap();
+    assert!(fsck.iter().all(|s| s.is_clean()), "{fsck:?}");
+    assert_eq!(
+        fsck.iter().map(|s| s.frames_ok).sum::<u64>(),
+        spool_report.frames_recovered
+    );
 
     // The persisted cursor lets a later shipper skip everything.
     let cursor = tempest_probe::ship::Cursor::load(&src).unwrap();
