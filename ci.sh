@@ -153,10 +153,10 @@ echo "    cached report byte-identical, hit counter present"
 
 echo "==> query API smoke (tempest serve --once + curl, loopback)"
 # Serve the sessions collected by the network smoke above; --once-ready
-# fails fast if the catalog scan finds nothing, and --once 3 exits after
-# the three curls below so `wait` never hangs.
+# fails fast if the catalog scan finds nothing, and --once 4 exits after
+# the four curls below so `wait` never hangs.
 cargo run --release -q -p tempest-tools --bin tempest -- \
-    serve "$OBS_TMP/collected" --addr 127.0.0.1:0 --once 3 --once-ready \
+    serve "$OBS_TMP/collected" --addr 127.0.0.1:0 --once 4 --once-ready \
     --port-file "$OBS_TMP/serve.addr" --jobs 2 --no-cache --rescan-ms 0 >/dev/null &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -169,7 +169,15 @@ curl -fsS "http://$SERVE_ADDR/api/v1/health" > "$OBS_TMP/serve-health.json"
 curl -fsS "http://$SERVE_ADDR/api/v1/sessions" > "$OBS_TMP/serve-sessions.json"
 curl -fsS "http://$SERVE_ADDR/api/v1/sessions/smoke-node0/hotspots?top=5&sort=temp" \
     > "$OBS_TMP/serve-hotspots.json"
+curl -fsS "http://$SERVE_ADDR/api/v1/sessions/smoke-node0/profile" \
+    > "$OBS_TMP/serve-profile.json"
 wait "$SERVE_PID"
+# Byte-identity gate: the API's profile document must be exactly what
+# the CLI renders for the same collected session.
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    report "$OBS_TMP/collected.trace" --format json --recover > "$OBS_TMP/cli-profile.json"
+diff "$OBS_TMP/cli-profile.json" "$OBS_TMP/serve-profile.json"
+echo "    API profile byte-identical to the CLI's --format json"
 cargo run --release -q -p tempest-bench --bin json_check -- api "$OBS_TMP/serve-health.json"
 cargo run --release -q -p tempest-bench --bin json_check -- api "$OBS_TMP/serve-sessions.json"
 cargo run --release -q -p tempest-bench --bin json_check -- api "$OBS_TMP/serve-hotspots.json"

@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use tempest_core::dto::{FleetDto, FleetNodeDto, DTO_VERSION};
-use tempest_obs::{escape, unix_now_ns, Telemetry};
+use tempest_core::dto::DTO_VERSION;
+use tempest_obs::{escape, unix_now_ns, write_snapshot, JsonWriter, Telemetry};
 
 /// Default age after which a node's snapshot is flagged stale.
 pub const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(10);
@@ -119,38 +119,38 @@ impl FleetState {
         totals.into_iter().collect()
     }
 
-    /// The fleet as the shared versioned DTO
-    /// ([`tempest_core::dto::FleetDto`]) — the single schema behind
-    /// `/fleet.json`, `tempest fleet --json`, and `GET /api/v1/fleet`.
-    pub fn to_dto(&self) -> FleetDto {
-        let nodes = self.nodes();
-        FleetDto {
-            v: DTO_VERSION,
-            generated_unix_ns: unix_now_ns(),
-            stale_after_ms: self.stale_after.as_millis() as u64,
-            node_count: nodes.len(),
-            nodes: nodes
-                .iter()
-                .map(|n| FleetNodeDto {
-                    key: n.key.clone(),
-                    session: n.session.clone(),
-                    node_id: n.telemetry.node_id,
-                    hostname: n.telemetry.hostname.clone(),
-                    origin_unix_ns: n.telemetry.origin_unix_ns,
-                    received_unix_ns: n.received_unix_ns,
-                    age_ms: n.age().as_millis() as u64,
-                    stale: self.is_stale(n),
-                    updates: n.updates,
-                    metrics_json: tempest_obs::to_json(&n.telemetry.snapshot),
-                })
-                .collect(),
-        }
-    }
-
-    /// Render the fleet as the `/fleet.json` document: per-node identity,
-    /// age and staleness, plus the full metric snapshot.
+    /// Render the versioned fleet document — the one schema behind
+    /// `/fleet.json`, `tempest fleet --json`, and `GET /api/v1/fleet`:
+    /// per-node identity, age and staleness, plus the node's full metric
+    /// snapshot, written by the same routine as [`tempest_obs::to_json`].
     pub fn to_json(&self) -> String {
-        self.to_dto().to_json()
+        let nodes = self.nodes();
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.key("v").int(DTO_VERSION.into());
+        w.key("generated_unix_ns").int(unix_now_ns());
+        w.key("stale_after_ms")
+            .int(self.stale_after.as_millis() as u64);
+        w.key("node_count").int(nodes.len() as u64);
+        w.key("nodes").begin_array();
+        for n in &nodes {
+            w.begin_object();
+            w.key("key").str(&n.key);
+            w.key("session").str(&n.session);
+            w.key("node_id").int(n.telemetry.node_id.into());
+            w.key("hostname").str(&n.telemetry.hostname);
+            w.key("origin_unix_ns").int(n.telemetry.origin_unix_ns);
+            w.key("received_unix_ns").int(n.received_unix_ns);
+            w.key("age_ms").int(n.age().as_millis() as u64);
+            w.key("stale").bool(self.is_stale(n));
+            w.key("updates").int(n.updates);
+            w.key("metrics");
+            write_snapshot(&mut w, &n.telemetry.snapshot);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// Scan a collector output directory (or a single spool directory)

@@ -9,7 +9,9 @@
 //! ([`tempest_core::cache::AnalysisCache`]) so repeated questions never
 //! re-analyze an unchanged session.
 //!
-//! Endpoints (all `GET`, all JSON, all shaped by [`tempest_core::dto`]):
+//! Endpoints (all `GET`, all JSON; each document is written once, by one
+//! function: the session documents by [`tempest_core::dto`], the catalog
+//! answers below, the fleet document by [`FleetState::to_json`]):
 //!
 //! | path | answer |
 //! |---|---|
@@ -38,9 +40,9 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempest_core::cache::{AnalysisCache, CacheKey};
-use tempest_core::dto::{HealthDto, HotspotsDto, ProfileDto, SessionDto, SessionsDto, DTO_VERSION};
+use tempest_core::dto::{HotspotsDto, ProfileDto, DTO_VERSION};
 use tempest_core::{analysis, AnalysisRequest, NodeProfile};
-use tempest_obs::{Counter, Histogram};
+use tempest_obs::{Counter, Histogram, JsonWriter};
 use tempest_probe::spool;
 
 /// Default `top` for the hotspots endpoint.
@@ -339,35 +341,39 @@ fn route<'a>(state: &'a QueryState, req: &Request) -> (Response, Option<&'a Hist
 }
 
 fn health(state: &QueryState) -> Response {
-    let doc = HealthDto {
-        v: DTO_VERSION,
-        status: "ok".to_string(),
-        sessions: state
-            .catalog
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .len(),
-        jobs: state.config.jobs,
-    };
-    Response::json(doc.to_json())
+    let sessions = state
+        .catalog
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .len();
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("v").int(DTO_VERSION.into());
+    w.key("status").str("ok");
+    w.key("sessions").int(sessions as u64);
+    w.key("jobs").int(state.config.jobs as u64);
+    w.end_object();
+    Response::json(w.finish())
 }
 
 fn sessions(state: &QueryState) -> Response {
     let catalog = state.catalog.read().unwrap_or_else(|e| e.into_inner());
-    let doc = SessionsDto {
-        v: DTO_VERSION,
-        session_count: catalog.len(),
-        sessions: catalog
-            .iter()
-            .map(|(id, e)| SessionDto {
-                id: id.clone(),
-                bytes: e.bytes,
-                segments: e.segments,
-                etag: e.etag.trim_matches('"').to_string(),
-            })
-            .collect(),
-    };
-    Response::json(doc.to_json())
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("v").int(DTO_VERSION.into());
+    w.key("session_count").int(catalog.len() as u64);
+    w.key("sessions").begin_array();
+    for (id, e) in catalog.iter() {
+        w.begin_object();
+        w.key("id").str(id);
+        w.key("bytes").int(e.bytes);
+        w.key("segments").int(e.segments as u64);
+        w.key("etag").str(e.etag.trim_matches('"'));
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    Response::json(w.finish())
 }
 
 fn fleet_doc(state: &QueryState) -> Response {

@@ -22,7 +22,6 @@
 use crate::parser::AnalysisOptions;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk cache format version. Bump when the report format, the
 /// analysis semantics, or the key derivation changes.
@@ -164,20 +163,11 @@ impl AnalysisCache {
         }
     }
 
-    /// Persist a rendered result under `key`, atomically (temp + rename),
-    /// so a killed process never leaves a torn entry behind.
+    /// Persist a rendered result under `key` with
+    /// [`tempest_obs::publish`], so neither a killed process nor workers
+    /// storing one key at once ever publish a torn entry.
     pub fn store(&self, key: &CacheKey, rendered: &str) -> io::Result<()> {
-        // One temp file per store: threads storing the same key at once
-        // (the query daemon's workers) must not truncate each other's
-        // file before its rename publishes it.
-        static STORES: AtomicU64 = AtomicU64::new(0);
-        let name = key.file_name();
-        let seq = STORES.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{}-{seq}-{name}", std::process::id()));
-        std::fs::write(&tmp, rendered)?;
-        std::fs::rename(&tmp, self.dir.join(name))?;
+        tempest_obs::publish(&self.dir.join(key.file_name()), rendered.as_bytes())?;
         tempest_obs::global().counter("cache_stores_total").inc();
         Ok(())
     }
@@ -375,6 +365,32 @@ mod tests {
         assert_eq!(audit.foreign, 1);
         assert!(AnalysisCache::is_cache_dir(&dir));
         assert!(!AnalysisCache::is_cache_dir(&dir.join("nope")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store caught between its write and its rename has a temp file
+    /// on disk, as a store killed there leaves one behind: the audit
+    /// `doctor` runs must count it as foreign, never as a second entry.
+    #[test]
+    fn audit_never_counts_an_in_flight_temp_as_an_entry() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = temp_dir("inflight");
+        let cache = AnalysisCache::open(&dir).unwrap();
+        let key = CacheKey::new(b"inflight", AnalysisOptions::default(), "text");
+        let text = "t".repeat(1 << 20);
+        cache.store(&key, &text).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let stored = (0..100).all(|_| cache.store(&key, &text).is_ok());
+                done.store(true, Ordering::Relaxed);
+                assert!(stored, "store failed");
+            });
+            while !done.load(Ordering::Relaxed) {
+                let audit = AnalysisCache::audit(&dir).expect("audit");
+                assert_eq!(audit.entries, 1, "{audit:?}");
+            }
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,13 +21,69 @@
 use std::collections::BTreeSet;
 
 use crate::timeline::Timeline;
-use tempest_obs::escape;
+use tempest_obs::JsonWriter;
 use tempest_probe::{Event, EventKind, Trace};
 
-/// Converts nanoseconds to the microsecond `ts`/`dur` fields, keeping
-/// nanosecond resolution in the fraction.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Wraps the records in the constant `trace_event` envelope both exports
+/// share, one record per line; `other_data` is the `otherData` object.
+fn envelope(other_data: &str, records: &[String]) -> String {
+    let last_break = if records.is_empty() { "" } else { "\n" };
+    format!(
+        "{{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {other_data},\n\"traceEvents\": [\n{}{last_break}]}}\n",
+        records.join(",\n")
+    )
+}
+
+/// One compact record: an object whose members `members` writes.
+fn record(members: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    members(&mut w);
+    w.end_object();
+    w.into_string()
+}
+
+/// A metadata record naming a process, or one of its threads.
+fn name_record(pid: u64, tid: Option<u64>, name: &str) -> String {
+    record(|w| {
+        w.key("name").str(match tid {
+            Some(_) => "thread_name",
+            None => "process_name",
+        });
+        w.key("ph").str("M");
+        w.key("pid").int(pid);
+        if let Some(tid) = tid {
+            w.key("tid").int(tid);
+        }
+        w.key("args").begin_object();
+        w.key("name").str(name);
+        w.end_object();
+    })
+}
+
+/// A complete duration event (`"ph": "X"`), timestamps in microseconds
+/// with the nanoseconds kept exactly; `args` writes its `args` members.
+fn duration_record(
+    name: &str,
+    cat: &str,
+    start_ns: u64,
+    dur_ns: u64,
+    pid: u64,
+    tid: u64,
+    args: impl FnOnce(&mut JsonWriter),
+) -> String {
+    record(|w| {
+        w.key("name").str(name);
+        w.key("cat").str(cat);
+        w.key("ph").str("X");
+        w.key("ts").scaled(start_ns, 3);
+        w.key("dur").scaled(dur_ns, 3);
+        w.key("pid").int(pid);
+        w.key("tid").int(tid);
+        w.key("args").begin_object();
+        args(w);
+        w.end_object();
+    })
 }
 
 /// Renders `trace` as a Chrome `trace_event` JSON document.
@@ -37,29 +93,24 @@ fn us(ns: u64) -> String {
 /// trace exports whatever intervals survive.
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let timeline = Timeline::build(&trace.events);
-    let pid = trace.node.node_id;
-    let mut events: Vec<String> = Vec::new();
+    let pid = u64::from(trace.node.node_id);
 
     // Process + thread naming metadata.
-    events.push(format!(
-        r#"{{"name":"process_name","ph":"M","pid":{pid},"args":{{"name":"tempest node {pid} ({})"}}}}"#,
-        escape(&trace.node.hostname)
-    ));
+    let process = format!("tempest node {pid} ({})", trace.node.hostname);
+    let mut records = vec![name_record(pid, None, &process)];
     let mut tids: BTreeSet<u32> = timeline.intervals.iter().map(|iv| iv.thread.0).collect();
     for event in &trace.events {
         if matches!(event.kind, EventKind::Gap { .. }) {
             tids.insert(event.thread.0);
         }
     }
-    for tid in &tids {
-        let name = if *tid == Event::TEMPD_THREAD.0 {
+    for &tid in &tids {
+        let name = if tid == Event::TEMPD_THREAD.0 {
             "tempd".to_string()
         } else {
             format!("thread {tid}")
         };
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{name}"}}}}"#
-        ));
+        records.push(name_record(pid, Some(tid.into()), &name));
     }
 
     // Function intervals as complete duration events. `timeline.intervals`
@@ -68,69 +119,59 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     for iv in &timeline.intervals {
         let name = trace
             .function(iv.func)
-            .map(|f| escape(&f.name))
-            .unwrap_or_else(|| format!("fn#{}", iv.func.0));
-        let mut args = format!(r#"{{"depth":{}"#, iv.depth);
-        if iv.truncated {
-            args.push_str(r#","truncated":true"#);
-        }
-        args.push('}');
-        events.push(format!(
-            r#"{{"name":"{name}","cat":"function","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{},"args":{args}}}"#,
-            us(iv.start_ns),
-            us(iv.duration_ns()),
-            iv.thread.0,
+            .map_or_else(|| format!("fn#{}", iv.func.0), |f| f.name.clone());
+        let args = |w: &mut JsonWriter| {
+            w.key("depth").int(iv.depth as u64);
+            if iv.truncated {
+                w.key("truncated").bool(true);
+            }
+        };
+        let (start, dur, tid) = (iv.start_ns, iv.duration_ns(), iv.thread.0.into());
+        records.push(duration_record(
+            &name, "function", start, dur, pid, tid, args,
         ));
     }
 
-    // Temperature samples as one counter track per sensor.
+    // Temperature samples as one counter track per sensor; a non-finite
+    // reading has no JSON number and is written as `null`.
     let sensor_label = |id: u16| -> String {
         trace
             .node
             .sensors
             .iter()
             .find(|s| s.id.0 == id)
-            .map(|s| escape(&s.label))
-            .unwrap_or_else(|| format!("sensor#{id}"))
+            .map_or_else(|| format!("sensor#{id}"), |s| s.label.clone())
     };
     for sample in &trace.samples {
-        let label = sensor_label(sample.sensor.0);
-        let mut value = format!("{:.3}", sample.temperature.celsius());
-        if !value
-            .chars()
-            .all(|c| c.is_ascii_digit() || c == '.' || c == '-')
-        {
-            value = "0.000".to_string(); // non-finite readings have no JSON literal
-        }
-        events.push(format!(
-            r#"{{"name":"temp {label}","ph":"C","pid":{pid},"tid":0,"ts":{},"args":{{"celsius":{value}}}}}"#,
-            us(sample.timestamp_ns),
-        ));
+        let name = format!("temp {}", sensor_label(sample.sensor.0));
+        records.push(record(|w| {
+            w.key("name").str(&name);
+            w.key("ph").str("C");
+            w.key("pid").int(pid);
+            w.key("tid").int(0);
+            w.key("ts").scaled(sample.timestamp_ns, 3);
+            w.key("args").begin_object();
+            w.key("celsius").fixed(sample.temperature.celsius(), 3);
+            w.end_object();
+        }));
     }
 
     // Sensor gaps (quarantine / failed reads) as instant events.
     for event in &trace.events {
         if let EventKind::Gap { sensor } = event.kind {
-            let label = sensor_label(sensor.0);
-            events.push(format!(
-                r#"{{"name":"gap {label}","ph":"i","s":"t","pid":{pid},"tid":{},"ts":{}}}"#,
-                event.thread.0,
-                us(event.timestamp_ns),
-            ));
+            let name = format!("gap {}", sensor_label(sensor.0));
+            records.push(record(|w| {
+                w.key("name").str(&name);
+                w.key("ph").str("i");
+                w.key("s").str("t");
+                w.key("pid").int(pid);
+                w.key("tid").int(event.thread.0.into());
+                w.key("ts").scaled(event.timestamp_ns, 3);
+            }));
         }
     }
 
-    let mut out = String::with_capacity(events.len() * 96 + 128);
-    out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"tool\": \"tempest\"},\n\"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+    envelope(r#"{"tool": "tempest"}"#, &records)
 }
 
 /// Renders the cross-node frame-latency view as a Chrome `trace_event`
@@ -155,41 +196,30 @@ pub fn chrome_fleet_trace_json(
         .flat_map(|(_, traces)| traces.iter().map(|t| t.origin_unix_ns))
         .min()
         .unwrap_or(0);
-    let mut events: Vec<String> = Vec::new();
-    for (pid, (name, traces)) in nodes.iter().enumerate() {
-        events.push(format!(
-            r#"{{"name":"process_name","ph":"M","pid":{pid},"args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ));
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"ship→collect"}}}}"#
-        ));
-        let mut sorted: Vec<_> = traces.clone();
+    let mut records = Vec::new();
+    for (pid, (name, traces)) in (0u64..).zip(nodes) {
+        records.push(name_record(pid, None, name));
+        records.push(name_record(pid, Some(0), "ship→collect"));
+        let mut sorted: Vec<_> = traces.iter().collect();
         sorted.sort_by_key(|t| t.origin_unix_ns);
-        for t in &sorted {
-            events.push(format!(
-                r#"{{"name":"frame seg{} off{}","cat":"ship","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":0,"args":{{"origin_unix_ns":{},"collect_unix_ns":{},"transit_ns":{}}}}}"#,
-                t.seg,
-                t.off,
-                us(t.origin_unix_ns.saturating_sub(base)),
-                us(t.transit_ns().unwrap_or(0)),
-                t.origin_unix_ns,
-                t.collect_unix_ns,
-                t.transit_ns().unwrap_or(0),
+        for t in sorted {
+            let transit_ns = t.transit_ns().unwrap_or(0);
+            let name = format!("frame seg{} off{}", t.seg, t.off);
+            let start = t.origin_unix_ns.saturating_sub(base);
+            let args = |w: &mut JsonWriter| {
+                w.key("origin_unix_ns").int(t.origin_unix_ns);
+                w.key("collect_unix_ns").int(t.collect_unix_ns);
+                w.key("transit_ns").int(transit_ns);
+            };
+            records.push(duration_record(
+                &name, "ship", start, transit_ns, pid, 0, args,
             ));
         }
     }
-    let mut out = String::with_capacity(events.len() * 128 + 128);
-    out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"tool\": \"tempest\", \"view\": \"fleet frame latency\"},\n\"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+    envelope(
+        r#"{"tool": "tempest", "view": "fleet frame latency"}"#,
+        &records,
+    )
 }
 
 #[cfg(test)]
@@ -283,8 +313,9 @@ mod tests {
 
     #[test]
     fn timestamp_keeps_nanosecond_fraction() {
-        assert_eq!(us(1_234_567), "1234.567");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(1_000), "1.000");
+        let ts = |ns| duration_record("f", "function", ns, ns, 0, 0, |_| {});
+        assert!(ts(1_234_567).contains(r#""ts":1234.567,"dur":1234.567,"#));
+        assert!(ts(999).contains(r#""ts":0.999,"#));
+        assert!(ts(1_000).contains(r#""ts":1.000,"#));
     }
 }

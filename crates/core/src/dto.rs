@@ -1,469 +1,141 @@
-//! Versioned JSON data-transfer shapes — one schema for every consumer.
+//! Versioned JSON documents — one schema for every consumer.
 //!
-//! Before this module each JSON producer hand-built its own object
-//! layout: `report`/`export` rendered profiles one way, the collector's
-//! fleet document another, and any new surface would have invented a
-//! third. Every wire shape now lives here as a plain struct with an
-//! explicit `to_json()`, all stamped with the same [`DTO_VERSION`]
-//! under the `"v"` key, so the CLI exports, `tempest fleet --json`, and
-//! every `/api/v1/*` endpoint of `tempest serve` serialize the *same*
-//! document and a schema change is one edit (and one version bump) in
-//! one place.
-//!
-//! Serialization is hand-rolled (the workspace is dependency-free by
-//! policy) and deterministic: fixed field order, fixed float precision,
-//! and non-finite floats degrade to `null` rather than emitting invalid
-//! JSON. The golden-schema tests in `tests/query_api.rs` pin these
-//! shapes so an accidental field rename fails CI.
+//! `tempest report`/`export --format json` and `tempest serve`'s
+//! `/api/v1/sessions/*` answers are the same bytes: each document here is
+//! a borrowed view whose `to_json()` writes the schema once, straight
+//! from the analysed data through [`JsonWriter`] — compact, members in a
+//! fixed order, fixed float precision, non-finite floats as `null`.
+//! Every document carries [`DTO_VERSION`] under `"v"`. The golden tests
+//! below and in `tests/query_api.rs` pin the bytes.
 
 use crate::analysis::HotSpot;
 use crate::profile::NodeProfile;
-use std::fmt::Write as _;
-use tempest_obs::escape;
+use tempest_obs::JsonWriter;
 
-/// Version stamped into every DTO under `"v"`. Bump when any field is
-/// renamed, removed, or changes meaning; adding fields is compatible.
+/// Version stamped into every document under `"v"`. Bump when any field
+/// is renamed, removed, or changes meaning; adding fields is compatible.
 pub const DTO_VERSION: u32 = 1;
-
-/// Render a float at `prec` decimals, degrading non-finite values to
-/// `null` (JSON has no NaN/Inf).
-fn num(x: f64, prec: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.prec$}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// One sensor's seven summary statistics for one function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensorSummaryDto {
-    /// Sensor label as the paper prints it (`sensor1` …).
-    pub sensor: String,
-    /// Number of samples attributed.
-    pub count: usize,
-    /// Smallest sample, °F.
-    pub min: f64,
-    /// Arithmetic mean, °F.
-    pub avg: f64,
-    /// Largest sample, °F.
-    pub max: f64,
-    /// Population standard deviation.
-    pub sdv: f64,
-    /// Population variance.
-    pub var: f64,
-    /// Median, °F.
-    pub med: f64,
-    /// Mode, °F.
-    pub mode: f64,
-}
-
-impl SensorSummaryDto {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"sensor\":\"{}\",\"count\":{},\"min\":{},\"avg\":{},\"max\":{},\
-             \"sdv\":{},\"var\":{},\"med\":{},\"mod\":{}}}",
-            escape(&self.sensor),
-            self.count,
-            num(self.min, 2),
-            num(self.avg, 2),
-            num(self.max, 2),
-            num(self.sdv, 3),
-            num(self.var, 3),
-            num(self.med, 2),
-            num(self.mode, 2),
-        )
-    }
-}
-
-/// One function's timing and thermal profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunctionDto {
-    /// Symbol name.
-    pub name: String,
-    /// Symbol address (serialized as hex text — JSON numbers lose
-    /// precision past 2^53).
-    pub address: u64,
-    /// Inclusive wall time, seconds.
-    pub inclusive_s: f64,
-    /// Exclusive wall time, seconds.
-    pub exclusive_s: f64,
-    /// Call count.
-    pub calls: u64,
-    /// §4.2 significance (ran at least one sampling interval).
-    pub significant: bool,
-    /// Per-sensor summaries; empty when insignificant.
-    pub sensors: Vec<SensorSummaryDto>,
-}
-
-impl FunctionDto {
-    fn to_json(&self) -> String {
-        let sensors: Vec<String> = self.sensors.iter().map(|s| s.to_json()).collect();
-        format!(
-            "{{\"name\":\"{}\",\"address\":\"{:#x}\",\"inclusive_s\":{},\"exclusive_s\":{},\
-             \"calls\":{},\"significant\":{},\"sensors\":[{}]}}",
-            escape(&self.name),
-            self.address,
-            num(self.inclusive_s, 6),
-            num(self.exclusive_s, 6),
-            self.calls,
-            self.significant,
-            sensors.join(","),
-        )
-    }
-}
-
-/// The data-quality ledger, reduced to the fields consumers act on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityDto {
-    /// Whether recovery was enabled for this analysis.
-    pub recovered: bool,
-    /// Events dropped by the parser (unknown-func + non-monotonic).
-    pub events_dropped: usize,
-    /// Events lost to truncation salvage.
-    pub events_lost_in_salvage: u64,
-    /// Samples lost to truncation salvage.
-    pub samples_lost_in_salvage: u64,
-    /// Explicit sensor-gap markers.
-    pub gap_events: usize,
-    /// Fraction (0.0–1.0) of expected sensor samples present.
-    pub sensor_coverage: f64,
-    /// True when a resource limit or deadline bounded the result.
-    pub limited: bool,
-}
-
-impl QualityDto {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"recovered\":{},\"events_dropped\":{},\"events_lost_in_salvage\":{},\
-             \"samples_lost_in_salvage\":{},\"gap_events\":{},\"sensor_coverage\":{},\
-             \"limited\":{}}}",
-            self.recovered,
-            self.events_dropped,
-            self.events_lost_in_salvage,
-            self.samples_lost_in_salvage,
-            self.gap_events,
-            num(self.sensor_coverage, 3),
-            self.limited,
-        )
-    }
-}
 
 /// One node's complete profile — the document behind
 /// `tempest report --format json`, `tempest export --format json`, and
 /// `GET /api/v1/sessions/{id}/profile`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileDto {
-    /// Schema version ([`DTO_VERSION`]).
-    pub v: u32,
-    /// Node id.
-    pub node_id: u32,
-    /// Node hostname.
-    pub hostname: String,
-    /// Trace span, seconds.
-    pub span_s: f64,
-    /// Estimated sensor sampling interval, ns, if samples were present.
-    pub sample_interval_ns: Option<u64>,
-    /// Samples outside every function interval.
-    pub unattributed_samples: usize,
-    /// How much data survived the pipeline.
-    pub quality: QualityDto,
-    /// Per-function profiles, sorted by inclusive time descending.
-    pub functions: Vec<FunctionDto>,
+pub struct ProfileDto<'a> {
+    profile: &'a NodeProfile,
 }
 
-impl ProfileDto {
-    /// Build the DTO from an analyzed profile.
-    pub fn from_profile(profile: &NodeProfile) -> ProfileDto {
-        ProfileDto {
-            v: DTO_VERSION,
-            node_id: profile.node.node_id,
-            hostname: profile.node.hostname.clone(),
-            span_s: profile.span_ns as f64 / 1e9,
-            sample_interval_ns: profile.sample_interval_ns,
-            unattributed_samples: profile.unattributed_samples,
-            quality: QualityDto {
-                recovered: profile.quality.recovered,
-                events_dropped: profile.quality.events_dropped(),
-                events_lost_in_salvage: profile.quality.events_lost_in_salvage,
-                samples_lost_in_salvage: profile.quality.samples_lost_in_salvage,
-                gap_events: profile.quality.gap_events,
-                sensor_coverage: profile.quality.sensor_coverage,
-                limited: profile.quality.was_limited(),
-            },
-            functions: profile
-                .functions
-                .iter()
-                .map(|f| FunctionDto {
-                    name: f.func.name.clone(),
-                    address: f.func.address,
-                    inclusive_s: f.inclusive_secs(),
-                    exclusive_s: f.exclusive_ns as f64 / 1e9,
-                    calls: f.calls,
-                    significant: f.significant,
-                    sensors: f
-                        .thermal
-                        .iter()
-                        .map(|(sensor, s)| SensorSummaryDto {
-                            sensor: sensor.to_string(),
-                            count: s.count,
-                            min: s.min,
-                            avg: s.avg,
-                            max: s.max,
-                            sdv: s.sdv,
-                            var: s.var,
-                            med: s.med,
-                            mode: s.mode,
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
+impl<'a> ProfileDto<'a> {
+    /// View an analysed profile as the v1 document.
+    pub fn from_profile(profile: &'a NodeProfile) -> ProfileDto<'a> {
+        ProfileDto { profile }
     }
 
-    /// Serialize to the v1 JSON document.
+    /// Serialize to the v1 JSON document; the address is hex text
+    /// because JSON numbers lose precision past 2^53.
     pub fn to_json(&self) -> String {
-        let functions: Vec<String> = self.functions.iter().map(|f| f.to_json()).collect();
-        format!(
-            "{{\"v\":{},\"node_id\":{},\"hostname\":\"{}\",\"span_s\":{},\
-             \"sample_interval_ns\":{},\"unattributed_samples\":{},\"quality\":{},\
-             \"functions\":[{}]}}\n",
-            self.v,
-            self.node_id,
-            escape(&self.hostname),
-            num(self.span_s, 6),
-            self.sample_interval_ns
-                .map(|ns| ns.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            self.unattributed_samples,
-            self.quality.to_json(),
-            functions.join(","),
-        )
+        let p = self.profile;
+        let q = &p.quality;
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("v").int(DTO_VERSION.into());
+        w.key("node_id").int(p.node.node_id.into());
+        w.key("hostname").str(&p.node.hostname);
+        w.key("span_s").fixed(p.span_ns as f64 / 1e9, 6);
+        w.key("sample_interval_ns");
+        match p.sample_interval_ns {
+            Some(ns) => w.int(ns),
+            None => w.null(),
+        };
+        w.key("unattributed_samples")
+            .int(p.unattributed_samples as u64);
+        w.key("quality").begin_object();
+        w.key("recovered").bool(q.recovered);
+        w.key("events_dropped").int(q.events_dropped() as u64);
+        w.key("events_lost_in_salvage")
+            .int(q.events_lost_in_salvage);
+        w.key("samples_lost_in_salvage")
+            .int(q.samples_lost_in_salvage);
+        w.key("gap_events").int(q.gap_events as u64);
+        w.key("sensor_coverage").fixed(q.sensor_coverage, 3);
+        w.key("limited").bool(q.was_limited());
+        w.end_object();
+        w.key("functions").begin_array();
+        for f in &p.functions {
+            w.begin_object();
+            w.key("name").str(&f.func.name);
+            w.key("address").str(&format!("{:#x}", f.func.address));
+            w.key("inclusive_s").fixed(f.inclusive_secs(), 6);
+            w.key("exclusive_s").fixed(f.exclusive_ns as f64 / 1e9, 6);
+            w.key("calls").int(f.calls);
+            w.key("significant").bool(f.significant);
+            w.key("sensors").begin_array();
+            for (sensor, s) in &f.thermal {
+                w.begin_object();
+                w.key("sensor").str(&sensor.to_string());
+                w.key("count").int(s.count as u64);
+                w.key("min").fixed(s.min, 2);
+                w.key("avg").fixed(s.avg, 2);
+                w.key("max").fixed(s.max, 2);
+                w.key("sdv").fixed(s.sdv, 3);
+                w.key("var").fixed(s.var, 3);
+                w.key("med").fixed(s.med, 2);
+                w.key("mod").fixed(s.mode, 2);
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
-}
-
-/// One ranked hot spot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotSpotDto {
-    /// Function name.
-    pub name: String,
-    /// Hottest per-sensor average, °F.
-    pub avg_f: f64,
-    /// Inclusive time, seconds.
-    pub inclusive_s: f64,
-    /// Ranking score (excess heat × exclusive seconds).
-    pub score: f64,
 }
 
 /// The hot-spot ranking document —
 /// `GET /api/v1/sessions/{id}/hotspots?top=N&sort=temp|time`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotspotsDto {
-    /// Schema version ([`DTO_VERSION`]).
-    pub v: u32,
-    /// Session id the ranking was computed over.
-    pub session: String,
-    /// Sort order applied: `"temp"` (score) or `"time"` (inclusive).
-    pub sort: String,
-    /// Requested ranking depth.
-    pub top: usize,
-    /// Ranked spots, best first.
-    pub spots: Vec<HotSpotDto>,
+pub struct HotspotsDto<'a> {
+    session: &'a str,
+    sort: &'a str,
+    top: usize,
+    spots: &'a [HotSpot],
 }
 
-impl HotspotsDto {
-    /// Build from an analysis-layer ranking.
-    pub fn from_hotspots(session: &str, sort: &str, top: usize, spots: &[HotSpot]) -> HotspotsDto {
+impl<'a> HotspotsDto<'a> {
+    /// View a ranking of `session` (sorted by `sort`: `"temp"` or
+    /// `"time"`, `top` deep, best first) as the v1 document.
+    pub fn from_hotspots(
+        session: &'a str,
+        sort: &'a str,
+        top: usize,
+        spots: &'a [HotSpot],
+    ) -> HotspotsDto<'a> {
         HotspotsDto {
-            v: DTO_VERSION,
-            session: session.to_string(),
-            sort: sort.to_string(),
+            session,
+            sort,
             top,
-            spots: spots
-                .iter()
-                .map(|h| HotSpotDto {
-                    name: h.name.clone(),
-                    avg_f: h.avg_f,
-                    inclusive_s: h.inclusive_secs,
-                    score: h.score,
-                })
-                .collect(),
+            spots,
         }
     }
 
     /// Serialize to the v1 JSON document.
     pub fn to_json(&self) -> String {
-        let spots: Vec<String> = self
-            .spots
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"avg_f\":{},\"inclusive_s\":{},\"score\":{}}}",
-                    escape(&s.name),
-                    num(s.avg_f, 2),
-                    num(s.inclusive_s, 6),
-                    num(s.score, 3),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"v\":{},\"session\":\"{}\",\"sort\":\"{}\",\"top\":{},\"spots\":[{}]}}\n",
-            self.v,
-            escape(&self.session),
-            escape(&self.sort),
-            self.top,
-            spots.join(","),
-        )
-    }
-}
-
-/// One collected session as the catalog lists it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionDto {
-    /// Session id (the sanitised spool directory name).
-    pub id: String,
-    /// Total bytes across the session's segment files.
-    pub bytes: u64,
-    /// Number of segment files.
-    pub segments: usize,
-    /// Content identity (spool CRC + length) — the value returned in the
-    /// `ETag` response header, without its surrounding quotes.
-    pub etag: String,
-}
-
-/// The session catalog — `GET /api/v1/sessions`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionsDto {
-    /// Schema version ([`DTO_VERSION`]).
-    pub v: u32,
-    /// Number of sessions listed.
-    pub session_count: usize,
-    /// The sessions, sorted by id.
-    pub sessions: Vec<SessionDto>,
-}
-
-impl SessionsDto {
-    /// Serialize to the v1 JSON document.
-    pub fn to_json(&self) -> String {
-        let sessions: Vec<String> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"id\":\"{}\",\"bytes\":{},\"segments\":{},\"etag\":\"{}\"}}",
-                    escape(&s.id),
-                    s.bytes,
-                    s.segments,
-                    escape(&s.etag),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"v\":{},\"session_count\":{},\"sessions\":[{}]}}\n",
-            self.v,
-            self.session_count,
-            sessions.join(","),
-        )
-    }
-}
-
-/// Liveness/readiness document — `GET /api/v1/health`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthDto {
-    /// Schema version ([`DTO_VERSION`]).
-    pub v: u32,
-    /// `"ok"` once the initial catalog scan has completed.
-    pub status: String,
-    /// Sessions currently in the catalog.
-    pub sessions: usize,
-    /// Analysis worker width the daemon resolved to.
-    pub jobs: usize,
-}
-
-impl HealthDto {
-    /// Serialize to the v1 JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"v\":{},\"status\":\"{}\",\"sessions\":{},\"jobs\":{}}}\n",
-            self.v,
-            escape(&self.status),
-            self.sessions,
-            self.jobs,
-        )
-    }
-}
-
-/// One node's row in the fleet document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetNodeDto {
-    /// Collector-side node key (`{session}-node{id}`).
-    pub key: String,
-    /// Session name.
-    pub session: String,
-    /// Node id.
-    pub node_id: u32,
-    /// Node hostname.
-    pub hostname: String,
-    /// When the node stamped the snapshot (unix ns).
-    pub origin_unix_ns: u64,
-    /// When the collector received it (unix ns).
-    pub received_unix_ns: u64,
-    /// Age of the snapshot at render time, milliseconds.
-    pub age_ms: u64,
-    /// Whether the node has gone quiet past the staleness window.
-    pub stale: bool,
-    /// Telemetry updates received from this node.
-    pub updates: u64,
-    /// The node's full metrics snapshot, pre-rendered as a JSON object
-    /// (the obs registry renders its own snapshots; core embeds them
-    /// verbatim rather than depending on the collector).
-    pub metrics_json: String,
-}
-
-/// The aggregated fleet document — `tempest fleet --json`,
-/// `/fleet.json`, and `GET /api/v1/fleet`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetDto {
-    /// Schema version ([`DTO_VERSION`]).
-    pub v: u32,
-    /// Render time, unix ns.
-    pub generated_unix_ns: u64,
-    /// Staleness window, milliseconds.
-    pub stale_after_ms: u64,
-    /// Number of nodes.
-    pub node_count: usize,
-    /// Per-node rows.
-    pub nodes: Vec<FleetNodeDto>,
-}
-
-impl FleetDto {
-    /// Serialize to the v1 JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"v\": {},", self.v);
-        let _ = writeln!(out, "  \"generated_unix_ns\": {},", self.generated_unix_ns);
-        let _ = writeln!(out, "  \"stale_after_ms\": {},", self.stale_after_ms);
-        let _ = writeln!(out, "  \"node_count\": {},", self.node_count);
-        let _ = writeln!(out, "  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"key\": \"{}\",", escape(&n.key));
-            let _ = writeln!(out, "      \"session\": \"{}\",", escape(&n.session));
-            let _ = writeln!(out, "      \"node_id\": {},", n.node_id);
-            let _ = writeln!(out, "      \"hostname\": \"{}\",", escape(&n.hostname));
-            let _ = writeln!(out, "      \"origin_unix_ns\": {},", n.origin_unix_ns);
-            let _ = writeln!(out, "      \"received_unix_ns\": {},", n.received_unix_ns);
-            let _ = writeln!(out, "      \"age_ms\": {},", n.age_ms);
-            let _ = writeln!(out, "      \"stale\": {},", n.stale);
-            let _ = writeln!(out, "      \"updates\": {},", n.updates);
-            let _ = writeln!(out, "      \"metrics\": {}", n.metrics_json.trim_end());
-            let _ = write!(out, "    }}");
-            let _ = writeln!(out, "{}", if i + 1 < self.nodes.len() { "," } else { "" });
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("v").int(DTO_VERSION.into());
+        w.key("session").str(self.session);
+        w.key("sort").str(self.sort);
+        w.key("top").int(self.top as u64);
+        w.key("spots").begin_array();
+        for h in self.spots {
+            w.begin_object();
+            w.key("name").str(&h.name);
+            w.key("avg_f").fixed(h.avg_f, 2);
+            w.key("inclusive_s").fixed(h.inclusive_secs, 6);
+            w.key("score").fixed(h.score, 3);
+            w.end_object();
         }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -473,26 +145,14 @@ mod tests {
     use tempest_obs::Json;
 
     #[test]
-    fn non_finite_floats_serialize_as_null() {
-        assert_eq!(num(f64::NAN, 2), "null");
-        assert_eq!(num(f64::INFINITY, 2), "null");
-        assert_eq!(num(1.5, 2), "1.50");
-    }
-
-    #[test]
     fn hotspots_dto_parses_and_carries_version() {
-        let dto = HotspotsDto {
-            v: DTO_VERSION,
-            session: "demo-node0".into(),
-            sort: "temp".into(),
-            top: 5,
-            spots: vec![HotSpotDto {
-                name: "hot \"fn\"".into(),
-                avg_f: 113.0,
-                inclusive_s: 60.0,
-                score: 42.5,
-            }],
-        };
+        let spots = [HotSpot {
+            name: "hot \"fn\"".into(),
+            avg_f: 113.0,
+            inclusive_secs: 60.0,
+            score: 42.5,
+        }];
+        let dto = HotspotsDto::from_hotspots("demo-node0", "temp", 5, &spots);
         let v = Json::parse(&dto.to_json()).expect("valid json");
         assert_eq!(v.get("v").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("sort").unwrap().as_str(), Some("temp"));
@@ -500,56 +160,130 @@ mod tests {
         assert_eq!(spots[0].get("name").unwrap().as_str(), Some("hot \"fn\""));
     }
 
-    #[test]
-    fn sessions_and_health_dtos_parse() {
-        let s = SessionsDto {
-            v: DTO_VERSION,
-            session_count: 1,
-            sessions: vec![SessionDto {
-                id: "run-node0".into(),
-                bytes: 1024,
-                segments: 2,
-                etag: "deadbeef-400".into(),
-            }],
-        };
-        let v = Json::parse(&s.to_json()).expect("sessions json");
-        assert_eq!(v.get("session_count").unwrap().as_f64(), Some(1.0));
+    /// A hand-built profile covering every value kind in the document:
+    /// an escaped hostname, no sampling interval, a non-finite
+    /// statistic, and an insignificant function without sensors.
+    fn small_profile() -> NodeProfile {
+        use crate::profile::{DataQuality, FunctionProfile};
+        use crate::stats::Summary;
+        use std::collections::BTreeMap;
+        use tempest_probe::{FunctionDef, FunctionId, NodeMeta, ScopeKind};
+        use tempest_sensors::SensorId;
 
-        let h = HealthDto {
-            v: DTO_VERSION,
-            status: "ok".into(),
-            sessions: 3,
-            jobs: 4,
+        let summary = Summary {
+            count: 3,
+            min: 98.6,
+            avg: 101.255,
+            max: 104.0,
+            sdv: f64::NAN,
+            var: 2.0 / 3.0,
+            med: 101.0,
+            mode: 98.6,
         };
-        let v = Json::parse(&h.to_json()).expect("health json");
-        assert_eq!(v.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(v.get("jobs").unwrap().as_f64(), Some(4.0));
+        let function =
+            |id: u32, name: &str, inclusive_ns, exclusive_ns, calls, thermal| FunctionProfile {
+                func: FunctionDef {
+                    id: FunctionId(id),
+                    name: name.into(),
+                    address: 0x40_0000 + u64::from(id) * 0x10,
+                    kind: ScopeKind::Function,
+                },
+                inclusive_ns,
+                exclusive_ns,
+                calls,
+                significant: id == 0,
+                thermal,
+                thermal_exclusive: BTreeMap::new(),
+            };
+        let thermal = BTreeMap::from([
+            (SensorId(0), summary),
+            (
+                SensorId(1),
+                Summary {
+                    count: 1,
+                    sdv: 0.0,
+                    var: 0.0,
+                    ..summary
+                },
+            ),
+        ]);
+        NodeProfile {
+            node: NodeMeta {
+                node_id: 2,
+                hostname: "rack \"a\"\\n0\tb".into(),
+                sensors: Vec::new(),
+            },
+            functions: vec![
+                function(0, "main", 2_500_000_000, 1_000_000_001, 1, thermal),
+                function(1, "tiny \"fn\"", 1_234, 1_234, 7, BTreeMap::new()),
+            ],
+            span_ns: 2_500_000_001,
+            sample_interval_ns: None,
+            warnings: Vec::new(),
+            unattributed_samples: 4,
+            quality: DataQuality {
+                recovered: true,
+                events_dropped_unknown_func: 2,
+                events_dropped_nonmonotonic: 1,
+                events_lost_in_salvage: 5,
+                samples_lost_in_salvage: 6,
+                gap_events: 3,
+                sensor_coverage: 0.8125,
+                deadline_hit: true,
+                ..DataQuality::default()
+            },
+        }
     }
 
     #[test]
-    fn fleet_dto_embeds_metrics_verbatim() {
-        let dto = FleetDto {
-            v: DTO_VERSION,
-            generated_unix_ns: 7,
-            stale_after_ms: 1000,
-            node_count: 1,
-            nodes: vec![FleetNodeDto {
-                key: "run-node0".into(),
-                session: "run".into(),
-                node_id: 0,
-                hostname: "h0".into(),
-                origin_unix_ns: 5,
-                received_unix_ns: 6,
-                age_ms: 1,
-                stale: false,
-                updates: 2,
-                metrics_json: "{\"counters\": {\"x\": 1}}\n".into(),
-            }],
-        };
-        let v = Json::parse(&dto.to_json()).expect("fleet json");
-        assert_eq!(v.get("v").unwrap().as_f64(), Some(1.0));
-        let nodes = v.get("nodes").unwrap().as_arr().unwrap();
-        let metrics = nodes[0].get("metrics").unwrap();
-        assert!(metrics.get("counters").is_some());
+    fn profile_document_bytes_are_pinned() {
+        let doc = ProfileDto::from_profile(&small_profile()).to_json();
+        let expected = concat!(
+            r#"{"v":1,"node_id":2,"hostname":"rack \"a\"\\n0\tb","span_s":2.500000,"#,
+            r#""sample_interval_ns":null,"unattributed_samples":4,"#,
+            r#""quality":{"recovered":true,"events_dropped":3,"events_lost_in_salvage":5,"#,
+            r#""samples_lost_in_salvage":6,"gap_events":3,"sensor_coverage":0.812,"limited":true},"#,
+            r#""functions":[{"name":"main","address":"0x400000","inclusive_s":2.500000,"#,
+            r#""exclusive_s":1.000000,"calls":1,"significant":true,"sensors":["#,
+            r#"{"sensor":"sensor1","count":3,"min":98.60,"avg":101.25,"max":104.00,"#,
+            r#""sdv":null,"var":0.667,"med":101.00,"mod":98.60},"#,
+            r#"{"sensor":"sensor2","count":1,"min":98.60,"avg":101.25,"max":104.00,"#,
+            r#""sdv":0.000,"var":0.000,"med":101.00,"mod":98.60}]},"#,
+            r#"{"name":"tiny \"fn\"","address":"0x400010","inclusive_s":0.000001,"#,
+            r#""exclusive_s":0.000001,"calls":7,"significant":false,"sensors":[]}]}"#,
+            "\n"
+        );
+        assert_eq!(doc, expected);
+    }
+
+    #[test]
+    fn hotspots_document_bytes_are_pinned() {
+        let spots = [
+            HotSpot {
+                name: "hot \"fn\"".into(),
+                avg_f: 113.0,
+                inclusive_secs: 60.0,
+                score: 42.5,
+            },
+            HotSpot {
+                name: "cool".into(),
+                avg_f: 98.123456,
+                inclusive_secs: 0.000_000_5,
+                score: f64::NAN,
+            },
+        ];
+        let doc = HotspotsDto::from_hotspots("run-node0", "temp", 5, &spots).to_json();
+        let expected = concat!(
+            r#"{"v":1,"session":"run-node0","sort":"temp","top":5,"spots":["#,
+            r#"{"name":"hot \"fn\"","avg_f":113.00,"inclusive_s":60.000000,"score":42.500},"#,
+            r#"{"name":"cool","avg_f":98.12,"inclusive_s":0.000000,"score":null}]}"#,
+            "\n"
+        );
+        assert_eq!(doc, expected);
+        let none = HotspotsDto::from_hotspots("empty-node1", "time", 3, &[]).to_json();
+        assert_eq!(
+            none,
+            "{\"v\":1,\"session\":\"empty-node1\",\"sort\":\"time\",\"top\":3,\"spots\":[]}\n"
+        );
     }
 }

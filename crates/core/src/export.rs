@@ -118,9 +118,10 @@ pub fn profile_to_markdown(profile: &NodeProfile) -> String {
     out
 }
 
-/// The versioned v1 JSON document ([`crate::dto::ProfileDto`]) — the
-/// same shape `tempest serve` answers on `/api/v1/sessions/{id}/profile`,
-/// so a file export and an API response are byte-comparable.
+/// The versioned v1 JSON document, written by [`crate::dto::ProfileDto`]
+/// — the same bytes `tempest serve` answers on
+/// `/api/v1/sessions/{id}/profile`, so a file export and an API response
+/// are byte-identical.
 pub fn profile_to_json(profile: &NodeProfile) -> String {
     crate::dto::ProfileDto::from_profile(profile).to_json()
 }

@@ -1,8 +1,9 @@
-//! Snapshot exporters: Prometheus text exposition, JSON, and a
-//! human-readable table, plus the human-unit formatting helpers the CLI
-//! reuses for things like backpressure drop counters.
+//! Snapshot exporters: Prometheus text exposition, JSON (through
+//! [`JsonWriter`]), and a human-readable table, plus the human-unit
+//! formatting helpers the CLI reuses for things like backpressure drop
+//! counters.
 
-use crate::json::escape;
+use crate::json::JsonWriter;
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
 
@@ -81,66 +82,56 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Trim integral values so gauges like 3.0 print as 3.
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the snapshot as a JSON document:
+/// Renders the snapshot as a pretty JSON document:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {...}, "spans": [...]}`.
 pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{}\": {value}", escape(name));
+    let mut w = JsonWriter::pretty();
+    write_snapshot(&mut w, snap);
+    w.finish()
+}
+
+/// Writes the snapshot object into `w`: the one routine behind
+/// [`to_json`] and each node's `metrics` in the fleet document.
+pub fn write_snapshot(w: &mut JsonWriter, snap: &Snapshot) {
+    w.begin_object();
+    w.key("counters").begin_object();
+    for (name, value) in &snap.counters {
+        w.key(name).int(*value);
     }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{}\": {}", escape(name), json_f64(*value));
+    w.end_object();
+    w.key("gauges").begin_object();
+    for (name, value) in &snap.gauges {
+        w.key(name).float(*value);
     }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-            escape(&h.name),
-            h.count,
-            h.sum,
-            json_f64(h.mean()),
-            h.quantile(0.5),
-            h.quantile(0.95),
-            h.quantile(0.99),
-        );
-        for (j, (bound, count)) in h.buckets.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}[{bound}, {count}]");
+    w.end_object();
+    w.key("histograms").begin_object();
+    for h in &snap.histograms {
+        w.key(&h.name).begin_object();
+        w.key("count").int(h.count);
+        w.key("sum").int(h.sum);
+        w.key("mean").float(h.mean());
+        w.key("p50").int(h.quantile(0.5));
+        w.key("p95").int(h.quantile(0.95));
+        w.key("p99").int(h.quantile(0.99));
+        w.key("buckets").begin_array();
+        for &(bound, count) in &h.buckets {
+            w.begin_array().int(bound).int(count).end_array();
         }
-        out.push_str("]}");
+        w.end_array();
+        w.end_object();
     }
-    out.push_str("\n  },\n  \"spans\": [");
-    for (i, s) in snap.spans.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"thread\": {}}}",
-            escape(&s.name),
-            s.start_ns,
-            s.dur_ns,
-            s.thread
-        );
+    w.end_object();
+    w.key("spans").begin_array();
+    for s in &snap.spans {
+        w.begin_object();
+        w.key("name").str(&s.name);
+        w.key("start_ns").int(s.start_ns);
+        w.key("dur_ns").int(s.dur_ns);
+        w.key("thread").int(s.thread);
+        w.end_object();
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    w.end_array();
+    w.end_object();
 }
 
 /// Renders the snapshot as an aligned human-readable table. Metric

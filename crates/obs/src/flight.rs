@@ -16,12 +16,13 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::codec::unix_now_ns;
-use crate::json::escape;
+use crate::json::JsonWriter;
 
 /// Default number of events the global flight ring retains.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -131,40 +132,52 @@ impl FlightRecorder {
 
     /// Renders the ring as the `flight.json` document.
     pub fn to_json(&self, reason: &str) -> String {
-        use std::fmt::Write as _;
-        let events = self.drain_copy();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"dumped_unix_ns\": {},", unix_now_ns());
-        let _ = writeln!(out, "  \"reason\": \"{}\",", escape(reason));
-        out.push_str("  \"events\": [");
-        for (i, e) in events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"unix_ns\": {}, \"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\", \"fields\": {{",
-                e.unix_ns,
-                e.level.as_str(),
-                escape(&e.target),
-                escape(&e.message),
-            );
-            for (j, (k, v)) in e.fields.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}\"{}\": \"{}\"", escape(k), escape(v));
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.key("dumped_unix_ns").int(unix_now_ns());
+        w.key("reason").str(reason);
+        w.key("events").begin_array();
+        for e in self.drain_copy() {
+            w.begin_object();
+            w.key("unix_ns").int(e.unix_ns);
+            w.key("level").str(e.level.as_str());
+            w.key("target").str(&e.target);
+            w.key("message").str(&e.message);
+            w.key("fields").begin_object();
+            for (k, v) in &e.fields {
+                w.key(k).str(v);
             }
-            out.push_str("}}");
+            w.end_object();
+            w.end_object();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
-    /// Writes the ring to `path` atomically (temp + rename). An empty
+    /// Writes the ring to `path` atomically (see [`publish`]). An empty
     /// ring still dumps — "nothing was recorded" is itself evidence.
-    pub fn dump_to(&self, path: &Path, reason: &str) -> std::io::Result<()> {
-        let doc = self.to_json(reason);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, doc)?;
-        std::fs::rename(&tmp, path)
+    pub fn dump_to(&self, path: &Path, reason: &str) -> io::Result<()> {
+        publish(path, self.to_json(reason).as_bytes())
     }
+}
+
+/// Writes `bytes` to `path` atomically: a temp file beside it, then a
+/// rename. Every call gets its own temp name (pid plus a process-wide
+/// sequence number), so writers racing on one path never truncate each
+/// other's file, and the name ends in `.tmp` rather than the target's
+/// extension, so a leftover is never mistaken for the real file. The
+/// temp file is removed when the write or the rename fails.
+pub fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{name}.{}-{seq}.tmp", std::process::id()));
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 static GLOBAL_FLIGHT: OnceLock<FlightRecorder> = OnceLock::new();
@@ -326,7 +339,83 @@ mod tests {
         rec.dump_to(&path, "unit").unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(Json::parse(&doc).is_ok());
-        assert!(!dir.join("flight.json.tmp").exists());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["flight.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A publish whose rename fails (a directory is in the way) reports
+    /// the error and leaves no temp file behind.
+    #[test]
+    fn failed_publish_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("tempest-publish-{}", std::process::id()));
+        let target = dir.join("flight.json");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        assert!(publish(&target, b"{}").is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["flight.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Dumps racing on one path (two daemon workers recovering one
+    /// session) while a reader polls it: every dump succeeds, every read
+    /// parses, and only the published file is left behind.
+    #[test]
+    fn racing_dumps_never_publish_a_torn_file() {
+        use std::sync::atomic::AtomicBool;
+        let dir = std::env::temp_dir().join(format!("tempest-flight-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flight.json");
+        let rec = FlightRecorder::new(64);
+        for i in 0..64u64 {
+            rec.record_parts(
+                FlightLevel::Info,
+                "race",
+                format!("event {i}"),
+                vec![("i".into(), i.to_string())],
+            );
+        }
+        rec.dump_to(&path, "seed").unwrap();
+        let (done, start) = (AtomicBool::new(false), std::sync::Barrier::new(4));
+        let (failed_dumps, torn_reads) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut torn = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let doc = std::fs::read_to_string(&path);
+                    torn += usize::from(!doc.is_ok_and(|d| Json::parse(&d).is_ok()));
+                }
+                torn
+            });
+            let writers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..100)
+                            .filter(|_| rec.dump_to(&path, "race").is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            done.store(true, Ordering::Relaxed);
+            (failed, reader.join().unwrap())
+        });
+        assert_eq!(
+            (failed_dumps, torn_reads),
+            (0, 0),
+            "(failed dumps, torn reads)"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["flight.json"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,15 +1,15 @@
-//! Minimal JSON support: string escaping for hand-formatted emitters and
-//! a small recursive-descent parser for validating emitted documents.
+//! Minimal JSON support: the one writer every JSON document goes
+//! through, and a small recursive-descent parser for validating them.
 //!
-//! The workspace is offline and serde-free by policy; every JSON
-//! producer hand-formats its output (`perf_smoke` set the precedent).
-//! This module gives the consumers — golden-file tests and the ci.sh
-//! schema check — enough of a parser to verify those documents without
-//! a dependency. It supports the full JSON grammar except that numbers
-//! are parsed as `f64`.
+//! The workspace is offline and serde-free by policy. Documents are
+//! written straight from their data by [`JsonWriter`], never built as
+//! [`Json`] values: an object there loses member order and a number is
+//! an `f64`, which cannot hold nanosecond stamps above 2^53. The parser
+//! serves golden-file tests and the ci.sh schema check; it supports the
+//! full JSON grammar except that numbers are parsed as `f64`.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -305,6 +305,11 @@ impl<'a> Parser<'a> {
 /// added).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -316,7 +321,174 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A streaming JSON writer: typed values go straight into one `String`,
+/// members in the order written. Each value and container method
+/// returns the writer, so a member is one line: `w.key("calls").int(7);`.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// One entry per open container: does it hold a member yet?
+    open: Vec<bool>,
+    /// A key was just written; its value follows without a separator.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// The compact layout, no whitespace: API answers and trace events.
+    pub fn compact() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// The pretty layout, two-space indent and one member per line
+    /// (empty containers stay `{}` and `[]`): documents people read.
+    pub fn pretty() -> JsonWriter {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::default()
+        }
+    }
+
+    /// The separator and indentation before a key or an array element.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if let Some(has_members) = self.open.last_mut() {
+            if std::mem::replace(has_members, true) {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.open.len() {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.item();
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    fn end(&mut self, bracket: char) -> &mut Self {
+        if self.open.pop() == Some(true) {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
+    }
+
+    fn token(&mut self, value: fmt::Arguments) -> &mut Self {
+        self.item();
+        let _ = self.out.write_fmt(value);
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// Writes a member's key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        self.quoted(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.item();
+        self.quoted(s);
+        self
+    }
+
+    /// An integer, exactly (no `f64` round trip).
+    pub fn int(&mut self, n: u64) -> &mut Self {
+        self.token(format_args!("{n}"))
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.token(format_args!("{b}"))
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.token(format_args!("null"))
+    }
+
+    /// A float at exactly `decimals` fraction digits; `null` when not
+    /// finite (JSON has no NaN or infinity).
+    pub fn fixed(&mut self, x: f64, decimals: usize) -> &mut Self {
+        if x.is_finite() {
+            self.token(format_args!("{x:.decimals$}"))
+        } else {
+            self.null()
+        }
+    }
+
+    /// A float in its shortest round-trip form, integral values without
+    /// a fraction (`3.0` as `3`); `null` when not finite.
+    pub fn float(&mut self, x: f64) -> &mut Self {
+        match x {
+            x if !x.is_finite() => self.null(),
+            x if x == x.trunc() && x.abs() < 1e15 => self.token(format_args!("{}", x as i64)),
+            x => self.token(format_args!("{x}")),
+        }
+    }
+
+    /// `n / 10^decimals` exactly, with `decimals` (≥ 1) fraction digits:
+    /// nanoseconds as microseconds without an `f64` round trip.
+    pub fn scaled(&mut self, n: u64, decimals: u32) -> &mut Self {
+        let unit = 10u64.pow(decimals);
+        let width = decimals as usize;
+        self.token(format_args!("{}.{:0width$}", n / unit, n % unit))
+    }
+
+    /// The written text, without a trailing newline (one record of a
+    /// larger document).
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// The written document, newline-terminated.
+    pub fn finish(self) -> String {
+        self.out + "\n"
+    }
 }
 
 #[cfg(test)]
@@ -357,5 +529,100 @@ mod tests {
         let nasty = "line\n\"quoted\"\tback\\slash\u{1}";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(Json::parse(&doc).unwrap(), Json::Str(nasty.to_string()));
+    }
+
+    fn one(value: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) -> String {
+        let mut w = JsonWriter::compact();
+        value(&mut w);
+        w.into_string()
+    }
+
+    #[test]
+    fn non_finite_floats_write_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(one(|w| w.fixed(x, 2)), "null");
+            assert_eq!(one(|w| w.float(x)), "null");
+        }
+        assert_eq!(one(|w| w.fixed(1.5, 2)), "1.50");
+        assert_eq!(one(|w| w.fixed(113.0, 0)), "113");
+        assert_eq!(one(|w| w.float(3.0)), "3");
+        assert_eq!(one(|w| w.float(-0.25)), "-0.25");
+        assert_eq!(one(|w| w.float(1e15)), "1000000000000000");
+    }
+
+    #[test]
+    fn integers_and_scaled_integers_are_exact() {
+        let stamp = 1_700_000_000_123_456_789u64;
+        assert_eq!(one(|w| w.int(stamp)), "1700000000123456789");
+        assert_eq!(one(|w| w.int(u64::MAX)), u64::MAX.to_string());
+        assert_eq!(one(|w| w.scaled(stamp, 3)), "1700000000123456.789");
+        assert_eq!(one(|w| w.scaled(1_234_567, 3)), "1234.567");
+        assert_eq!(one(|w| w.scaled(999, 3)), "0.999");
+        assert_eq!(one(|w| w.scaled(1_000, 3)), "1.000");
+    }
+
+    #[test]
+    fn strings_round_trip_through_parser() {
+        let nasty = "line\n\"quoted\"\tback\\slash\u{1}\u{1f}\r/é";
+        let mut w = JsonWriter::compact();
+        w.begin_object().key(nasty).str(nasty).end_object();
+        let v = Json::parse(&w.into_string()).unwrap();
+        assert_eq!(v.get(nasty), Some(&Json::Str(nasty.to_string())));
+    }
+
+    /// The same nested document, with empty containers at every level,
+    /// in both layouts.
+    fn nested(mut w: JsonWriter) -> String {
+        w.begin_object();
+        w.key("a").begin_object().end_object();
+        w.key("b").begin_array().end_array();
+        w.key("c").begin_array().int(1);
+        w.begin_object()
+            .key("d")
+            .begin_array()
+            .end_array()
+            .end_object();
+        w.begin_array().bool(true).null().end_array();
+        w.end_array();
+        w.end_object();
+        w.finish()
+    }
+
+    #[test]
+    fn layouts_nest_and_close_empty_containers() {
+        assert_eq!(
+            nested(JsonWriter::compact()),
+            "{\"a\":{},\"b\":[],\"c\":[1,{\"d\":[]},[true,null]]}\n"
+        );
+        let pretty = [
+            "{",
+            "  \"a\": {},",
+            "  \"b\": [],",
+            "  \"c\": [",
+            "    1,",
+            "    {",
+            "      \"d\": []",
+            "    },",
+            "    [",
+            "      true,",
+            "      null",
+            "    ]",
+            "  ]",
+            "}",
+            "",
+        ];
+        assert_eq!(nested(JsonWriter::pretty()), pretty.join("\n"));
+        assert_eq!(one(|w| w.begin_array().end_array()), "[]");
+    }
+
+    #[test]
+    fn members_keep_the_order_written() {
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        for key in ["zeta", "alpha", "mid"] {
+            w.key(key).int(0);
+        }
+        w.end_object();
+        assert_eq!(w.into_string(), "{\"zeta\":0,\"alpha\":0,\"mid\":0}");
     }
 }

@@ -12,14 +12,15 @@
 //!   snapshot ([`to_json`]), a human table ([`to_human`]), and the
 //!   human-unit helpers ([`human_count`], [`human_ns`],
 //!   [`human_bytes`]) the CLI shares;
-//! - a dependency-free JSON [`parser`](json::Json::parse) used by tests
-//!   and the CI schema check to validate hand-formatted output such as
-//!   the Chrome `trace_event` export;
+//! - the one dependency-free [`JsonWriter`] every JSON document in the
+//!   workspace is written through, and a [`parser`](json::Json::parse)
+//!   tests and the CI schema check validate those documents with;
 //! - a binary [`Telemetry`] codec so a node can ship its snapshot to a
 //!   collector inside the existing CRC-framed transport;
 //! - a [`flight recorder`](flight): a bounded structured event ring
 //!   recording pipeline state transitions, dumped to `flight.json` on
-//!   panic or degradation for `tempest doctor` to triage.
+//!   panic or degradation for `tempest doctor` to triage, through the
+//!   atomic [`publish`] the analysis cache also uses.
 //!
 //! See DESIGN.md §9 for the overhead budget and the metric name
 //! inventory.
@@ -34,9 +35,11 @@ pub mod registry;
 pub mod span;
 
 pub use codec::{decode_telemetry, encode_telemetry, unix_now_ns, Telemetry};
-pub use export::{human_bytes, human_count, human_ns, to_human, to_json, to_prometheus};
-pub use flight::{FlightEvent, FlightLevel, FlightRecorder};
-pub use json::{escape, Json, JsonError};
+pub use export::{
+    human_bytes, human_count, human_ns, to_human, to_json, to_prometheus, write_snapshot,
+};
+pub use flight::{publish, FlightEvent, FlightLevel, FlightRecorder};
+pub use json::{escape, Json, JsonError, JsonWriter};
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
 };

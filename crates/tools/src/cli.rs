@@ -511,15 +511,18 @@ fn render_watch_frame(
     })
 }
 
-/// `tempest watch`: tail a live spool directory, re-rendering a
-/// one-screen status every `--interval` seconds. `--count N` stops after
-/// N frames (0 = forever); each frame after the first starts with an
-/// ANSI clear so a terminal shows a refreshing screen.
-fn cmd_watch(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let pos = positional(args);
-    let dir = pos
-        .first()
-        .ok_or_else(|| CliError::usage("watch: which spool directory?"))?;
+/// The refresh loop `watch` and `fleet` share. Parses `--interval SECS`
+/// (default 2) and `--count N` (0 = forever), then renders `count`
+/// frames with `frame`, which is handed the interval; the loop stops at
+/// the first frame error. With `clear`, each frame after the first
+/// starts with an ANSI clear so a terminal shows a refreshing screen.
+fn refresh_loop(
+    args: &[String],
+    default_count: u64,
+    clear: bool,
+    out: &mut dyn std::io::Write,
+    mut frame: impl FnMut(&mut dyn std::io::Write, f64) -> Result<(), CliError>,
+) -> Result<(), CliError> {
     let interval: f64 = flag_value(args, "--interval")
         .unwrap_or_else(|| "2".into())
         .parse()
@@ -527,34 +530,50 @@ fn cmd_watch(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliErr
     if !interval.is_finite() || interval < 0.0 {
         return Err(CliError::usage("--interval wants non-negative seconds"));
     }
-    let count: u64 = flag_value(args, "--count")
-        .unwrap_or_else(|| "0".into())
-        .parse()
-        .map_err(|_| CliError::usage("--count wants an integer (0 = forever)"))?;
-    let dir_path = Path::new(dir.as_str());
-    let mut prev: Option<(u64, u64)> = None;
-    let mut frame_no = 0u64;
-    loop {
-        if frame_no > 0 {
-            // Refresh in place on a terminal; harmless in a pipe.
-            let _ = write!(out, "\x1b[2J\x1b[H");
+    let count: u64 = match flag_value(args, "--count") {
+        None => default_count,
+        Some(v) => v
+            .parse()
+            .map_err(|_| CliError::usage("--count wants an integer (0 = forever)"))?,
+    };
+    for frame_no in 1u64.. {
+        if frame_no > 1 {
+            if clear {
+                // Refresh in place on a terminal; harmless in a pipe.
+                let _ = write!(out, "\x1b[2J\x1b[H");
+            }
             std::thread::sleep(std::time::Duration::from_secs_f64(interval));
         }
-        frame_no += 1;
-        match render_watch_frame(dir_path, prev, interval) {
+        frame(out, interval)?;
+        let _ = out.flush();
+        if frame_no == count {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// `tempest watch`: tail a live spool directory, re-rendering a
+/// one-screen status every `--interval` seconds, `--count` times.
+fn cmd_watch(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
+    let pos = positional(args);
+    let dir = pos
+        .first()
+        .ok_or_else(|| CliError::usage("watch: which spool directory?"))?;
+    let dir = Path::new(dir.as_str());
+    let mut prev: Option<(u64, u64)> = None;
+    refresh_loop(args, 0, true, out, |out, interval| {
+        match render_watch_frame(dir, prev, interval) {
             Ok(frame) => {
                 let _ = write!(out, "{}", frame.rendered);
                 prev = Some((frame.events, frame.samples));
             }
             Err(reason) => {
-                let _ = writeln!(out, "{}: {reason}", dir_path.display());
+                let _ = writeln!(out, "{}: {reason}", dir.display());
             }
         }
-        let _ = out.flush();
-        if count != 0 && frame_no >= count {
-            return Ok(());
-        }
-    }
+        Ok(())
+    })
 }
 
 /// One node's row in the `tempest fleet` table, extracted from a
@@ -753,32 +772,13 @@ fn cmd_fleet(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliErr
     if json && prom {
         return Err(CliError::usage("fleet: --json and --prom are exclusive"));
     }
-    let interval: f64 = flag_value(args, "--interval")
-        .unwrap_or_else(|| "2".into())
-        .parse()
-        .map_err(|_| CliError::usage("--interval wants seconds"))?;
-    if !interval.is_finite() || interval < 0.0 {
-        return Err(CliError::usage("--interval wants non-negative seconds"));
-    }
-    let default_count = if json || prom { "1" } else { "0" };
-    let count: u64 = flag_value(args, "--count")
-        .unwrap_or_else(|| default_count.into())
-        .parse()
-        .map_err(|_| CliError::usage("--count wants an integer (0 = forever)"))?;
-    let mut frame_no = 0u64;
-    loop {
-        if frame_no > 0 {
-            if !(json || prom) {
-                let _ = write!(out, "\x1b[2J\x1b[H");
-            }
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-        }
-        frame_no += 1;
+    let machine = json || prom;
+    refresh_loop(args, u64::from(machine), !machine, out, |out, _| {
         match render_fleet_frame(target, json, prom) {
             Ok(text) => {
                 let _ = write!(out, "{text}");
             }
-            Err(reason) if json || prom => {
+            Err(reason) if machine => {
                 // Machine-readable modes fail loudly: a script piping
                 // this into a parser must not see an error as data.
                 return Err(CliError::run(format!("{target}: {reason}")));
@@ -787,11 +787,8 @@ fn cmd_fleet(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliErr
                 let _ = writeln!(out, "{target}: {reason}");
             }
         }
-        let _ = out.flush();
-        if count != 0 && frame_no >= count {
-            return Ok(());
-        }
-    }
+        Ok(())
+    })
 }
 
 /// Parse an optional integer flag with a default.
@@ -2469,6 +2466,39 @@ mod tests {
         let out = run(&["doctor", dir.to_str().unwrap()]).unwrap();
         assert!(out.contains("flight recorder:"), "{out}");
         assert!(out.contains("unreadable"), "{out}");
+        std::fs::remove_dir_all(&parent).ok();
+    }
+
+    /// `watch` and `fleet` share one refresh loop: the same usage errors
+    /// for bad `--interval`/`--count` values, and a screen clear between
+    /// frames only where a table is drawn.
+    #[test]
+    fn refresh_loop_validates_flags_and_clears_only_tables() {
+        let (parent, dir) = write_spool("refresh-loop", true);
+        let dir_s = dir.to_str().unwrap();
+        for verb in ["watch", "fleet"] {
+            for (flag, value) in [
+                ("--interval", "-1"),
+                ("--interval", "nan"),
+                ("--count", "x"),
+            ] {
+                let err = run(&[verb, dir_s, flag, value]).unwrap_err();
+                assert_eq!(err.code, 2, "{verb} {flag} {value}: {}", err.message);
+            }
+        }
+        let cases: [(&[&str], bool); 2] = [
+            (&["watch", dir_s, "--count", "2", "--interval", "0"], true),
+            (
+                &["fleet", dir_s, "--json", "--count", "2", "--interval", "0"],
+                false,
+            ),
+        ];
+        for (args, clears) in cases {
+            let out = run(args).unwrap();
+            assert_eq!(out.contains("\x1b[2J\x1b[H"), clears, "{args:?}");
+        }
+        let out = run(&["fleet", dir_s, "--json", "--count", "2", "--interval", "0"]).unwrap();
+        assert_eq!(out.matches("\"node_count\"").count(), 2, "{out}");
         std::fs::remove_dir_all(&parent).ok();
     }
 

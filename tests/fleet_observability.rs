@@ -13,8 +13,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tempest_collect::{http_get, serve_metrics, Collector, CollectorConfig, CollectorHandle};
-use tempest_obs::{Json, Registry};
+use tempest_collect::{
+    http_get, serve_metrics, Collector, CollectorConfig, CollectorHandle, FleetState,
+};
+use tempest_obs::{Json, Registry, Telemetry};
 use tempest_probe::ship::{self, RetryPolicy, ShipConfig};
 use tempest_probe::spool::{self, FsyncPolicy, SpoolConfig, SpoolWriter, FLIGHT_DUMP_NAME};
 use tempest_probe::trace::SensorMeta;
@@ -338,4 +340,156 @@ fn ship_degradation_dumps_the_flight_recorder_beside_the_spool() {
 
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&out).ok();
+}
+
+/// `doc` without the whitespace between tokens: the pins below hold the
+/// content of the pretty documents, not their indentation.
+fn squash(doc: &str) -> String {
+    let mut out = String::with_capacity(doc.len());
+    let (mut in_string, mut escaped) = (false, false);
+    for c in doc.chars() {
+        if in_string {
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+        } else if c.is_whitespace() {
+            continue;
+        } else {
+            in_string = c == '"';
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// Replaces every number following `"key":` with `#`, for stamps taken
+/// from the clock at render time.
+fn mask(doc: &str, key: &str) -> String {
+    let pattern = format!("\"{key}\":");
+    let mut out = String::new();
+    let mut rest = doc;
+    while let Some(at) = rest.find(&pattern) {
+        let end = at + pattern.len();
+        out.push_str(&rest[..end]);
+        out.push('#');
+        rest = rest[end..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The registry's JSON snapshot: a NaN gauge becomes `null`, an
+/// integral gauge loses its fraction, and an empty histogram still
+/// reports every field.
+#[test]
+fn snapshot_json_content_is_pinned() {
+    let reg = Registry::new();
+    reg.counter("frames_total").add(1_700_000_000_123_456_789);
+    reg.counter("a_total").inc();
+    reg.gauge("nan_gauge").set(f64::NAN);
+    reg.gauge("whole_gauge").set(3.0);
+    reg.gauge("half_gauge").set(0.5);
+    reg.histogram("empty_ns");
+    let pair = reg.histogram("pair_ns");
+    pair.record(10_000);
+    pair.record(2_000_000);
+    let mut snap = reg.snapshot();
+    snap.spans.push(tempest_obs::SpanRecord {
+        name: "decode \"x\"".into(),
+        start_ns: 5,
+        dur_ns: 6,
+        thread: 1,
+    });
+    let expected = concat!(
+        r#"{"counters":{"a_total":1,"frames_total":1700000000123456789},"#,
+        r#""gauges":{"half_gauge":0.5,"nan_gauge":null,"whole_gauge":3},"#,
+        r#""histograms":{"#,
+        r#""empty_ns":{"count":0,"sum":0,"mean":0,"p50":0,"p95":0,"p99":0,"buckets":[]},"#,
+        r#""pair_ns":{"count":2,"sum":2010000,"mean":1005000,"p50":16383,"p95":2097151,"#,
+        r#""p99":2097151,"buckets":[[16383,1],[2097151,1]]}},"#,
+        r#""spans":[{"name":"decode \"x\"","start_ns":5,"dur_ns":6,"thread":1}]}"#,
+    );
+    assert_eq!(squash(&tempest_obs::to_json(&snap)), expected);
+}
+
+/// `flight.json`: events in ring order, each with its fields object;
+/// only the dump stamp comes from the clock.
+#[test]
+fn flight_json_content_is_pinned() {
+    use tempest_obs::flight::FlightRecorder;
+    use tempest_obs::{FlightEvent, FlightLevel};
+    let rec = FlightRecorder::new(4);
+    rec.record(FlightEvent {
+        unix_ns: 1_700_000_000_123_456_789,
+        level: FlightLevel::Warn,
+        target: "ship".into(),
+        message: "retry \"connect\"".into(),
+        fields: vec![
+            ("attempt".into(), "3".into()),
+            ("addr".into(), "127.0.0.1:1".into()),
+        ],
+    });
+    rec.record(FlightEvent {
+        unix_ns: 1_700_000_000_223_456_789,
+        level: FlightLevel::Error,
+        target: "spool".into(),
+        message: "no fields".into(),
+        fields: Vec::new(),
+    });
+    let doc = squash(&rec.to_json("limit\thit"));
+    let expected = concat!(
+        r#"{"dumped_unix_ns":#,"reason":"limit\thit","events":["#,
+        r#"{"unix_ns":1700000000123456789,"level":"warn","target":"ship","#,
+        r#""message":"retry \"connect\"","fields":{"attempt":"3","addr":"127.0.0.1:1"}},"#,
+        r#"{"unix_ns":1700000000223456789,"level":"error","target":"spool","#,
+        r#""message":"no fields","fields":{}}]}"#,
+    );
+    assert_eq!(mask(&doc, "dumped_unix_ns"), expected);
+}
+
+/// The fleet document: per-node identity and bookkeeping, then the
+/// node's whole snapshot under `metrics`. Receipt stamps and ages come
+/// from the clock.
+#[test]
+fn fleet_json_content_is_pinned() {
+    let fleet = FleetState::new(std::time::Duration::from_secs(3600));
+    let reg = Registry::new();
+    reg.counter("ship_frames_acked_total").add(5);
+    reg.gauge("ship_backoff_seconds").set(0.5);
+    fleet.update(
+        "run-node1",
+        "run",
+        Telemetry {
+            node_id: 1,
+            hostname: "host \"1\"".into(),
+            origin_unix_ns: 1_700_000_000_123_456_789,
+            snapshot: reg.snapshot(),
+        },
+    );
+    fleet.update(
+        "run-node0",
+        "run",
+        Telemetry {
+            node_id: 0,
+            hostname: "host0".into(),
+            origin_unix_ns: 1_700_000_000_000_000_000,
+            snapshot: Default::default(),
+        },
+    );
+    let mut doc = squash(&fleet.to_json());
+    for key in ["generated_unix_ns", "received_unix_ns", "age_ms"] {
+        doc = mask(&doc, key);
+    }
+    let expected = concat!(
+        r#"{"v":1,"generated_unix_ns":#,"stale_after_ms":3600000,"node_count":2,"nodes":["#,
+        r#"{"key":"run-node0","session":"run","node_id":0,"hostname":"host0","#,
+        r#""origin_unix_ns":1700000000000000000,"received_unix_ns":#,"age_ms":#,"#,
+        r#""stale":false,"updates":1,"#,
+        r#""metrics":{"counters":{},"gauges":{},"histograms":{},"spans":[]}},"#,
+        r#"{"key":"run-node1","session":"run","node_id":1,"hostname":"host \"1\"","#,
+        r#""origin_unix_ns":1700000000123456789,"received_unix_ns":#,"age_ms":#,"#,
+        r#""stale":false,"updates":1,"#,
+        r#""metrics":{"counters":{"ship_frames_acked_total":5},"#,
+        r#""gauges":{"ship_backoff_seconds":0.5},"histograms":{},"spans":[]}}]}"#,
+    );
+    assert_eq!(doc, expected);
 }

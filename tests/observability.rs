@@ -4,10 +4,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tempest_core::{chrome_trace_json, Timeline};
+use tempest_core::{chrome_fleet_trace_json, chrome_trace_json, Timeline};
 use tempest_obs::{Json, Registry};
-use tempest_probe::{Event, EventKind, TraceGenerator, TraceSpec};
-use tempest_sensors::SensorId;
+use tempest_probe::spool::FrameTrace;
+use tempest_probe::{
+    Event, EventKind, FunctionDef, FunctionId, NodeMeta, ScopeKind, SensorMeta, ThreadId, Trace,
+    TraceGenerator, TraceSpec,
+};
+use tempest_sensors::{SensorId, SensorKind, SensorReading, Temperature};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 10_000;
@@ -314,4 +318,106 @@ fn chrome_trace_export_survives_trace_io() {
     let a = chrome_trace_json(&trace);
     let b = chrome_trace_json(&decoded);
     assert_eq!(a, b, "export must be deterministic across encode/decode");
+}
+
+/// A trace small enough to pin byte for byte: two threads, a nested
+/// call, a call still open when the trace ends (a truncated interval),
+/// one sensor gap, and samples from a labelled and an unlabelled sensor.
+fn tiny_trace() -> Trace {
+    let (main, work) = (FunctionId(0), FunctionId(1));
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let def = |id: FunctionId, name: &str| FunctionDef {
+        id,
+        name: name.into(),
+        address: 0x1000 + u64::from(id.0) * 0x10,
+        kind: ScopeKind::Function,
+    };
+    Trace {
+        node: NodeMeta {
+            node_id: 3,
+            hostname: "rack \"7\"".into(),
+            sensors: vec![SensorMeta {
+                id: SensorId(0),
+                label: "die".into(),
+                kind: SensorKind::CpuCore,
+            }],
+        },
+        functions: vec![def(main, "main"), def(work, "work<\"T\">")],
+        events: vec![
+            Event::enter(0, t0, main),
+            Event::enter(1_500, t1, work),
+            Event::enter(2_000, t0, work),
+            Event::exit(4_000, t0, work),
+            Event::gap(5_000, SensorId(0)),
+            Event::exit(1_000_000_123, t0, main),
+        ],
+        samples: vec![
+            SensorReading::new(SensorId(0), 2_500, Temperature::from_celsius(41.25)),
+            SensorReading::new(SensorId(1), 4_000_001, Temperature::from_celsius(38.0)),
+        ],
+    }
+}
+
+/// The Chrome export of [`tiny_trace`], byte for byte.
+#[test]
+fn chrome_trace_bytes_are_pinned() {
+    let doc = chrome_trace_json(&tiny_trace());
+    let expected = [
+        r#"{"#,
+        r#""displayTimeUnit": "ms","#,
+        r#""otherData": {"tool": "tempest"},"#,
+        r#""traceEvents": ["#,
+        r#"{"name":"process_name","ph":"M","pid":3,"args":{"name":"tempest node 3 (rack \"7\")"}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":3,"tid":0,"args":{"name":"thread 0"}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"thread 1"}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":3,"tid":4294967295,"args":{"name":"tempd"}},"#,
+        r#"{"name":"main","cat":"function","ph":"X","ts":0.000,"dur":1000000.123,"pid":3,"tid":0,"args":{"depth":0}},"#,
+        r#"{"name":"work<\"T\">","cat":"function","ph":"X","ts":1.500,"dur":999998.623,"pid":3,"tid":1,"args":{"depth":0,"truncated":true}},"#,
+        r#"{"name":"work<\"T\">","cat":"function","ph":"X","ts":2.000,"dur":2.000,"pid":3,"tid":0,"args":{"depth":1}},"#,
+        r#"{"name":"temp die","ph":"C","pid":3,"tid":0,"ts":2.500,"args":{"celsius":41.250}},"#,
+        r#"{"name":"temp sensor#1","ph":"C","pid":3,"tid":0,"ts":4000.001,"args":{"celsius":38.000}},"#,
+        r#"{"name":"gap die","ph":"i","s":"t","pid":3,"tid":4294967295,"ts":5.000}"#,
+        r#"]}"#,
+    ]
+    .join("\n");
+    assert_eq!(doc, expected + "\n");
+}
+
+/// The fleet frame-latency export, byte for byte: unix-epoch stamps
+/// survive exactly, a clock-skewed frame is drawn with zero duration,
+/// and a node without frames still gets its process and track names.
+#[test]
+fn chrome_fleet_trace_bytes_are_pinned() {
+    let frame = |seg, off, origin_unix_ns, collect_unix_ns| FrameTrace {
+        seg,
+        off,
+        origin_unix_ns,
+        collect_unix_ns,
+    };
+    let nodes = vec![
+        (
+            "run \"a\"-node0".to_string(),
+            vec![
+                frame(1, 90, 1_700_000_000_002_000_000, 1_700_000_000_001_900_000),
+                frame(0, 40, 1_700_000_000_001_000_000, 1_700_000_000_001_250_123),
+            ],
+        ),
+        ("run-node1".to_string(), Vec::new()),
+    ];
+    let doc = chrome_fleet_trace_json(&nodes);
+    let expected = [
+        r#"{"#,
+        r#""displayTimeUnit": "ms","#,
+        r#""otherData": {"tool": "tempest", "view": "fleet frame latency"},"#,
+        r#""traceEvents": ["#,
+        r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"run \"a\"-node0"}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"ship→collect"}},"#,
+        r#"{"name":"frame seg0 off40","cat":"ship","ph":"X","ts":0.000,"dur":250.123,"pid":0,"tid":0,"args":{"origin_unix_ns":1700000000001000000,"collect_unix_ns":1700000000001250123,"transit_ns":250123}},"#,
+        r#"{"name":"frame seg1 off90","cat":"ship","ph":"X","ts":1000.000,"dur":0.000,"pid":0,"tid":0,"args":{"origin_unix_ns":1700000000002000000,"collect_unix_ns":1700000000001900000,"transit_ns":0}},"#,
+        r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"run-node1"}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"ship→collect"}}"#,
+        r#"]}"#,
+    ]
+    .join("\n");
+    assert_eq!(doc, expected + "\n");
 }

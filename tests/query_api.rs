@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use tempest_collect::{HttpClient, QueryConfig, QueryServer};
 use tempest_obs::Json;
-use tempest_probe::spool::{SpoolConfig, SpoolWriter};
+use tempest_probe::spool::{self, SpoolConfig, SpoolWriter};
 use tempest_probe::trace::SensorMeta;
 use tempest_probe::{Event, FunctionDef, FunctionId, NodeMeta, ScopeKind, ThreadId};
 use tempest_sensors::{SensorId, SensorKind};
@@ -170,6 +170,57 @@ fn v1_schemas_are_pinned() {
 
     server.join();
     std::fs::remove_dir_all(&parent).ok();
+}
+
+/// The health and sessions answers, byte for byte. The catalog facts
+/// (segment count, byte total, content CRC) are derived here from the
+/// spool on disk, independently of the daemon's catalog scan.
+#[test]
+fn health_and_sessions_bodies_are_exact() {
+    let parent = temp_dir("exact");
+    let dir = write_session(&parent, "alpha");
+    let server = start(QueryConfig {
+        dir: parent.clone(),
+        jobs: 3,
+        ..Default::default()
+    });
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+
+    let (status, _, body) = client.get("/api/v1/health", &[]).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(
+        body,
+        "{\"v\":1,\"status\":\"ok\",\"sessions\":1,\"jobs\":3}\n"
+    );
+
+    let segments = spool::list_segment_files(&dir).unwrap();
+    let mut bytes = Vec::new();
+    for (_, path) in &segments {
+        bytes.extend(std::fs::read(path).unwrap());
+    }
+    let etag = format!("{:08x}-{:x}", spool::crc32(&bytes), bytes.len());
+    let (status, _, body) = client.get("/api/v1/sessions", &[]).unwrap();
+    assert_eq!(status, 200);
+    let expected = format!(
+        "{{\"v\":1,\"session_count\":1,\"sessions\":[{{\"id\":\"alpha\",\"bytes\":{},\"segments\":{},\"etag\":\"{etag}\"}}]}}\n",
+        bytes.len(),
+        segments.len(),
+    );
+    assert_eq!(body, expected);
+    server.join();
+
+    // An empty catalog still answers a complete document.
+    let empty = temp_dir("exact-empty");
+    let server = start(QueryConfig {
+        dir: empty.clone(),
+        ..Default::default()
+    });
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+    let (_, _, body) = client.get("/api/v1/sessions", &[]).unwrap();
+    assert_eq!(body, "{\"v\":1,\"session_count\":0,\"sessions\":[]}\n");
+    server.join();
+    std::fs::remove_dir_all(&parent).ok();
+    std::fs::remove_dir_all(&empty).ok();
 }
 
 /// One connection, many requests: the daemon holds the line open, every
