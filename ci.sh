@@ -75,12 +75,13 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
     --out "$OBS_TMP/trace.json" >/dev/null
 cargo run --release -q -p tempest-bench --bin json_check -- chrome "$OBS_TMP/trace.json"
 
-echo "==> network collection smoke (collect serve --once + ship, loopback)"
+echo "==> network collection smoke (collect serve --once --fsync + ship, loopback)"
 cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/spool" >/dev/null
 # Ephemeral port; the daemon publishes the bound address atomically via
 # --port-file, so the shipper never guesses a port or sleeps blindly.
+# --fsync runs the collector's durability path: a data sync per frame.
 cargo run --release -q -p tempest-tools --bin tempest -- \
-    collect serve --out "$OBS_TMP/collected" --addr 127.0.0.1:0 --once 1 \
+    collect serve --out "$OBS_TMP/collected" --addr 127.0.0.1:0 --once 1 --fsync \
     --port-file "$OBS_TMP/collector.addr" >/dev/null &
 COLLECT_PID=$!
 for _ in $(seq 1 100); do
@@ -103,6 +104,14 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
     report "$OBS_TMP/collected.trace" > "$OBS_TMP/collected.report"
 diff "$OBS_TMP/local.report" "$OBS_TMP/collected.report"
 echo "    collected report byte-identical to local analysis"
+# Durability gate: the collector's spool must deep-verify clean (manifest
+# agrees with the segments on disk, clean shutdown, no frame discarded,
+# every frame re-decodes under strict limits).
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    doctor "$OBS_TMP/collected/smoke-node0" --fsck > "$OBS_TMP/collected.doctor"
+head -n 1 "$OBS_TMP/collected.doctor" | grep -q ': ok$' \
+    || { cat "$OBS_TMP/collected.doctor" >&2; echo "collected spool failed doctor --fsck" >&2; exit 1; }
+echo "    collected spool passes doctor --fsck (verdict ok)"
 
 echo "==> fleet observability smoke (2 shippers + /fleet.json + /metrics)"
 cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/fleet-a" >/dev/null

@@ -256,11 +256,9 @@ fn run_iteration(corpus: &Corpus, seed: u64, iter: u64) -> Result<(), String> {
                 for (i, seg) in corpus.segment_bytes.iter().enumerate() {
                     let mut bytes = seg.clone();
                     mutate(&mut rng, &mut bytes);
-                    std::fs::write(
-                        corpus.scratch_dir.join(format!("seg-{:06}.seg", i + 1)),
-                        &bytes,
-                    )
-                    .map_err(|e| format!("scratch segment: {e}"))?;
+                    let name = spool::segment_file_name(i as u64 + 1, true);
+                    std::fs::write(corpus.scratch_dir.join(name), &bytes)
+                        .map_err(|e| format!("scratch segment: {e}"))?;
                 }
                 let _ = spool::recover_with(&corpus.scratch_dir, &strict, &CancelToken::default());
                 let _ = spool::fsck_dir(&corpus.scratch_dir, &strict);

@@ -573,31 +573,14 @@ fn write_all_vectored(out: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io:
 
 use crate::fleet::FleetState;
 
-/// A running metrics server (the collector's `/metrics` + `/fleet.json`
-/// surface); flip the shared stop flag and [`MetricsServer::join`].
-pub struct MetricsServer {
-    inner: HttpServer,
-}
-
-impl MetricsServer {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// Wait for the serving threads to exit (after the stop flag is set).
-    pub fn join(self) {
-        self.inner.join()
-    }
-}
-
-/// Bind `addr` and serve `/metrics` + `/fleet.json` from background
-/// threads until `stop` flips true.
+/// Bind `addr` and serve the collector's `/metrics` + `/fleet.json`
+/// surface from background threads until `stop` flips true, then
+/// [`HttpServer::join`].
 pub fn serve_metrics(
     addr: &str,
     fleet: Arc<FleetState>,
     stop: Arc<AtomicBool>,
-) -> io::Result<MetricsServer> {
+) -> io::Result<HttpServer> {
     let handler: Handler = Arc::new(move |req: &Request| match req.path.as_str() {
         "/metrics" => {
             let mut body = tempest_obs::to_prometheus(&tempest_obs::global().snapshot());
@@ -611,8 +594,7 @@ pub fn serve_metrics(
         workers: 1,
         ..HttpConfig::default()
     };
-    let inner = serve(addr, config, handler, stop, None)?;
-    Ok(MetricsServer { inner })
+    serve(addr, config, handler, stop, None)
 }
 
 // ---------------------------------------------------------------------

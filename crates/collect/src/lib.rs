@@ -41,6 +41,6 @@ pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use fleet::{FleetState, NodeRecord};
-pub use http::{http_get, serve_metrics, HttpClient, MetricsServer};
+pub use http::{http_get, serve_metrics, HttpClient};
 pub use query::{QueryConfig, QueryServer};
 pub use server::{Collector, CollectorConfig, CollectorHandle, CollectorStats, ShedPolicy};

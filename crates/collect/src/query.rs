@@ -488,7 +488,9 @@ fn analysis_request(state: &QueryState) -> AnalysisRequest {
 }
 
 /// The analyzed profile for a session at a specific content version,
-/// memoized in memory so every document variant shares one analysis.
+/// memoized in memory so every document variant shares one analysis. A
+/// limited profile is partial because of this request's deadline, not
+/// because of the session's bytes, so it is never memoized.
 fn session_profile_for(
     state: &QueryState,
     id: &str,
@@ -508,10 +510,64 @@ fn session_profile_for(
         .analyze_salvaged(&trace, Some(&report.salvage))
         .map_err(|e| format!("{e:?}"))?;
     let profile = Arc::new(profile);
-    state
-        .profiles
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(memo_key, Arc::clone(&profile));
+    if !profile.quality.was_limited() {
+        state
+            .profiles
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(memo_key, Arc::clone(&profile));
+    }
     Ok(profile)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tempest_probe::spool::{SpoolConfig, SpoolWriter};
+    use tempest_probe::{Event, FunctionId, NodeMeta, ThreadId};
+
+    #[test]
+    fn limited_answers_are_never_cached() {
+        // A deadline that has passed before the first request: the answer
+        // is served, labelled limited, and neither the in-memory memo nor
+        // the disk cache keeps it for the next request at this ETag.
+        let root =
+            std::env::temp_dir().join(format!("tempest-query-limited-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let sessions = root.join("sessions");
+        let config = SpoolConfig::new(sessions.join("alpha")).telemetry_interval(None);
+        let mut w = SpoolWriter::create(&config, NodeMeta::anonymous()).unwrap();
+        let batch: Vec<Event> = (0..20u64)
+            .flat_map(|i| {
+                [
+                    Event::enter(i * 1_000, ThreadId(0), FunctionId(0)),
+                    Event::exit(i * 1_000 + 900, ThreadId(0), FunctionId(0)),
+                ]
+            })
+            .collect();
+        w.append_batch(&batch).unwrap();
+        w.finish(&[], 0, 0).unwrap();
+
+        let cache_dir = root.join("cache");
+        let server = QueryServer::start(QueryConfig {
+            dir: sessions,
+            cache_dir: Some(cache_dir.clone()),
+            deadline: Some(Duration::ZERO),
+            ..QueryConfig::default()
+        })
+        .unwrap();
+        let body =
+            http::http_get(&server.addr().to_string(), "/api/v1/sessions/alpha/profile").unwrap();
+        assert!(body.contains("\"limited\":true"), "{body}");
+        let memos = server
+            .state
+            .profiles
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .len();
+        server.join();
+        assert_eq!(memos, 0, "a limited profile is never memoized");
+        assert_eq!(AnalysisCache::audit(&cache_dir).unwrap().entries, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }

@@ -1,9 +1,11 @@
 //! The collector daemon: accepts shipper connections and persists their
-//! frames as standard spool segments.
+//! frames as standard spool directories, written through the spool's own
+//! [`SegmentLog`] (every seal syncs the segment, then its directory).
+//! What is left here is the resume cursor, the [`FRAME_SHIPPED2`]
+//! envelope, the optional per-frame fsync and footer tracking.
 
 use std::collections::HashSet;
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,15 +16,15 @@ use crate::fleet::FleetState;
 use parking_lot::Mutex;
 use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{
-    decode_data, decode_hello, encode_err, read_msg, write_msg, Cursor, DATA_PREFIX_LEN,
+    decode_data, decode_hello, encode_err, read_msg, write_msg, Cursor, ReadError, DATA_PREFIX_LEN,
     ERR_CORRUPT, ERR_DEADLINE, ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED,
     ERR_TOO_BIG, MAX_WIRE_LEN, MSG_ACK, MSG_BYE, MSG_BYE_ACK, MSG_DATA, MSG_ERR, MSG_HELLO,
     MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    decode_frame, encode_frame_into, frame_crc, list_segment_files, parse_segment_frames,
-    segment_header_bytes, shipped2_payload, unwrap_frame, write_manifest_file, Decoded,
-    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SHIPPED2_PREFIX_LEN,
+    decode_frame, list_segment_files, parse_segment_frames, shipped2_payload, unwrap_frame,
+    Decoded, SegmentLog, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2,
+    SEGMENT_HEADER_LEN, SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -402,6 +404,11 @@ fn handle_connection(
 
     // Token bucket for the per-connection rate limit.
     let mut tokens = config.rate_limit.map(|r| (2.0 * r as f64, Instant::now()));
+    // The size limit is checked against the header, before allocating.
+    let max_msg = config
+        .max_frame_bytes
+        .saturating_add(DATA_PREFIX_LEN as u32)
+        .min(MAX_WIRE_LEN);
 
     let session_start = Instant::now();
     let mut completed = false;
@@ -420,10 +427,23 @@ fn handle_connection(
                 break;
             }
         }
-        let (kind, payload) = match read_checked(&mut stream, config, &dir, shared, metrics) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => break, // clean EOF or quarantined: connection over
-            Err(_) => break,   // timeout/reset: shipper will reconnect
+        let (kind, payload) = match read_msg(&mut stream, max_msg) {
+            Ok(msg) => msg,
+            Err(ReadError::TooBig(len)) => {
+                send_err(
+                    &mut stream,
+                    ERR_TOO_BIG,
+                    &format!("{len}-byte frame over limit"),
+                );
+                break;
+            }
+            Err(ReadError::Checksum(payload)) => {
+                quarantine(&dir, &payload, shared, metrics);
+                send_err(&mut stream, ERR_CORRUPT, "wire checksum failed");
+                break;
+            }
+            // EOF, timeout or reset: the shipper reconnects and resumes.
+            Err(ReadError::Io(_)) => break,
         };
         match kind {
             MSG_DATA => {
@@ -585,45 +605,6 @@ fn handle_connection(
         .set(shared.active.lock().len().saturating_sub(1) as f64);
 }
 
-/// Read one wire message, enforcing the size limit before allocation and
-/// quarantining (to a file, with `ERR_CORRUPT` sent) on checksum failure.
-/// `Ok(None)` means the connection is over (EOF, oversize, or corrupt).
-fn read_checked(
-    stream: &mut TcpStream,
-    config: &CollectorConfig,
-    dir: &Path,
-    shared: &Arc<Shared>,
-    metrics: &CollectMetrics,
-) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    if let Err(e) = stream.read_exact(&mut head) {
-        return if e.kind() == io::ErrorKind::UnexpectedEof {
-            Ok(None)
-        } else {
-            Err(e)
-        };
-    }
-    let kind = head[0];
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
-    let crc = u32::from_le_bytes(head[5..9].try_into().unwrap());
-    let limit = config
-        .max_frame_bytes
-        .saturating_add(DATA_PREFIX_LEN as u32)
-        .min(MAX_WIRE_LEN);
-    if len > limit {
-        send_err(stream, ERR_TOO_BIG, &format!("{len}-byte frame over limit"));
-        return Ok(None);
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    if frame_crc(kind, &payload) != crc {
-        quarantine(dir, &payload, shared, metrics);
-        send_err(stream, ERR_CORRUPT, "wire checksum failed");
-        return Ok(None);
-    }
-    Ok(Some((kind, payload)))
-}
-
 /// Park undecodable bytes in `dir/quarantine/` for post-mortems instead
 /// of writing them into the session spool or crashing on them.
 fn quarantine(dir: &Path, bytes: &[u8], shared: &Arc<Shared>, metrics: &CollectMetrics) {
@@ -644,17 +625,9 @@ fn quarantine(dir: &Path, bytes: &[u8], shared: &Arc<Shared>, metrics: &CollectM
 /// data and the cursor that covered it — there is no window where one
 /// survives without the other.
 struct SessionWriter {
-    dir: PathBuf,
-    out: BufWriter<File>,
-    open_name: String,
-    seq: u64,
-    bytes_in_segment: u64,
+    log: SegmentLog,
     segment_bytes: u64,
     fsync_per_frame: bool,
-    sealed: Vec<String>,
-    node_id: u32,
-    hostname: String,
-    scratch: Vec<u8>,
     /// Next expected source cursor; `None` before the first frame ever.
     next: Option<Cursor>,
     footer_seen: bool,
@@ -668,17 +641,12 @@ impl SessionWriter {
         segment_bytes: u64,
         fsync_per_frame: bool,
     ) -> io::Result<SessionWriter> {
-        std::fs::create_dir_all(dir)?;
-
-        // Scan what already survived: highest applied source cursor,
-        // whether the footer arrived, and the next collector-side
-        // sequence number.
+        // Scan what already survived: highest applied source cursor and
+        // whether the footer arrived.
         let mut next: Option<Cursor> = None;
         let mut footer_seen = false;
-        let mut max_seq: Option<u64> = None;
         let limits = DecodeLimits::default();
-        for (seq, path) in list_segment_files(dir)? {
-            max_seq = Some(max_seq.map_or(seq, |m: u64| m.max(seq)));
+        for (_, path) in list_segment_files(dir).unwrap_or_default() {
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
@@ -704,57 +672,21 @@ impl SessionWriter {
                 }
             }
         }
-
-        // Seal leftovers from a crashed collector: an `.open` segment's
-        // verified prefix is durable state; renaming it keeps the resume
-        // cursor honest without rewriting anything.
-        let mut sealed: Vec<String> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(stem) = name.strip_suffix(".open") {
-                let target = format!("{stem}.seg");
-                if dir.join(&target).exists() {
-                    std::fs::remove_file(dir.join(name)).ok();
-                } else {
-                    std::fs::rename(dir.join(name), dir.join(&target)).ok();
-                }
-            }
-        }
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("seg-") && name.ends_with(".seg") {
-                sealed.push(name.to_string());
-            }
-        }
-        sealed.sort();
-
-        let seq = max_seq.map_or(0, |m| m + 1);
-        let mut w = SessionWriter {
-            dir: dir.to_path_buf(),
-            out: BufWriter::new(File::create(dir.join(format!("seg-{seq:06}.open")))?),
-            open_name: format!("seg-{seq:06}.open"),
-            seq,
-            bytes_in_segment: 0,
+        // A crashed collector's leftover open segment is sealed as it
+        // stands: its verified prefix is what the cursor above counted.
+        Ok(SessionWriter {
+            log: SegmentLog::reopen(dir, node_id, hostname)?,
             segment_bytes: segment_bytes.max(4096),
             fsync_per_frame,
-            sealed,
-            node_id,
-            hostname: hostname.to_string(),
-            scratch: Vec::new(),
             next,
             footer_seen,
-        };
-        w.out.write_all(&segment_header_bytes(seq))?;
-        w.bytes_in_segment = segment_header_bytes(seq).len() as u64;
-        w.write_manifest(false)?;
-        Ok(w)
+        })
     }
 
     /// Append one received frame as a [`FRAME_SHIPPED2`] envelope —
     /// source cursor plus both frame-trace stamps ahead of the original
-    /// frame — rotating the collector-side segment when it fills.
+    /// frame — rotating the collector-side segment when it fills. Every
+    /// seal is durable: the segment's data is synced first.
     fn append_shipped2(
         &mut self,
         cur: Cursor,
@@ -771,54 +703,28 @@ impl SessionWriter {
             inner_kind,
             inner_payload,
         );
-        self.scratch.clear();
-        encode_frame_into(&mut self.scratch, FRAME_SHIPPED2, &wrapped);
-        self.out.write_all(&self.scratch)?;
-        self.bytes_in_segment += self.scratch.len() as u64;
+        self.log.append(FRAME_SHIPPED2, &wrapped)?;
         if self.fsync_per_frame {
-            self.out.flush()?;
-            self.out.get_ref().sync_data()?;
+            self.log.sync()?;
         }
-        if self.bytes_in_segment >= self.segment_bytes {
-            self.rotate()?;
+        if self.log.bytes_in_segment() >= self.segment_bytes {
+            self.log.sync()?;
+            self.log.rotate()?;
         }
         Ok(())
-    }
-
-    fn seal(&mut self) -> io::Result<()> {
-        self.out.flush()?;
-        self.out.get_ref().sync_data()?;
-        let sealed_name = format!("seg-{:06}.seg", self.seq);
-        std::fs::rename(self.dir.join(&self.open_name), self.dir.join(&sealed_name))?;
-        self.sealed.push(sealed_name);
-        Ok(())
-    }
-
-    fn rotate(&mut self) -> io::Result<()> {
-        self.seal()?;
-        self.seq += 1;
-        self.open_name = format!("seg-{:06}.open", self.seq);
-        self.out = BufWriter::new(File::create(self.dir.join(&self.open_name))?);
-        self.out.write_all(&segment_header_bytes(self.seq))?;
-        self.bytes_in_segment = segment_header_bytes(self.seq).len() as u64;
-        self.write_manifest(false)
     }
 
     /// Seal (or discard, if empty) the active segment and stamp the
     /// manifest. Best-effort by design: this runs on every disconnect,
     /// including ones caused by a full disk.
     fn close(mut self, clean: bool) {
-        if self.bytes_in_segment > segment_header_bytes(0).len() as u64 {
-            self.seal().ok();
-        } else {
+        if self.log.bytes_in_segment() == SEGMENT_HEADER_LEN as u64 {
             // Nothing but a header: delete rather than litter.
-            drop(std::fs::remove_file(self.dir.join(&self.open_name)));
+            self.log.discard_segment().ok();
+        } else if self.log.sync().is_ok() {
+            self.log.seal().ok();
         }
-        self.write_manifest(clean).ok();
-    }
-
-    fn write_manifest(&self, clean: bool) -> io::Result<()> {
-        write_manifest_file(&self.dir, self.node_id, &self.hostname, clean, &self.sealed)
+        self.log.write_manifest(clean).ok();
     }
 }
 
@@ -839,6 +745,7 @@ mod tests {
 
     #[test]
     fn expired_session_deadline_sends_err_deadline() {
+        use std::io::Write;
         use tempest_probe::ship::{decode_err, encode_hello, Hello};
 
         let out =

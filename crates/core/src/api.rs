@@ -308,6 +308,25 @@ mod tests {
     }
 
     #[test]
+    fn render_on_never_caches_a_deadline_limited_answer() {
+        let dir = std::env::temp_dir().join(format!("tempest-api-limited-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("node.trace");
+        mini_trace().save(&path).unwrap();
+        let paths = vec![path.to_str().unwrap().to_string()];
+        let cache_dir = dir.join("cache");
+        let cache = AnalysisCache::open(&cache_dir).unwrap();
+
+        let request = AnalysisRequest::new().deadline(Some(Instant::now()));
+        let rendered = request.render_on(&Engine::new(1), Some(&cache), &paths, "text", |p| {
+            format!("limited {}", p.quality.was_limited())
+        });
+        assert_eq!(rendered[0].as_deref(), Ok("limited true"));
+        assert_eq!(AnalysisCache::audit(&cache_dir).unwrap().entries, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn render_uses_the_cache_dir() {
         let dir = std::env::temp_dir().join(format!("tempest-api-render-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

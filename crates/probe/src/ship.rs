@@ -35,9 +35,10 @@
 
 use crate::limits::DecodeLimits;
 use crate::spool::{
-    self, frame_crc, list_segment_files, parse_segment_frames, Decoded, FLIGHT_DUMP_NAME,
-    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
+    self, frame_crc, frame_header, list_segment_files, parse_segment_frames, split_frame_header,
+    Decoded, FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
 };
+use crate::trace::encode_str;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -137,40 +138,54 @@ pub const ERR_DEADLINE: u8 = 7;
 /// larger claims are dropped before allocating.
 pub const MAX_WIRE_LEN: u32 = 64 * 1024 * 1024;
 
-/// Write one wire message: `kind | len | crc | payload`, CRC-32 over
-/// `kind || len || payload` exactly like spool frames.
+/// Write one wire message: the spool's frame header (kind, length,
+/// CRC-32 over `kind || len || payload`), then the payload.
 pub fn write_msg(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[5..9].copy_from_slice(&frame_crc(kind, payload).to_le_bytes());
-    w.write_all(&head)?;
+    w.write_all(&frame_header(kind, payload))?;
     w.write_all(payload)?;
     w.flush()
 }
 
+/// Why [`read_msg`] returned no message. A shipper drops the connection
+/// on any of them; the collector answers each differently.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The header claimed this many payload bytes, over the limit.
+    TooBig(u32),
+    /// The payload failed its checksum; carried for quarantine.
+    Checksum(Vec<u8>),
+    /// The stream failed or ended.
+    Io(io::Error),
+}
+
+impl From<ReadError> for io::Error {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::TooBig(len) => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("wire message of {len} bytes exceeds limit"),
+            ),
+            ReadError::Checksum(_) => {
+                io::Error::new(io::ErrorKind::InvalidData, "wire message failed checksum")
+            }
+            ReadError::Io(e) => e,
+        }
+    }
+}
+
 /// Read one wire message, enforcing `max_len` before allocating and
-/// verifying the checksum after. Every failure is an `io::Error` — the
-/// caller's uniform answer is to drop the connection.
-pub fn read_msg(r: &mut impl Read, max_len: u32) -> io::Result<(u8, Vec<u8>)> {
+/// verifying the checksum after.
+pub fn read_msg(r: &mut impl Read, max_len: u32) -> Result<(u8, Vec<u8>), ReadError> {
     let mut head = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut head)?;
-    let kind = head[0];
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
-    let crc = u32::from_le_bytes(head[5..9].try_into().unwrap());
+    r.read_exact(&mut head).map_err(ReadError::Io)?;
+    let (kind, len, crc) = split_frame_header(&head);
     if len > max_len.min(MAX_WIRE_LEN) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("wire message of {len} bytes exceeds limit"),
-        ));
+        return Err(ReadError::TooBig(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    r.read_exact(&mut payload).map_err(ReadError::Io)?;
     if frame_crc(kind, &payload) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "wire message failed checksum",
-        ));
+        return Err(ReadError::Checksum(payload));
     }
     Ok((kind, payload))
 }
@@ -221,19 +236,12 @@ impl Cursor {
         })
     }
 
-    /// Persist the cursor next to the manifest (sibling-temp + rename, so
-    /// a crash mid-write never leaves a torn cursor).
+    /// Persist the cursor next to the manifest through
+    /// [`tempest_obs::publish`], so a crash mid-write never leaves a torn
+    /// cursor.
     pub fn store(&self, dir: &Path) -> io::Result<()> {
-        let path = dir.join(SHIP_CURSOR_NAME);
-        let tmp = dir.join(format!(".{}.tmp.{}", SHIP_CURSOR_NAME, std::process::id()));
-        std::fs::write(&tmp, format!("{} {}\n", self.seg, self.off))?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
+        let text = format!("{} {}\n", self.seg, self.off);
+        tempest_obs::publish(&dir.join(SHIP_CURSOR_NAME), text.as_bytes())
     }
 }
 
@@ -257,12 +265,8 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
     let mut b = Vec::new();
     b.extend_from_slice(&h.version.to_le_bytes());
     b.extend_from_slice(&h.node_id.to_le_bytes());
-    for s in [&h.session, &h.hostname] {
-        let bytes = s.as_bytes();
-        let len = bytes.len().min(u16::MAX as usize);
-        b.extend_from_slice(&(len as u16).to_le_bytes());
-        b.extend_from_slice(&bytes[..len]);
-    }
+    encode_str(&mut b, &h.session);
+    encode_str(&mut b, &h.hostname);
     b
 }
 
@@ -851,19 +855,29 @@ mod tests {
         assert_eq!(kind, MSG_DATA);
         assert_eq!(payload, b"hello frames");
 
-        // A flipped payload bit fails the checksum.
+        // A flipped payload bit fails the checksum, and the damaged
+        // payload comes back for quarantine.
         let mut bad = buf.clone();
         let n = bad.len();
         bad[n - 1] ^= 0x01;
-        assert!(read_msg(&mut &bad[..], MAX_WIRE_LEN).is_err());
+        match read_msg(&mut &bad[..], MAX_WIRE_LEN) {
+            Err(ReadError::Checksum(payload)) => assert_eq!(payload, &bad[FRAME_HEADER_LEN..]),
+            other => panic!("expected a checksum failure, got {other:?}"),
+        }
 
         // A length beyond the limit is rejected before allocation.
         let mut huge = buf.clone();
         huge[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_msg(&mut &huge[..], MAX_WIRE_LEN).is_err());
+        assert!(matches!(
+            read_msg(&mut &huge[..], MAX_WIRE_LEN),
+            Err(ReadError::TooBig(u32::MAX))
+        ));
 
         // Truncation mid-payload is an error, not a hang or panic.
-        assert!(read_msg(&mut &buf[..buf.len() - 3], MAX_WIRE_LEN).is_err());
+        assert!(matches!(
+            read_msg(&mut &buf[..buf.len() - 3], MAX_WIRE_LEN),
+            Err(ReadError::Io(_))
+        ));
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! is the "clean" marker — and carries the backpressure drop counters so
 //! shed events are reported, never silently forgotten.
 //!
+//! Writers go through one type, [`SegmentLog`]: [`SpoolWriter`] writes
+//! local sessions through it and the collector daemon shipped ones.
+//! Segment names (`segment_file_name`, `parse_segment_file_name`) and
+//! frame headers (`frame_header`, `split_frame_header`, also used on the
+//! ship wire) each have one owner.
+//!
 //! Readers go through two rules that live only here: [`unwrap_frame`]
 //! takes a frame out of its shipped envelope, and [`decode_frame`] turns
 //! a kind and payload into a typed [`Decoded`] value or a [`FrameFail`].
@@ -30,8 +36,8 @@ use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
 use crate::trace::{
-    decode_sensor_kind, encode_sensor_kind, NodeMeta, SalvageReport, SensorMeta, Trace, TraceError,
-    TraceSection,
+    decode_sensor_kind, encode_functions, encode_node, NodeMeta, SalvageReport, SensorMeta, Trace,
+    TraceError, TraceSection,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -155,13 +161,29 @@ pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     c.finish()
 }
 
-/// Append one encoded frame (header + payload) to `buf`. This is the
-/// exact byte layout [`SpoolWriter`] produces; the collector daemon uses
-/// it to write received frames back out as standard spool segments.
+/// The header that goes in front of `payload` in a spool frame or a
+/// ship wire message: `kind: u8 | len: u32 | crc: u32`, little-endian,
+/// with the [`frame_crc`] checksum.
+pub(crate) fn frame_header(kind: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    head[0] = kind;
+    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[5..9].copy_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    head
+}
+
+/// Split a [`frame_header`] back into `(kind, payload length, crc)`.
+pub(crate) fn split_frame_header(head: &[u8; FRAME_HEADER_LEN]) -> (u8, u32, u32) {
+    let [kind, l0, l1, l2, l3, c0, c1, c2, c3] = *head;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    (kind, len, u32::from_le_bytes([c0, c1, c2, c3]))
+}
+
+/// Append one encoded frame (header + payload) to `buf`: the bytes
+/// [`SegmentLog::append`] writes, for tools that build segments in
+/// memory.
 pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    buf.extend_from_slice(&frame_header(kind, payload));
     buf.extend_from_slice(payload);
 }
 
@@ -171,6 +193,24 @@ pub fn segment_header_bytes(seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     head[..8].copy_from_slice(SEGMENT_MAGIC);
     head[8..].copy_from_slice(&seq.to_le_bytes());
     head
+}
+
+/// File name of segment `seq`: `seg-NNNNNN.seg` once sealed,
+/// `seg-NNNNNN.open` while it is being written.
+pub fn segment_file_name(seq: u64, sealed: bool) -> String {
+    let ext = if sealed { "seg" } else { "open" };
+    format!("seg-{seq:06}.{ext}")
+}
+
+/// Parse a [`segment_file_name`] back into `(seq, sealed)`; `None` for
+/// any other file name.
+pub(crate) fn parse_segment_file_name(name: &str) -> Option<(u64, bool)> {
+    let (stem, sealed) = match name.strip_suffix(".seg") {
+        Some(stem) => (stem, true),
+        None => (name.strip_suffix(".open")?, false),
+    };
+    let seq = stem.strip_prefix("seg-")?.parse().ok()?;
+    Some((seq, sealed))
 }
 
 // ---- configuration ---------------------------------------------------------
@@ -292,27 +332,185 @@ pub struct SpoolStats {
     pub io_errors: u64,
 }
 
+// ---- segment log -----------------------------------------------------------
+
+/// One spool directory's segment files and manifest, written in sequence
+/// order. Sealing renames the active `seg-NNNNNN.open` to `.seg` and
+/// fsyncs the directory, so a sealed segment survives power loss. The log
+/// knows nothing of frame contents, and when to [`sync`](Self::sync)
+/// segment data is its caller's policy.
+pub struct SegmentLog {
+    dir: PathBuf,
+    node_id: u32,
+    hostname: String,
+    seq: u64,
+    out: BufWriter<File>,
+    bytes_in_segment: u64,
+    /// Bytes appended across all segments, headers included.
+    bytes_written: u64,
+    sealed: Vec<String>,
+}
+
+impl SegmentLog {
+    /// Start a log in `dir` (created if absent) at segment 0, and write a
+    /// manifest for node `node_id` on `hostname`.
+    pub(crate) fn create(dir: &Path, node_id: u32, hostname: &str) -> io::Result<SegmentLog> {
+        std::fs::create_dir_all(dir)?;
+        Self::start(dir, node_id, hostname, 0, Vec::new())
+    }
+
+    /// Continue the log a previous writer left in `dir`, cleanly or not.
+    /// A leftover `.open` segment is sealed as it stands (readers stop at
+    /// its torn tail), or removed beside a sealed twin; writing resumes
+    /// on a fresh segment after the highest sequence number present.
+    pub fn reopen(dir: &Path, node_id: u32, hostname: &str) -> io::Result<SegmentLog> {
+        std::fs::create_dir_all(dir)?;
+        let names: Vec<String> = std::fs::read_dir(dir)?
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .collect();
+        let (mut next_seq, mut sealed) = (0, Vec::new());
+        for name in names {
+            let Some((seq, is_sealed)) = parse_segment_file_name(&name) else {
+                continue;
+            };
+            next_seq = next_seq.max(seq + 1);
+            let target = segment_file_name(seq, true);
+            if is_sealed {
+                sealed.push(name);
+            } else if dir.join(&target).exists() {
+                std::fs::remove_file(dir.join(&name)).ok();
+            } else if std::fs::rename(dir.join(&name), dir.join(&target)).is_ok() {
+                sync_dir(dir);
+                sealed.push(target);
+            }
+        }
+        sealed.sort();
+        Self::start(dir, node_id, hostname, next_seq, sealed)
+    }
+
+    fn start(
+        dir: &Path,
+        node_id: u32,
+        hostname: &str,
+        seq: u64,
+        sealed: Vec<String>,
+    ) -> io::Result<SegmentLog> {
+        let log = SegmentLog {
+            dir: dir.to_path_buf(),
+            node_id,
+            hostname: hostname.to_string(),
+            seq,
+            out: new_segment(dir, seq)?,
+            bytes_in_segment: SEGMENT_HEADER_LEN as u64,
+            bytes_written: SEGMENT_HEADER_LEN as u64,
+            sealed,
+        };
+        log.write_manifest(false)?;
+        Ok(log)
+    }
+
+    /// Append one frame to the active segment; returns its length on
+    /// disk (header and payload).
+    pub fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
+        self.out.write_all(&frame_header(kind, payload))?;
+        self.out.write_all(payload)?;
+        let n = (FRAME_HEADER_LEN + payload.len()) as u64;
+        self.bytes_in_segment += n;
+        self.bytes_written += n;
+        Ok(n)
+    }
+
+    /// Flush the active segment and force its data to stable storage.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.out.get_ref().sync_data()
+    }
+
+    /// Seal the active segment: flush it, rename it to `.seg`, and fsync
+    /// the directory so the rename survives power loss. Syncing the
+    /// segment's data first is the caller's policy.
+    pub fn seal(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        let sealed = segment_file_name(self.seq, true);
+        std::fs::rename(
+            self.dir.join(segment_file_name(self.seq, false)),
+            self.dir.join(&sealed),
+        )?;
+        sync_dir(&self.dir);
+        self.sealed.push(sealed);
+        Ok(())
+    }
+
+    /// Open the next segment without sealing the active one; after a
+    /// write failure, that one is abandoned as it stands.
+    pub(crate) fn open_next(&mut self) -> io::Result<()> {
+        self.seq += 1;
+        self.out = new_segment(&self.dir, self.seq)?;
+        self.bytes_in_segment = SEGMENT_HEADER_LEN as u64;
+        self.bytes_written += SEGMENT_HEADER_LEN as u64;
+        Ok(())
+    }
+
+    /// [`seal`](Self::seal) the active segment, open the next one, and
+    /// list the sealed one in the manifest.
+    pub fn rotate(&mut self) -> io::Result<()> {
+        self.seal()?;
+        self.open_next()?;
+        self.write_manifest(false)
+    }
+
+    /// Delete the active segment, for a writer that stops before any
+    /// frame reached it. Append nothing after this.
+    pub fn discard_segment(&mut self) -> io::Result<()> {
+        std::fs::remove_file(self.dir.join(segment_file_name(self.seq, false)))
+    }
+
+    /// Publish the manifest: node identity, the clean-shutdown flag and
+    /// the sealed segments, through [`tempest_obs::publish`] so readers
+    /// never see half of one. Informational: recovery rescans segments.
+    pub fn write_manifest(&self, clean: bool) -> io::Result<()> {
+        let mut text = format!(
+            "tempest-spool v1\nnode {} {}\nclean {}\nsegments {}\n",
+            self.node_id,
+            self.hostname,
+            u8::from(clean),
+            self.sealed.len()
+        );
+        for name in &self.sealed {
+            text.push_str(name);
+            text.push('\n');
+        }
+        tempest_obs::publish(&self.dir.join(MANIFEST_NAME), text.as_bytes())
+    }
+
+    /// Bytes in the active segment, its header included.
+    pub fn bytes_in_segment(&self) -> u64 {
+        self.bytes_in_segment
+    }
+}
+
+/// Create segment `seq`'s `.open` file in `dir` and write its header.
+fn new_segment(dir: &Path, seq: u64) -> io::Result<BufWriter<File>> {
+    let mut out = BufWriter::new(File::create(dir.join(segment_file_name(seq, false)))?);
+    out.write_all(&segment_header_bytes(seq))?;
+    Ok(out)
+}
+
 // ---- writer ----------------------------------------------------------------
 
-/// Appends frames to the active segment, rotating and sealing as it fills.
+/// Appends a session's frames to a [`SegmentLog`], rotating as it fills.
 ///
 /// Singly threaded by design: the [`SpoolSink`] writer thread owns one.
 /// Kept symbol-free (the caller passes the symbol table into
 /// [`rotate`](Self::rotate)/[`finish`](Self::finish)) so it is unit-testable
 /// without a live profiler.
 pub struct SpoolWriter {
-    dir: PathBuf,
+    log: SegmentLog,
     segment_bytes: u64,
     fsync: FsyncPolicy,
     node: NodeMeta,
-    seq: u64,
-    out: BufWriter<File>,
-    open_name: String,
-    bytes_in_segment: u64,
-    sealed: Vec<String>,
     events_written: u64,
     samples_written: u64,
-    total_bytes: u64,
     scratch: Vec<u8>,
     metrics: SpoolMetrics,
     /// Set after a write failure: the active segment is poisoned (its
@@ -363,22 +561,14 @@ impl SpoolWriter {
     /// The node metadata is stamped at the head of every segment so each
     /// one is independently attributable after a crash.
     pub fn create(config: &SpoolConfig, node: NodeMeta) -> io::Result<SpoolWriter> {
-        std::fs::create_dir_all(&config.dir)?;
+        let log = SegmentLog::create(&config.dir, node.node_id, &node.hostname)?;
         let mut w = SpoolWriter {
-            dir: config.dir.clone(),
+            log,
             segment_bytes: config.segment_bytes.max(4096),
             fsync: config.fsync,
             node,
-            seq: 0,
-            // Replaced by open_segment below; a throwaway sink keeps the
-            // field non-optional.
-            out: BufWriter::new(File::create(config.dir.join(".spool-init"))?),
-            open_name: String::new(),
-            bytes_in_segment: 0,
-            sealed: Vec::new(),
             events_written: 0,
             samples_written: 0,
-            total_bytes: 0,
             scratch: Vec::new(),
             metrics: SpoolMetrics::resolve(),
             degraded: false,
@@ -391,33 +581,27 @@ impl SpoolWriter {
             last_telemetry: std::time::Instant::now(),
             telemetry_frames: 0,
         };
-        std::fs::remove_file(w.dir.join(".spool-init")).ok();
-        w.open_segment()?;
-        w.write_manifest(false)?;
+        w.write_node_frame()?;
         Ok(w)
     }
 
-    fn open_segment(&mut self) -> io::Result<()> {
-        self.open_name = format!("seg-{:06}.open", self.seq);
-        let file = File::create(self.dir.join(&self.open_name))?;
-        self.out = BufWriter::new(file);
-        self.out.write_all(SEGMENT_MAGIC)?;
-        self.out.write_all(&self.seq.to_le_bytes())?;
-        self.bytes_in_segment = SEGMENT_HEADER_LEN as u64;
-        self.total_bytes += SEGMENT_HEADER_LEN as u64;
-        let node = encode_node(&self.node);
-        self.write_frame(FRAME_NODE, &node)
+    fn write_node_frame(&mut self) -> io::Result<()> {
+        let mut payload = Vec::new();
+        encode_node(&mut payload, &self.node);
+        self.write_frame(FRAME_NODE, &payload)
+    }
+
+    fn write_symbols_frame(&mut self, functions: &[FunctionDef]) -> io::Result<()> {
+        if functions.is_empty() {
+            return Ok(());
+        }
+        let mut payload = Vec::new();
+        encode_functions(&mut payload, functions);
+        self.write_frame(FRAME_SYMBOLS, &payload)
     }
 
     fn write_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let crc = frame_crc(kind, payload);
-        self.out.write_all(&[kind])?;
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc.to_le_bytes())?;
-        self.out.write_all(payload)?;
-        let n = (FRAME_HEADER_LEN + payload.len()) as u64;
-        self.bytes_in_segment += n;
-        self.total_bytes += n;
+        let n = self.log.append(kind, payload)?;
         self.metrics.frames.inc();
         self.metrics.bytes.add(n);
         Ok(())
@@ -425,8 +609,7 @@ impl SpoolWriter {
 
     fn sync(&mut self) -> io::Result<()> {
         let t0 = std::time::Instant::now();
-        self.out.flush()?;
-        self.out.get_ref().sync_data()?;
+        self.log.sync()?;
         self.metrics.fsyncs.inc();
         self.metrics.fsync_ns.record_duration(t0.elapsed());
         Ok(())
@@ -560,8 +743,8 @@ impl SpoolWriter {
             Error,
             "spool",
             "write failed; shedding batches until the disk revives",
-            dir = self.dir.display(),
-            seq = self.seq,
+            dir = self.log.dir.display(),
+            seq = self.log.seq,
             io_errors = self.io_errors,
         );
         tempest_obs::flight::dump_now("spool writer degraded");
@@ -596,9 +779,9 @@ impl SpoolWriter {
     /// deleted), fresh segment, fresh sequence number.
     fn revive_now(&mut self) -> bool {
         let attempt = (|| -> io::Result<()> {
-            std::fs::create_dir_all(&self.dir)?;
-            self.seq += 1;
-            self.open_segment()
+            std::fs::create_dir_all(&self.log.dir)?;
+            self.log.open_next()?;
+            self.write_node_frame()
         })();
         match attempt {
             Ok(()) => {
@@ -607,7 +790,7 @@ impl SpoolWriter {
                     Info,
                     "spool",
                     "writer revived on a fresh segment",
-                    seq = self.seq
+                    seq = self.log.seq
                 );
                 true
             }
@@ -627,7 +810,7 @@ impl SpoolWriter {
     /// True once the active segment has outgrown the configured size.
     /// Never true while degraded: there is no healthy segment to seal.
     pub fn should_rotate(&self) -> bool {
-        !self.degraded && self.bytes_in_segment >= self.segment_bytes
+        !self.degraded && self.log.bytes_in_segment >= self.segment_bytes
     }
 
     /// Seal the active segment (symbol snapshot, flush, fsync per policy,
@@ -635,14 +818,11 @@ impl SpoolWriter {
     /// every sealed segment decodable with real names even if the process
     /// dies before the footer.
     pub fn rotate(&mut self, functions: &[FunctionDef]) -> io::Result<()> {
-        if !functions.is_empty() {
-            let payload = encode_symbols(functions);
-            self.write_frame(FRAME_SYMBOLS, &payload)?;
-        }
+        self.write_symbols_frame(functions)?;
         self.seal_segment()?;
-        self.seq += 1;
-        self.open_segment()?;
-        self.write_manifest(false)
+        self.log.open_next()?;
+        self.write_node_frame()?;
+        self.log.write_manifest(false)
     }
 
     /// [`rotate`](Self::rotate), but a failure degrades the writer
@@ -658,14 +838,10 @@ impl SpoolWriter {
     }
 
     fn seal_segment(&mut self) -> io::Result<()> {
-        match self.fsync {
-            FsyncPolicy::Never => self.out.flush()?,
-            FsyncPolicy::PerSegment | FsyncPolicy::PerBatch => self.sync()?,
+        if self.fsync != FsyncPolicy::Never {
+            self.sync()?;
         }
-        let sealed_name = format!("seg-{:06}.seg", self.seq);
-        std::fs::rename(self.dir.join(&self.open_name), self.dir.join(&sealed_name))?;
-        sync_dir(&self.dir);
-        self.sealed.push(sealed_name);
+        self.log.seal()?;
         self.metrics.segments_sealed.inc();
         Ok(())
     }
@@ -692,10 +868,7 @@ impl SpoolWriter {
         // footer carries the session's closing totals.
         self.append_telemetry_now();
         let seal = (|| -> io::Result<()> {
-            if !functions.is_empty() {
-                let payload = encode_symbols(functions);
-                self.write_frame(FRAME_SYMBOLS, &payload)?;
-            }
+            self.write_symbols_frame(functions)?;
             let mut footer = [0u8; FOOTER_LEN];
             footer[0..8].copy_from_slice(&self.events_written.to_le_bytes());
             footer[8..16].copy_from_slice(&self.samples_written.to_le_bytes());
@@ -705,7 +878,7 @@ impl SpoolWriter {
                 .copy_from_slice(&(samples_dropped + self.samples_dropped_io).to_le_bytes());
             self.write_frame(FRAME_FOOTER, &footer)?;
             self.seal_segment()?;
-            self.write_manifest(true)
+            self.log.write_manifest(true)
         })();
         if seal.is_err() {
             self.io_errors += 1;
@@ -716,58 +889,16 @@ impl SpoolWriter {
 
     fn stats(&self, events_dropped: u64, samples_dropped: u64) -> SpoolStats {
         SpoolStats {
-            segments: self.sealed.len() as u32,
+            segments: self.log.sealed.len() as u32,
             events_written: self.events_written,
             samples_written: self.samples_written,
             events_dropped,
             samples_dropped,
-            bytes_written: self.total_bytes,
+            bytes_written: self.log.bytes_written,
             batches_dropped_io: self.batches_dropped_io,
             events_dropped_io: self.events_dropped_io,
             samples_dropped_io: self.samples_dropped_io,
             io_errors: self.io_errors,
-        }
-    }
-
-    /// Write the manifest via sibling-temp + rename, so readers never see
-    /// a half-written manifest. Informational: recovery rescans segments.
-    fn write_manifest(&self, clean: bool) -> io::Result<()> {
-        write_manifest_file(
-            &self.dir,
-            self.node.node_id,
-            &self.node.hostname,
-            clean,
-            &self.sealed,
-        )
-    }
-}
-
-/// Write a spool manifest (atomic sibling-temp + rename). Shared with the
-/// collector daemon, whose session directories are standard spools.
-pub fn write_manifest_file(
-    dir: &Path,
-    node_id: u32,
-    hostname: &str,
-    clean: bool,
-    sealed: &[String],
-) -> io::Result<()> {
-    let mut text = String::new();
-    text.push_str("tempest-spool v1\n");
-    text.push_str(&format!("node {node_id} {hostname}\n"));
-    text.push_str(&format!("clean {}\n", u8::from(clean)));
-    text.push_str(&format!("segments {}\n", sealed.len()));
-    for name in sealed {
-        text.push_str(name);
-        text.push('\n');
-    }
-    let path = dir.join(MANIFEST_NAME);
-    let tmp = dir.join(format!(".{}.tmp.{}", MANIFEST_NAME, std::process::id()));
-    std::fs::write(&tmp, text)?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
         }
     }
 }
@@ -839,7 +970,7 @@ pub fn check_manifest(dir: &Path) -> io::Result<Option<ManifestCheck>> {
     for line in lines {
         if let Some(flag) = line.strip_prefix("clean ") {
             check.clean = flag.trim() == "1";
-        } else if line.starts_with("seg-") {
+        } else if parse_segment_file_name(line.trim()).is_some() {
             listed.push(line.trim().to_string());
         }
     }
@@ -848,10 +979,10 @@ pub fn check_manifest(dir: &Path) -> io::Result<Option<ManifestCheck>> {
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with("seg-") && name.ends_with(".seg") {
-            sealed_on_disk.push(name.to_string());
-        } else if name.starts_with("seg-") && name.ends_with(".open") {
-            check.unsealed.push(name.to_string());
+        match parse_segment_file_name(name) {
+            Some((_, true)) => sealed_on_disk.push(name.to_string()),
+            Some((_, false)) => check.unsealed.push(name.to_string()),
+            None => {}
         }
     }
     sealed_on_disk.sort();
@@ -876,43 +1007,6 @@ fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         d.sync_all().ok();
     }
-}
-
-// ---- payload encoding ------------------------------------------------------
-
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-fn encode_node(node: &NodeMeta) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&node.node_id.to_le_bytes());
-    push_str(&mut buf, &node.hostname);
-    buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
-    for s in &node.sensors {
-        buf.extend_from_slice(&s.id.0.to_le_bytes());
-        buf.push(encode_sensor_kind(s.kind));
-        push_str(&mut buf, &s.label);
-    }
-    buf
-}
-
-fn encode_symbols(functions: &[FunctionDef]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(functions.len() as u32).to_le_bytes());
-    for f in functions {
-        buf.extend_from_slice(&f.id.0.to_le_bytes());
-        buf.extend_from_slice(&f.address.to_le_bytes());
-        buf.push(match f.kind {
-            ScopeKind::Function => 0,
-            ScopeKind::Block => 1,
-        });
-        push_str(&mut buf, &f.name);
-    }
-    buf
 }
 
 // ---- payload decoding ------------------------------------------------------
@@ -1208,33 +1302,21 @@ pub fn is_spool_dir(path: &Path) -> bool {
     list_segments(path).map(|s| !s.is_empty()).unwrap_or(false)
 }
 
-/// Segment files in `dir`, ordered by sequence number. Sealed segments
-/// sort before an open one with the same sequence (the open one is a
-/// leftover from a crashed rotation and scanning it second is harmless —
-/// duplicate protection comes from sequence ordering being strict).
-fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut segs: Vec<(u64, u8, PathBuf)> = Vec::new();
+/// Segment files in `dir` as `(sequence, path)`, ordered by sequence
+/// number. Sealed segments sort before an open one with the same
+/// sequence (the open one is a leftover from a crashed rotation and
+/// scanning it second is harmless — duplicate protection comes from
+/// sequence ordering being strict).
+fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut segs: Vec<(u64, bool, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let (rank, stem) = if let Some(stem) = name.strip_suffix(".seg") {
-            (0u8, stem)
-        } else if let Some(stem) = name.strip_suffix(".open") {
-            (1u8, stem)
-        } else {
-            continue;
-        };
-        let Some(seq) = stem
-            .strip_prefix("seg-")
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        segs.push((seq, rank, entry.path()));
+        if let Some((seq, sealed)) = entry.file_name().to_str().and_then(parse_segment_file_name) {
+            segs.push((seq, !sealed, entry.path()));
+        }
     }
     segs.sort();
-    Ok(segs.into_iter().map(|(_, _, p)| p).collect())
+    Ok(segs.into_iter().map(|(seq, _, path)| (seq, path)).collect())
 }
 
 /// Segment files in `dir` as `(sequence, path)`, ordered by sequence and
@@ -1242,28 +1324,11 @@ fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// crashed rotation), the sealed one wins. This is the shipper's view of
 /// a spool — a cursor keyed by sequence must be unambiguous.
 pub fn list_segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out: Vec<(u64, PathBuf)> = Vec::new();
-    for path in list_segments(dir)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let stem = name
-            .strip_suffix(".seg")
-            .or_else(|| name.strip_suffix(".open"))
-            .unwrap_or(name);
-        let Some(seq) = stem
-            .strip_prefix("seg-")
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        // list_segments sorts sealed before open at equal sequence, so
-        // the first occurrence is the one to keep.
-        if out.last().map(|(s, _)| *s) != Some(seq) {
-            out.push((seq, path));
-        }
-    }
-    Ok(out)
+    let mut segs = list_segments(dir)?;
+    // list_segments sorts sealed before open at equal sequence, so the
+    // first of each sequence is the one to keep.
+    segs.dedup_by_key(|(seq, _)| *seq);
+    Ok(segs)
 }
 
 /// One checksum-verified frame inside a segment file, with the byte
@@ -1292,12 +1357,11 @@ pub fn parse_segment_frames(bytes: &[u8]) -> (Vec<RawFrame<'_>>, u64) {
     let mut pos = SEGMENT_HEADER_LEN;
     while pos < bytes.len() {
         let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER_LEN {
+        let Some(head) = bytes[pos..].first_chunk() else {
             return (frames, 1); // torn header
-        }
-        let kind = bytes[pos];
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap());
+        };
+        let (kind, len, crc) = split_frame_header(head);
+        let len = len as usize;
         if remaining - FRAME_HEADER_LEN < len {
             return (frames, 1); // torn payload
         }
@@ -1440,7 +1504,7 @@ pub fn recover_with(
     let budget = limits.budget();
     let mut limit_hit: Option<LimitExceeded> = None;
 
-    'scan: for path in &segments {
+    'scan: for (_, path) in &segments {
         if let Err(e) = cancel.check("spool recover") {
             limit_hit = Some(e);
             break;
@@ -1626,7 +1690,7 @@ impl SegmentFsck {
 /// bounded amount of memory that is dropped before the next one.
 pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck>> {
     let mut out = Vec::new();
-    for path in list_segments(dir)? {
+    for (_, path) in list_segments(dir)? {
         let bytes = std::fs::read(&path)?;
         let (frames, torn) = parse_segment_frames(&bytes);
         let mut fsck = SegmentFsck {
@@ -1876,22 +1940,12 @@ mod tests {
         ]
     }
 
-    /// Append one hand-crafted checksummed frame to raw segment bytes.
-    fn push_frame(seg: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-        seg.push(kind);
-        seg.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        seg.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
-        seg.extend_from_slice(payload);
-    }
-
     /// A raw segment file holding exactly the given frames.
     fn raw_segment(dir: &Path, frames: &[(u8, Vec<u8>)]) -> PathBuf {
         std::fs::create_dir_all(dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SEGMENT_MAGIC);
-        bytes.extend_from_slice(&1u64.to_le_bytes());
+        let mut bytes = segment_header_bytes(1).to_vec();
         for (kind, payload) in frames {
-            push_frame(&mut bytes, *kind, payload);
+            encode_frame_into(&mut bytes, *kind, payload);
         }
         let path = dir.join("seg-000001.seg");
         std::fs::write(&path, bytes).unwrap();
@@ -1922,7 +1976,8 @@ mod tests {
         // Node frame claiming 65535 sensors over an empty remainder.
         let mut payload = Vec::new();
         payload.extend_from_slice(&1u32.to_le_bytes());
-        push_str(&mut payload, "evil");
+        payload.extend_from_slice(&4u16.to_le_bytes());
+        payload.extend_from_slice(b"evil");
         payload.extend_from_slice(&u16::MAX.to_le_bytes());
         // Under strict limits the cardinality cap trips...
         assert!(matches!(
@@ -2293,7 +2348,7 @@ mod tests {
         let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::PerBatch);
         let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
         // Point the active segment at the always-full device.
-        w.out = BufWriter::new(File::options().write(true).open("/dev/full").unwrap());
+        w.log.out = BufWriter::new(File::options().write(true).open("/dev/full").unwrap());
         w.append_batch(&demo_batch(0)).unwrap();
         assert!(w.is_degraded(), "ENOSPC must degrade, not error");
         assert!(!w.should_rotate(), "no healthy segment to rotate");
@@ -2368,6 +2423,72 @@ mod tests {
         // needed one in the first place.
         std::fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
         assert!(check_manifest(&dir).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file in `dir` as `(name, length, CRC-32)`, sorted by name.
+    fn dir_fingerprint(dir: &Path) -> Vec<(String, u64, u32)> {
+        let mut files: Vec<(String, u64, u32)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = std::fs::read(e.path()).unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, bytes.len() as u64, crc32(&bytes))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn spool_writer_bytes_are_pinned() {
+        // Fixed node, symbols and batches, no telemetry, 4 KiB segments:
+        // the writer rotates twice, and every byte it puts on disk is
+        // pinned by name, length and CRC-32, with the manifest verbatim.
+        let dir = temp_spool_dir("golden");
+        let config = SpoolConfig::new(&dir)
+            .fsync(FsyncPolicy::Never)
+            .segment_bytes(4096)
+            .telemetry_interval(None);
+        let functions = vec![
+            FunctionDef {
+                id: FunctionId(0),
+                name: "main".into(),
+                address: 0x400000,
+                kind: ScopeKind::Function,
+            },
+            FunctionDef {
+                id: FunctionId(1),
+                name: "loop@12".into(),
+                address: 0x400040,
+                kind: ScopeKind::Block,
+            },
+        ];
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        for i in 0..120 {
+            w.append_batch(&demo_batch(i * 10)).unwrap();
+            if w.should_rotate() {
+                w.rotate(&functions).unwrap();
+            }
+        }
+        let stats = w.finish(&functions, 5, 2).unwrap();
+        assert_eq!(stats.segments, 3);
+        assert_eq!(stats.bytes_written, 11513);
+        assert_eq!(
+            dir_fingerprint(&dir),
+            vec![
+                ("seg-000000.seg".to_string(), 4196, 0xCCA6_1E57),
+                ("seg-000001.seg".to_string(), 4196, 0x6D44_FE6D),
+                ("seg-000002.seg".to_string(), 3121, 0xD051_42EA),
+                ("spool.manifest".to_string(), 98, 0x10BA_E72A),
+            ]
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap(),
+            "tempest-spool v1\nnode 3 spoolhost\nclean 1\nsegments 3\n\
+             seg-000000.seg\nseg-000001.seg\nseg-000002.seg\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2457,7 +2578,8 @@ mod tests {
         // the retired kind 5 (laid out as the old cursor-only envelope)
         // and a kind no format revision defines.
         let dir = temp_spool_dir("verdict");
-        let node = encode_node(&demo_node());
+        let mut node = Vec::new();
+        encode_node(&mut node, &demo_node());
         let good = shipped2_payload(0, 16, 1, 2, FRAME_NODE, &node);
         let nested = shipped2_payload(0, 99, 1, 2, FRAME_SHIPPED2, &good);
         let mut retired = Vec::new();

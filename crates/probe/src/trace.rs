@@ -275,24 +275,8 @@ impl Trace {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.encoded_len());
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&self.node.node_id.to_le_bytes());
-        encode_str(buf, &self.node.hostname);
-        buf.extend_from_slice(&(self.node.sensors.len() as u16).to_le_bytes());
-        for s in &self.node.sensors {
-            buf.extend_from_slice(&s.id.0.to_le_bytes());
-            buf.push(encode_sensor_kind(s.kind));
-            encode_str(buf, &s.label);
-        }
-        buf.extend_from_slice(&(self.functions.len() as u32).to_le_bytes());
-        for f in &self.functions {
-            buf.extend_from_slice(&f.id.0.to_le_bytes());
-            buf.extend_from_slice(&f.address.to_le_bytes());
-            buf.push(match f.kind {
-                ScopeKind::Function => 0,
-                ScopeKind::Block => 1,
-            });
-            encode_str(buf, &f.name);
-        }
+        encode_node(buf, &self.node);
+        encode_functions(buf, &self.functions);
         buf.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
         for e in &self.events {
             // Gap markers reuse the func slot for the sensor id (tag 3).
@@ -620,7 +604,36 @@ fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-pub(crate) fn encode_sensor_kind(k: SensorKind) -> u8 {
+/// Append `node`'s binary layout to `buf`: id, hostname, then the sensor
+/// inventory. The trace header and the spool's node frame share it.
+pub(crate) fn encode_node(buf: &mut Vec<u8>, node: &NodeMeta) {
+    buf.extend_from_slice(&node.node_id.to_le_bytes());
+    encode_str(buf, &node.hostname);
+    buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
+    for s in &node.sensors {
+        buf.extend_from_slice(&s.id.0.to_le_bytes());
+        buf.push(encode_sensor_kind(s.kind));
+        encode_str(buf, &s.label);
+    }
+}
+
+/// Append a symbol table's binary layout to `buf`: the count, then id,
+/// address, scope kind and name per entry. The trace's function table
+/// and the spool's symbols frame share it.
+pub(crate) fn encode_functions(buf: &mut Vec<u8>, functions: &[FunctionDef]) {
+    buf.extend_from_slice(&(functions.len() as u32).to_le_bytes());
+    for f in functions {
+        buf.extend_from_slice(&f.id.0.to_le_bytes());
+        buf.extend_from_slice(&f.address.to_le_bytes());
+        buf.push(match f.kind {
+            ScopeKind::Function => 0,
+            ScopeKind::Block => 1,
+        });
+        encode_str(buf, &f.name);
+    }
+}
+
+fn encode_sensor_kind(k: SensorKind) -> u8 {
     match k {
         SensorKind::CpuCore => 0,
         SensorKind::CpuPackage => 1,
@@ -643,7 +656,8 @@ pub(crate) fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
     })
 }
 
-fn encode_str(buf: &mut Vec<u8>, s: &str) {
+/// Append `s` as a `u16` length and its UTF-8 bytes, cut at `u16::MAX`.
+pub(crate) fn encode_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let len = bytes.len().min(u16::MAX as usize);
     buf.extend_from_slice(&(len as u16).to_le_bytes());
@@ -790,6 +804,15 @@ mod tests {
         let mut scratch = b"prefix".to_vec();
         t.encode_into(&mut scratch);
         assert_eq!(&scratch[6..], first.as_slice());
+    }
+
+    #[test]
+    fn trace_bytes_are_pinned() {
+        // Two sensors of different kinds, a function and a block scope:
+        // the node and symbol layout the spool shares is covered too.
+        let bytes = sample_trace().to_bytes();
+        assert_eq!(bytes.len(), 226);
+        assert_eq!(crate::spool::crc32(&bytes), 0x8DCC_1492);
     }
 
     #[test]

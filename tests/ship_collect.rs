@@ -82,7 +82,16 @@ fn start_collector(
     CollectorHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(out)).unwrap();
+    spawn_collector(CollectorConfig::new(out))
+}
+
+fn spawn_collector(
+    config: CollectorConfig,
+) -> (
+    CollectorHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let collector = Collector::bind("127.0.0.1:0", config).unwrap();
     let handle = collector.handle().unwrap();
     let thread = std::thread::spawn(move || collector.run());
     (handle, thread)
@@ -461,4 +470,185 @@ fn events_survive_exactly_once_under_every_outcome() {
 
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&out).ok();
+}
+
+/// A collector with 4 KiB segments, so every session of a few dozen
+/// batches makes it rotate.
+fn start_rotating_collector(
+    out: &Path,
+) -> (
+    CollectorHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let mut config = CollectorConfig::new(out);
+    config.segment_bytes = 4096;
+    spawn_collector(config)
+}
+
+/// A source spool whose bytes depend on nothing but its inputs (no
+/// telemetry frames), rotating at 4 KiB, with `batches` appended and
+/// each on disk before the next is written.
+fn deterministic_spool(dir: &Path, node_id: u32, batches: std::ops::Range<u64>) -> SpoolWriter {
+    let config = SpoolConfig::new(dir)
+        .fsync(FsyncPolicy::PerBatch)
+        .segment_bytes(4096)
+        .telemetry_interval(None);
+    let mut w = SpoolWriter::create(&config, node(node_id)).unwrap();
+    append_batches(&mut w, batches);
+    w
+}
+
+fn append_batches(w: &mut SpoolWriter, batches: std::ops::Range<u64>) {
+    for i in batches {
+        w.append_batch(&batch(i)).unwrap();
+        if w.should_rotate() {
+            w.rotate(&functions()).unwrap();
+        }
+    }
+}
+
+/// A segment's bytes with each shipped envelope's two wall-clock stamps
+/// (payload bytes 16..32) and every frame checksum (which covers them)
+/// zeroed, so a collected segment can be pinned across runs.
+fn masked_segment(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let mut pos = 16;
+    while pos < out.len() {
+        let kind = out[pos];
+        let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        out[pos + 5..pos + 9].fill(0);
+        if kind == spool::FRAME_SHIPPED2 {
+            out[pos + 9 + 16..pos + 9 + 32].fill(0);
+        }
+        pos += 9 + len;
+    }
+    assert_eq!(pos, out.len(), "segment ends on a frame boundary");
+    out
+}
+
+/// Every file in a collected session directory as `(name, length,
+/// CRC-32 of the masked bytes)`, sorted by name; the manifest is
+/// listed with its length and CRC-32 unmasked.
+fn collected_fingerprint(dir: &Path) -> Vec<(String, u64, u32)> {
+    let mut files: Vec<(String, u64, u32)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            let mut bytes = std::fs::read(e.path()).unwrap();
+            if name.ends_with(".seg") {
+                bytes = masked_segment(&bytes);
+            }
+            (name, bytes.len() as u64, spool::crc32(&bytes))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn collector_spool_bytes_are_pinned() {
+    let src = temp_dir("golden-src");
+    let out = temp_dir("golden-out");
+    let w = deterministic_spool(&src, 8, 0..80);
+    w.finish(&functions(), 0, 0).unwrap();
+
+    let (handle, server) = start_rotating_collector(&out);
+    let report = ship_to(&src, handle.addr(), "golden");
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(report.complete, "{report:?}");
+
+    let collected = out.join("golden-node8");
+    assert_eq!(
+        collected_fingerprint(&collected),
+        vec![
+            ("seg-000000.seg".to_string(), 4179, 0x27F0_C420),
+            ("seg-000001.seg".to_string(), 4183, 0x32B2_9659),
+            ("seg-000002.seg".to_string(), 514, 0x7BF5_A52C),
+            ("spool.manifest".to_string(), 99, 0xCA4D_6912),
+        ]
+    );
+    assert_eq!(
+        std::fs::read_to_string(collected.join(spool::MANIFEST_NAME)).unwrap(),
+        "tempest-spool v1\nnode 8 node8.loop\nclean 1\nsegments 3\n\
+         seg-000000.seg\nseg-000001.seg\nseg-000002.seg\n"
+    );
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
+
+/// Ship part of a session, stop the collector, leave its last sealed
+/// segment as a torn `.open` file (beside the sealed one too, when
+/// `keep_sealed` is set), then restart the collector and ship the rest.
+fn collector_reopens_after_a_crash(tag: &str, keep_sealed: bool) {
+    let src = temp_dir(&format!("{tag}-src"));
+    let out = temp_dir(&format!("{tag}-out"));
+    let mut w = deterministic_spool(&src, 9, 0..50);
+
+    let (handle, server) = start_rotating_collector(&out);
+    let partial = ship_to(&src, handle.addr(), tag);
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(!partial.complete && partial.frames_acked > 0, "{partial:?}");
+
+    // The crash: the last segment never got sealed, and its writer died
+    // halfway through a frame (a header claiming 100 payload bytes,
+    // followed by only 10 of them).
+    let collected = out.join(format!("{tag}-node9"));
+    let mut sealed: Vec<PathBuf> = std::fs::read_dir(&collected)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    sealed.sort();
+    assert!(sealed.len() >= 2, "the collector rotated: {sealed:?}");
+    let last = sealed.last().unwrap();
+    let mut bytes = std::fs::read(last).unwrap();
+    bytes.push(spool::FRAME_SHIPPED2);
+    bytes.extend_from_slice(&100u32.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 4 + 10]);
+    std::fs::write(last.with_extension("open"), &bytes).unwrap();
+    if !keep_sealed {
+        std::fs::remove_file(last).unwrap();
+    }
+
+    append_batches(&mut w, 50..90);
+    w.finish(&functions(), 0, 0).unwrap();
+    let (handle, server) = start_rotating_collector(&out);
+    let rest = ship_to(&src, handle.addr(), tag);
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(rest.complete, "{rest:?}");
+    assert_eq!(
+        rest.frames_skipped, partial.frames_acked,
+        "the resume skips exactly what was acked before the crash"
+    );
+
+    let leftovers: Vec<PathBuf> = std::fs::read_dir(&collected)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "open"))
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+    let (_, spool_report) = spool::recover(&collected).unwrap();
+    assert_eq!(spool_report.frames_deduped, 0);
+    assert!(spool_report.clean_shutdown);
+    let (src_trace, src_report) = analysis_of(&src);
+    let (dst_trace, dst_report) = analysis_of(&collected);
+    assert_eq!(src_trace, dst_trace);
+    assert_eq!(src_report, dst_report);
+
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn collector_reopens_a_torn_open_segment() {
+    collector_reopens_after_a_crash("reopen-torn", false);
+}
+
+#[test]
+fn collector_reopens_beside_a_sealed_twin() {
+    collector_reopens_after_a_crash("reopen-twin", true);
 }
