@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tempest_core::dto::DTO_VERSION;
-use tempest_obs::{escape, unix_now_ns, write_snapshot, JsonWriter, Telemetry};
+use tempest_obs::{unix_now_ns, write_snapshot, JsonWriter, Telemetry};
 
 /// Default age after which a node's snapshot is flagged stale.
 pub const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(10);
@@ -194,8 +194,8 @@ impl FleetState {
                 let _ = writeln!(
                     out,
                     "fleet_node_counter{{node=\"{}\",name=\"{}\"}} {value}",
-                    escape(&n.key),
-                    escape(name)
+                    label_value(&n.key),
+                    label_value(name)
                 );
             }
         }
@@ -205,13 +205,22 @@ impl FleetState {
                 let _ = writeln!(
                     out,
                     "fleet_node_gauge{{node=\"{}\",name=\"{}\"}} {value}",
-                    escape(&n.key),
-                    escape(name)
+                    label_value(&n.key),
+                    label_value(name)
                 );
             }
         }
         out
     }
+}
+
+/// Escape a Prometheus label value. The text exposition format defines
+/// only `\\`, `\"` and `\n`; every other character, tabs and control
+/// bytes included, is written as it is.
+fn label_value(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// The spool directories a collected-output target covers: the target
@@ -329,6 +338,19 @@ mod tests {
                 .as_f64(),
             Some(42.0)
         );
+    }
+
+    #[test]
+    fn prometheus_label_values_escape_only_backslash_quote_and_newline() {
+        let fleet = FleetState::default();
+        let mut t = telemetry(0, 1);
+        // A shipper chooses its metric names; this one holds a quote, a
+        // backslash, a newline, a tab and a control byte.
+        t.snapshot.counters = vec![("a\"b\\c\nd\te\u{1}f".to_string(), 7)];
+        fleet.update("s-node0", "s", t);
+        let text = fleet.to_prometheus();
+        let line = "fleet_node_counter{node=\"s-node0\",name=\"a\\\"b\\\\c\\nd\te\u{1}f\"} 7\n";
+        assert!(text.contains(line), "{text:?}");
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! gprof's second half is its caller/callee graph; Tempest's timeline
 //! subsumes it — nesting *is* the call relation, with exact (not
-//! sampled) times. [`CallGraph::build`] recovers caller→callee edges with
-//! call counts and child time, enabling the gprof-style graph report and
-//! the "which caller makes this function hot" drill-down that buckets
-//! cannot express.
+//! sampled) times. [`CallGraph::build`] folds the timeline's replay
+//! ([`crate::timeline`]) into caller→callee edges with call counts and
+//! child time, enabling the gprof-style graph report and the "which
+//! caller makes this function hot" drill-down that buckets cannot
+//! express.
 
-use crate::timeline::Timeline;
-use std::collections::HashMap;
+use crate::timeline::replay;
+use std::collections::BTreeMap;
+use tempest_probe::event::Event;
 use tempest_probe::func::FunctionId;
 
 /// One caller→callee edge.
@@ -28,95 +30,48 @@ pub struct CallEdge {
 /// The whole graph.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    edges: HashMap<(FunctionId, FunctionId), (u64, u64)>,
+    edges: BTreeMap<(FunctionId, FunctionId), CallEdge>,
     /// Calls with no enclosing frame (thread roots).
-    pub root_calls: HashMap<FunctionId, u64>,
+    pub root_calls: BTreeMap<FunctionId, u64>,
 }
 
 impl CallGraph {
-    /// Recover the graph from a reconstructed timeline.
-    ///
-    /// Parenthood: interval P is interval C's parent if P is the deepest
-    /// interval on the same thread with `P.start ≤ C.start` and
-    /// `C.end ≤ P.end` and `P.depth == C.depth − 1`. A linear sweep over
-    /// start-sorted intervals with a per-thread open stack finds it.
-    pub fn build(timeline: &Timeline) -> CallGraph {
+    /// Recover the graph from a scope-event stream (read as
+    /// [`crate::timeline::Timeline::build`] reads it): each interval the
+    /// timeline's replay closes is a call from the frame beneath it, or a
+    /// root call when it was its thread's outermost frame.
+    pub fn build(events: &[Event]) -> CallGraph {
         let mut graph = CallGraph::default();
-        // Per-thread stack of (func, end_ns, depth).
-        let mut stacks: HashMap<tempest_probe::event::ThreadId, Vec<(FunctionId, u64, u32)>> =
-            HashMap::new();
-        // Intervals are sorted by (start, depth) — parents precede
-        // children at equal starts.
-        for iv in &timeline.intervals {
-            let stack = stacks.entry(iv.thread).or_default();
-            // Pop frames that ended before this interval started, and any
-            // at the same-or-greater depth (siblings).
-            while let Some(&(_, end, depth)) = stack.last() {
-                if end <= iv.start_ns || depth >= iv.depth {
-                    stack.pop();
-                } else {
-                    break;
-                }
+        replay(events, |iv, caller| match caller {
+            Some(caller) => {
+                let callee = iv.func;
+                let e = graph.edges.entry((caller, callee)).or_insert(CallEdge {
+                    caller,
+                    callee,
+                    calls: 0,
+                    child_ns: 0,
+                });
+                e.calls += 1;
+                e.child_ns += iv.duration_ns();
             }
-            match stack.last() {
-                Some(&(parent, _, depth)) if depth + 1 == iv.depth => {
-                    let e = graph.edges.entry((parent, iv.func)).or_default();
-                    e.0 += 1;
-                    e.1 += iv.duration_ns();
-                }
-                _ => {
-                    *graph.root_calls.entry(iv.func).or_default() += 1;
-                }
-            }
-            stack.push((iv.func, iv.end_ns, iv.depth));
-        }
+            None => *graph.root_calls.entry(iv.func).or_default() += 1,
+        });
         graph
     }
 
     /// The edge between two functions, if any calls happened.
     pub fn edge(&self, caller: FunctionId, callee: FunctionId) -> Option<CallEdge> {
-        self.edges
-            .get(&(caller, callee))
-            .map(|&(calls, child_ns)| CallEdge {
-                caller,
-                callee,
-                calls,
-                child_ns,
-            })
+        self.edges.get(&(caller, callee)).copied()
     }
 
     /// Everyone `caller` calls, sorted by child time descending.
     pub fn callees(&self, caller: FunctionId) -> Vec<CallEdge> {
-        let mut out: Vec<CallEdge> = self
-            .edges
-            .iter()
-            .filter(|((from, _), _)| *from == caller)
-            .map(|(&(caller, callee), &(calls, child_ns))| CallEdge {
-                caller,
-                callee,
-                calls,
-                child_ns,
-            })
-            .collect();
-        out.sort_by_key(|e| std::cmp::Reverse(e.child_ns));
-        out
+        self.listing(|e| e.caller == caller)
     }
 
     /// Everyone who calls `callee`, sorted by child time descending.
     pub fn callers(&self, callee: FunctionId) -> Vec<CallEdge> {
-        let mut out: Vec<CallEdge> = self
-            .edges
-            .iter()
-            .filter(|((_, to), _)| *to == callee)
-            .map(|(&(caller, callee), &(calls, child_ns))| CallEdge {
-                caller,
-                callee,
-                calls,
-                child_ns,
-            })
-            .collect();
-        out.sort_by_key(|e| std::cmp::Reverse(e.child_ns));
-        out
+        self.listing(|e| e.callee == callee)
     }
 
     /// Total number of distinct edges.
@@ -129,18 +84,7 @@ impl CallGraph {
         use std::fmt::Write as _;
         let mut out =
             String::from("caller              -> callee               calls   child(s)\n");
-        let mut rows: Vec<CallEdge> = self
-            .edges
-            .iter()
-            .map(|(&(caller, callee), &(calls, child_ns))| CallEdge {
-                caller,
-                callee,
-                calls,
-                child_ns,
-            })
-            .collect();
-        rows.sort_by_key(|e| std::cmp::Reverse(e.child_ns));
-        for e in rows {
+        for e in self.listing(|_| true) {
             let _ = writeln!(
                 out,
                 "{:<19} -> {:<19} {:>6} {:>10.3}",
@@ -152,20 +96,28 @@ impl CallGraph {
         }
         out
     }
+
+    /// The edges `keep` selects, by child time descending; ties stay in
+    /// (caller, callee) order.
+    fn listing(&self, keep: impl Fn(&CallEdge) -> bool) -> Vec<CallEdge> {
+        let mut out: Vec<CallEdge> = self.edges.values().filter(|e| keep(e)).copied().collect();
+        out.sort_by_key(|e| std::cmp::Reverse(e.child_ns));
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempest_probe::event::{Event, ThreadId};
+    use tempest_probe::event::ThreadId;
 
     const T0: ThreadId = ThreadId(0);
     const MAIN: FunctionId = FunctionId(0);
     const FOO1: FunctionId = FunctionId(1);
     const FOO2: FunctionId = FunctionId(2);
 
-    fn micro_d() -> Timeline {
-        Timeline::build(&[
+    fn micro_d() -> Vec<Event> {
+        vec![
             Event::enter(0, T0, MAIN),
             Event::enter(10, T0, FOO1),
             Event::enter(20, T0, FOO2),
@@ -174,7 +126,7 @@ mod tests {
             Event::enter(70, T0, FOO2),
             Event::exit(90, T0, FOO2),
             Event::exit(100, T0, MAIN),
-        ])
+        ]
     }
 
     #[test]
@@ -207,13 +159,12 @@ mod tests {
 
     #[test]
     fn recursion_edges_self_loop() {
-        let tl = Timeline::build(&[
+        let g = CallGraph::build(&[
             Event::enter(0, T0, FOO1),
             Event::enter(10, T0, FOO1),
             Event::exit(40, T0, FOO1),
             Event::exit(50, T0, FOO1),
         ]);
-        let g = CallGraph::build(&tl);
         let selfloop = g.edge(FOO1, FOO1).unwrap();
         assert_eq!(selfloop.calls, 1);
         assert_eq!(selfloop.child_ns, 30);
@@ -222,7 +173,7 @@ mod tests {
 
     #[test]
     fn sibling_calls_attribute_to_same_parent() {
-        let tl = Timeline::build(&[
+        let g = CallGraph::build(&[
             Event::enter(0, T0, MAIN),
             Event::enter(10, T0, FOO1),
             Event::exit(20, T0, FOO1),
@@ -230,7 +181,6 @@ mod tests {
             Event::exit(40, T0, FOO1),
             Event::exit(50, T0, MAIN),
         ]);
-        let g = CallGraph::build(&tl);
         let e = g.edge(MAIN, FOO1).unwrap();
         assert_eq!(e.calls, 2);
         assert_eq!(e.child_ns, 20);
@@ -239,7 +189,7 @@ mod tests {
     #[test]
     fn threads_are_independent() {
         let t1 = ThreadId(1);
-        let tl = Timeline::build(&[
+        let g = CallGraph::build(&[
             Event::enter(0, T0, MAIN),
             Event::enter(0, t1, FOO1),
             Event::enter(5, t1, FOO2),
@@ -247,11 +197,55 @@ mod tests {
             Event::exit(10, t1, FOO1),
             Event::exit(20, T0, MAIN),
         ]);
-        let g = CallGraph::build(&tl);
         // MAIN (thread 0) is not FOO1's parent.
         assert_eq!(g.edge(MAIN, FOO1), None);
         assert!(g.edge(FOO1, FOO2).is_some());
         assert_eq!(g.root_calls.len(), 2);
+    }
+
+    #[test]
+    fn zero_length_callee_at_the_callers_end_is_an_edge() {
+        let g = CallGraph::build(&[
+            Event::enter(0, T0, MAIN),
+            Event::enter(100, T0, FOO1),
+            Event::exit(100, T0, FOO1),
+            Event::exit(100, T0, MAIN),
+        ]);
+        let e = g.edge(MAIN, FOO1).expect("main -> foo1");
+        assert_eq!((e.calls, e.child_ns), (1, 0));
+        assert_eq!(g.root_calls.get(&FOO1), None, "foo1 is not a root call");
+        assert_eq!(g.root_calls.get(&MAIN), Some(&1));
+    }
+
+    #[test]
+    fn tied_edges_render_in_a_fixed_order() {
+        // main calls five functions for 10 ns each: every edge ties.
+        let events: Vec<Event> = std::iter::once(Event::enter(0, T0, MAIN))
+            .chain((1..=5).flat_map(|f| {
+                let t = 10 * f as u64;
+                [
+                    Event::enter(t, T0, FunctionId(f)),
+                    Event::exit(t + 10, T0, FunctionId(f)),
+                ]
+            }))
+            .chain([Event::exit(100, T0, MAIN)])
+            .collect();
+        let names = |f: FunctionId| format!("f{}", f.0);
+        let first = CallGraph::build(&events).render(&names);
+        for _ in 0..32 {
+            let again = CallGraph::build(&events).render(&names);
+            assert_eq!(again, first);
+        }
+        let callees: Vec<&str> = first
+            .lines()
+            .skip(1)
+            .filter_map(|row| row.split_whitespace().nth(2))
+            .collect();
+        assert_eq!(
+            callees,
+            ["f1", "f2", "f3", "f4", "f5"],
+            "ties in callee order"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! the opposite layout: one flat, contiguous vector per field. This module
 //! is the pivot — [`SampleColumns`] and [`IntervalColumns`] are built once
 //! per trace and swept by [`crate::correlate`] with zero allocation in the
-//! inner loop.
+//! inner loop. `IntervalColumns` index functions and threads by the slots
+//! the timeline's replay assigned ([`crate::timeline`]), so this side
+//! builds no id map of its own.
 //!
 //! `SampleColumns` additionally *dictionary-encodes* the temperature
 //! values: sensors report quantised readings (a 1 °C or 0.25 °C grid), so
@@ -141,7 +143,9 @@ fn permute<T: Copy>(order: &[u32], values: &[T]) -> Vec<T> {
 /// Column-major timeline intervals with dense function/thread slots.
 ///
 /// Vectors are parallel and follow the timeline's interval order (sorted
-/// by start time, then depth).
+/// by start time, then depth). The slots are the timeline's own: its
+/// replay gave each entered function and each thread one, in
+/// first-appearance order.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalColumns {
     /// Interval start timestamps (inclusive), ascending.
@@ -154,43 +158,31 @@ pub struct IntervalColumns {
     pub thread_slot: Vec<u32>,
     /// Stack depth per interval.
     pub depth: Vec<u32>,
-    /// Function slot → function id, in first-appearance order.
+    /// Function slot → function id.
     pub func_ids: Vec<FunctionId>,
-    /// Number of distinct threads across all intervals.
+    /// Number of thread slots.
     pub n_threads: usize,
 }
 
 impl IntervalColumns {
-    /// Flatten a timeline's intervals into columns.
+    /// Flatten a timeline's intervals into columns, indexed by the
+    /// timeline's slots (its replay gave every interval's function and
+    /// thread one).
     pub fn from_timeline(timeline: &Timeline) -> IntervalColumns {
+        let (funcs, threads) = (&timeline.funcs, &timeline.threads);
         let intervals = &timeline.intervals;
-        let n = intervals.len();
-        let mut cols = IntervalColumns {
-            start_ns: Vec::with_capacity(n),
-            end_ns: Vec::with_capacity(n),
-            func_slot: Vec::with_capacity(n),
-            thread_slot: Vec::with_capacity(n),
-            depth: Vec::with_capacity(n),
-            ..Default::default()
-        };
-        let mut func_map: HashMap<FunctionId, u32> = HashMap::new();
-        let mut thread_map: HashMap<tempest_probe::event::ThreadId, u32> = HashMap::new();
-        for iv in intervals {
-            let next_func = cols.func_ids.len() as u32;
-            let fslot = *func_map.entry(iv.func).or_insert(next_func);
-            if fslot == next_func {
-                cols.func_ids.push(iv.func);
-            }
-            let next_thread = thread_map.len() as u32;
-            let tslot = *thread_map.entry(iv.thread).or_insert(next_thread);
-            cols.start_ns.push(iv.start_ns);
-            cols.end_ns.push(iv.end_ns);
-            cols.func_slot.push(fslot);
-            cols.thread_slot.push(tslot);
-            cols.depth.push(iv.depth);
+        IntervalColumns {
+            start_ns: intervals.iter().map(|iv| iv.start_ns).collect(),
+            end_ns: intervals.iter().map(|iv| iv.end_ns).collect(),
+            func_slot: intervals.iter().map(|iv| funcs.of[&iv.func.0]).collect(),
+            thread_slot: intervals
+                .iter()
+                .map(|iv| threads.of[&iv.thread.0])
+                .collect(),
+            depth: intervals.iter().map(|iv| iv.depth).collect(),
+            func_ids: funcs.ids.iter().map(|&id| FunctionId(id)).collect(),
+            n_threads: threads.ids.len(),
         }
-        cols.n_threads = thread_map.len();
-        cols
     }
 
     /// Number of intervals.

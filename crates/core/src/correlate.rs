@@ -771,6 +771,68 @@ mod tests {
         assert_eq!(effective_shards(1, 0), 1);
     }
 
+    /// A generated multi-thread stream over dense and sparse ids: equal
+    /// timestamps, zero-length calls, recursion, stray exits and frames
+    /// left open.
+    fn stream(ops: &[(usize, usize, bool, u64)]) -> Vec<Event> {
+        let threads = [T0, ThreadId(5), ThreadId(u32::MAX - 1)];
+        let funcs = [MAIN, FOO1, FOO2, FunctionId(1 << 20), FunctionId(u32::MAX)];
+        let mut stacks = vec![Vec::new(); threads.len()];
+        let mut t = 10;
+        let mut events = Vec::new();
+        for &(th, f, enter, dt) in ops {
+            t += dt;
+            let (thread, stack) = (threads[th], &mut stacks[th]);
+            events.push(match stack.pop() {
+                Some(top) if !enter => Event::exit(t, thread, top),
+                None if !enter => Event::exit(t, thread, funcs[f]),
+                top => {
+                    stack.extend(top);
+                    stack.push(funcs[f]);
+                    Event::enter(t, thread, funcs[f])
+                }
+            });
+        }
+        events
+    }
+
+    // The sparse grid, which no input from outside this crate reaches,
+    // attributes exactly as the dense one at every shard count (the dense
+    // sweep is checked against a naive reference in `tests/oracles.rs`).
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sparse_grid_matches_dense_at_every_shard_count(
+            ops in proptest::prop::collection::vec(
+                (0usize..3, 0usize..5, proptest::prop::bool::ANY, 0u64..3),
+                0..80,
+            ),
+            raw in proptest::prop::collection::vec((0u64..250, 0u16..3, 0u32..6), 1..60),
+        ) {
+            let tl = Timeline::build(&stream(&ops));
+            let samples: Vec<SensorReading> = raw
+                .iter()
+                .map(|&(t, s, v)| sample(t, SensorId(s), 30.0 + f64::from(v) * 0.25))
+                .collect();
+            let dense = correlate_with(&tl, &samples, 1);
+            let (ivs, cols) = (IntervalColumns::from_timeline(&tl), SampleColumns::from_readings(&samples));
+            let never = CancelToken::default();
+            for shards in 1..=4 {
+                let chunk = cols.len().div_ceil(shards);
+                let mut acc = sweep_range(&ivs, &cols, (0, chunk.min(cols.len())), false, &never);
+                for lo in (chunk..cols.len()).step_by(chunk) {
+                    let hi = (lo + chunk).min(cols.len());
+                    acc.absorb(sweep_range(&ivs, &cols, (lo, hi), false, &never));
+                }
+                let mut sparse = Correlation { resorted: cols.resorted, ..Default::default() };
+                sparse.unattributed = acc.unattributed;
+                materialize(&ivs, &cols, acc, &mut sparse);
+                assert_correlations_equal(&dense, &sparse);
+            }
+        }
+    }
+
     #[test]
     fn sparse_fallback_matches_dense() {
         // Force the sparse path by shrinking the dense ceiling is not

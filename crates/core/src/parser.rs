@@ -95,37 +95,14 @@ impl ParseError {
     /// Pre-flight a trace: return the first problem a strict parse would
     /// hit, or `None` for a clean trace. Used by `tempest doctor`.
     pub fn classify(trace: &Trace) -> Option<ParseError> {
-        let mut scope_events = 0usize;
-        let mut last_ts = 0u64;
-        for (index, e) in trace.events.iter().enumerate() {
-            let func = match e.kind {
-                EventKind::Enter { func } | EventKind::Exit { func } => func,
-                _ => continue,
-            };
-            scope_events += 1;
-            if trace.function(func).is_none() {
-                return Some(ParseError::UnknownFunction(func.0));
-            }
-            if e.timestamp_ns < last_ts {
-                return Some(ParseError::NonMonotonicTimestamps {
-                    index,
-                    prev_ns: last_ts,
-                    ts_ns: e.timestamp_ns,
-                });
-            }
-            last_ts = e.timestamp_ns;
+        let mut quality = DataQuality::default();
+        let strict = walk_events(trace, false, &CancelToken::default(), &mut quality)
+            .and_then(|_| finite_samples(trace, false, &mut quality));
+        match strict {
+            Err(problem) => Some(problem),
+            Ok(_) if quality.events_seen == 0 => Some(ParseError::NoScopeEvents),
+            Ok(_) => None,
         }
-        if let Some(index) = trace
-            .samples
-            .iter()
-            .position(|s| !s.temperature.celsius().is_finite())
-        {
-            return Some(ParseError::NonFiniteSample { index });
-        }
-        if scope_events == 0 {
-            return Some(ParseError::NoScopeEvents);
-        }
-        None
     }
 }
 
@@ -159,31 +136,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Analyse one node's trace into a [`NodeProfile`], folding the losses a
-/// salvage read observed ([`Trace::read_salvage`]) into its
-/// [`DataQuality`]. The analysis body behind the [`crate::api`] facade.
-pub(crate) fn analyze_trace_salvaged(
-    trace: &Trace,
-    salvage: Option<&SalvageReport>,
-    options: AnalysisOptions,
-) -> Result<NodeProfile, ParseError> {
-    let mut quality = DataQuality {
-        recovered: options.recover,
-        ..Default::default()
-    };
-    if let Some(report) = salvage {
-        quality.absorb_salvage(report);
-    }
-    let cancel = CancelToken::until_opt(options.deadline);
-    // A deadline asks for the best bounded effort, so the walk tolerates
-    // damage the way recover mode does instead of erroring out.
-    let tolerant = options.recover || options.deadline.is_some();
-
-    // Symbolisation + monotonicity walk. The original tool did the
-    // analogous address→symbol lookup via the ELF symbol table; an
-    // unresolvable address meant a corrupt trace. In recover mode the
-    // offending events are dropped (greedy monotonic filter: keep a scope
-    // event only if it does not precede the last kept one) and counted.
+/// Symbolisation + monotonicity walk. The original tool did the
+/// analogous address→symbol lookup via the ELF symbol table; an
+/// unresolvable address meant a corrupt trace. Strict, the first problem
+/// is the error; tolerant, the offending events are dropped (greedy
+/// monotonic filter: keep a scope event only if it does not precede the
+/// last kept one) and counted.
+fn walk_events<'a>(
+    trace: &'a Trace,
+    tolerant: bool,
+    cancel: &CancelToken,
+    quality: &mut DataQuality,
+) -> Result<Cow<'a, [Event]>, ParseError> {
     let mut kept: Vec<Event> = Vec::new();
     let mut last_ts = 0u64;
     for (index, e) in trace.events.iter().enumerate() {
@@ -228,22 +192,26 @@ pub(crate) fn analyze_trace_salvaged(
             kept.push(*e);
         }
     }
-    let events: Cow<'_, [Event]> = if tolerant {
+    Ok(if tolerant {
         Cow::Owned(kept)
     } else {
         Cow::Borrowed(&trace.events)
-    };
+    })
+}
 
-    // Sample hygiene: the statistics layer requires finite temperatures.
-    let samples: Cow<'_, [SensorReading]> = match trace
+/// Sample hygiene: the statistics layer requires finite temperatures.
+fn finite_samples<'a>(
+    trace: &'a Trace,
+    tolerant: bool,
+    quality: &mut DataQuality,
+) -> Result<Cow<'a, [SensorReading]>, ParseError> {
+    match trace
         .samples
         .iter()
         .position(|s| !s.temperature.celsius().is_finite())
     {
-        None => Cow::Borrowed(&trace.samples),
-        Some(index) if !tolerant => {
-            return Err(ParseError::NonFiniteSample { index });
-        }
+        None => Ok(Cow::Borrowed(&trace.samples)),
+        Some(index) if !tolerant => Err(ParseError::NonFiniteSample { index }),
         Some(_) => {
             let finite: Vec<SensorReading> = trace
                 .samples
@@ -252,9 +220,33 @@ pub(crate) fn analyze_trace_salvaged(
                 .copied()
                 .collect();
             quality.nonfinite_samples_skipped += (trace.samples.len() - finite.len()) as u64;
-            Cow::Owned(finite)
+            Ok(Cow::Owned(finite))
         }
+    }
+}
+
+/// Analyse one node's trace into a [`NodeProfile`], folding the losses a
+/// salvage read observed ([`Trace::read_salvage`]) into its
+/// [`DataQuality`]. The analysis body behind the [`crate::api`] facade.
+pub(crate) fn analyze_trace_salvaged(
+    trace: &Trace,
+    salvage: Option<&SalvageReport>,
+    options: AnalysisOptions,
+) -> Result<NodeProfile, ParseError> {
+    let mut quality = DataQuality {
+        recovered: options.recover,
+        ..Default::default()
     };
+    if let Some(report) = salvage {
+        quality.absorb_salvage(report);
+    }
+    let cancel = CancelToken::until_opt(options.deadline);
+    // A deadline asks for the best bounded effort, so the walk tolerates
+    // damage the way recover mode does instead of erroring out.
+    let tolerant = options.recover || options.deadline.is_some();
+
+    let events = walk_events(trace, tolerant, &cancel, &mut quality)?;
+    let samples = finite_samples(trace, tolerant, &mut quality)?;
 
     let timeline = {
         let _stage = tempest_obs::stage("timeline");

@@ -8,6 +8,16 @@
 //! timeline: a set of [`Interval`]s (who was on the stack, when, at what
 //! depth), robust to interleaving, recursion, and truncated or slightly
 //! malformed traces.
+//!
+//! `replay` is the front end's one call-stack replay and owns its id
+//! space: one pass gives each thread and each entered function a dense
+//! slot in first-appearance order. Stray exits cost O(1) and leftover
+//! frames close in thread-slot order (DESIGN.md §8). [`Timeline::build`]
+//! collects the closed intervals, [`CallGraph::build`] folds the caller
+//! handed with each, and [`IntervalColumns`] take the timeline's slots.
+//!
+//! [`CallGraph::build`]: crate::callgraph::CallGraph::build
+//! [`IntervalColumns`]: crate::columns::IntervalColumns
 
 use std::collections::HashMap;
 use tempest_probe::event::{Event, EventKind, ThreadId};
@@ -101,6 +111,10 @@ pub struct Timeline {
     pub warnings: Vec<TimelineWarning>,
     /// First and last event timestamps (0,0 if no events).
     pub span: (u64, u64),
+    /// The replay's slots for every function entered.
+    pub(crate) funcs: Slots,
+    /// The replay's slots for every thread with a scope event.
+    pub(crate) threads: Slots,
 }
 
 impl Timeline {
@@ -111,112 +125,10 @@ impl Timeline {
     /// each thread's subsequence is then interpreted as a call-stack
     /// history.
     pub fn build(events: &[Event]) -> Timeline {
-        let mut tl = Timeline::default();
-        if events.is_empty() {
-            return tl;
-        }
-        tl.span = (
-            events.first().unwrap().timestamp_ns,
-            events.last().unwrap().timestamp_ns,
-        );
-
-        // Per-thread open-frame stacks: (func, start_ns, depth).
-        let mut stacks: HashMap<ThreadId, Vec<(FunctionId, u64, u32)>> = HashMap::new();
-        // Per-thread per-function activation counts and inclusive-start
-        // marks, for recursion-safe inclusive time.
-        let mut active: HashMap<(ThreadId, FunctionId), (u32, u64)> = HashMap::new();
-        // Per-thread previous event timestamp, for exclusive attribution.
-        let mut prev_ts: HashMap<ThreadId, u64> = HashMap::new();
-
-        for e in events {
-            let (func, is_enter) = match e.kind {
-                EventKind::Enter { func } => (func, true),
-                EventKind::Exit { func } => (func, false),
-                EventKind::Sample { .. } | EventKind::Gap { .. } => continue,
-            };
-            let t = e.timestamp_ns;
-            let stack = stacks.entry(e.thread).or_default();
-
-            // Attribute the elapsed slice to the current top (exclusive).
-            if let Some(&p) = prev_ts.get(&e.thread) {
-                if let Some(&(top, _, _)) = stack.last() {
-                    tl.times.entry(top).or_default().exclusive_ns += t.saturating_sub(p);
-                }
-            }
-            prev_ts.insert(e.thread, t);
-
-            if is_enter {
-                let depth = stack.len() as u32;
-                stack.push((func, t, depth));
-                let ft = tl.times.entry(func).or_default();
-                ft.calls += 1;
-                let a = active.entry((e.thread, func)).or_insert((0, 0));
-                if a.0 == 0 {
-                    a.1 = t; // first activation: start inclusive clock
-                }
-                a.0 += 1;
-            } else {
-                // Find the frame; tolerate mismatches.
-                match stack.iter().rposition(|&(f, _, _)| f == func) {
-                    None => {
-                        tl.warnings.push(TimelineWarning::ExitWithoutEnter {
-                            thread: e.thread,
-                            func,
-                            at_ns: t,
-                        });
-                    }
-                    Some(pos) => {
-                        if pos != stack.len() - 1 {
-                            let (expected, _, _) = *stack.last().unwrap();
-                            tl.warnings.push(TimelineWarning::MismatchedExit {
-                                thread: e.thread,
-                                expected,
-                                got: func,
-                                at_ns: t,
-                            });
-                        }
-                        // Close the target and anything above it.
-                        while stack.len() > pos {
-                            let (f, start, depth) = stack.pop().unwrap();
-                            tl.intervals.push(Interval {
-                                func: f,
-                                thread: e.thread,
-                                start_ns: start,
-                                end_ns: t,
-                                depth,
-                                truncated: false,
-                            });
-                            close_activation(&mut tl, &mut active, e.thread, f, t);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Close anything still open at the end of the trace.
-        let end = tl.span.1;
-        for (thread, stack) in stacks.iter_mut() {
-            if stack.is_empty() {
-                continue;
-            }
-            tl.warnings.push(TimelineWarning::UnclosedFrames {
-                thread: *thread,
-                count: stack.len(),
-            });
-            while let Some((f, start, depth)) = stack.pop() {
-                tl.intervals.push(Interval {
-                    func: f,
-                    thread: *thread,
-                    start_ns: start,
-                    end_ns: end,
-                    depth,
-                    truncated: true,
-                });
-                close_activation(&mut tl, &mut active, *thread, f, end);
-            }
-        }
-
-        tl.intervals.sort_by_key(|i| (i.start_ns, i.depth));
+        let mut intervals = Vec::new();
+        let mut tl = replay(events, |iv, _| intervals.push(iv));
+        intervals.sort_by_key(|i| (i.start_ns, i.depth));
+        tl.intervals = intervals;
         tl
     }
 
@@ -238,27 +150,162 @@ impl Timeline {
     pub fn span_ns(&self) -> u64 {
         self.span.1.saturating_sub(self.span.0)
     }
+}
 
-    /// Flatten the intervals into the struct-of-arrays batch the correlate
-    /// sweep consumes ([`crate::columns::IntervalColumns`]).
-    pub fn columns(&self) -> crate::columns::IntervalColumns {
-        crate::columns::IntervalColumns::from_timeline(self)
+/// Dense slots for ids, in first-appearance order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slots {
+    /// Slot → id.
+    pub(crate) ids: Vec<u32>,
+    /// Id → slot.
+    pub(crate) of: HashMap<u32, u32>,
+}
+
+impl Slots {
+    /// The slot of `id`, giving it the next one on first sight.
+    fn assign(&mut self, id: u32) -> u32 {
+        let ids = &mut self.ids;
+        *self.of.entry(id).or_insert_with(|| {
+            ids.push(id);
+            ids.len() as u32 - 1
+        })
     }
 }
 
-fn close_activation(
-    tl: &mut Timeline,
-    active: &mut HashMap<(ThreadId, FunctionId), (u32, u64)>,
-    thread: ThreadId,
-    func: FunctionId,
-    t: u64,
-) {
-    if let Some(a) = active.get_mut(&(thread, func)) {
-        a.0 = a.0.saturating_sub(1);
-        if a.0 == 0 {
-            tl.times.entry(func).or_default().inclusive_ns += t.saturating_sub(a.1);
+/// One thread's replay state.
+#[derive(Default)]
+struct Stack {
+    /// Open frames: function, its slot, entry time.
+    frames: Vec<(FunctionId, u32, u64)>,
+    /// Timestamp of the thread's previous scope event.
+    prev_ns: Option<u64>,
+    /// Per function entered here: its slot, its open frames, and since
+    /// when the outermost is open (the inclusive-time clock). Per thread,
+    /// so it grows with (thread, function) pairs, not their product.
+    open: HashMap<FunctionId, (u32, u32, u64)>,
+}
+
+impl Stack {
+    /// Pop frames until `depth` remain, closing each at `t` and handing it
+    /// to `on_close` with the function beneath it.
+    fn close(
+        &mut self,
+        depth: usize,
+        thread: ThreadId,
+        t: u64,
+        truncated: bool,
+        times: &mut [FunctionTimes],
+        on_close: &mut impl FnMut(Interval, Option<FunctionId>),
+    ) {
+        while self.frames.len() > depth {
+            let (func, slot, start_ns) = self.frames.pop().expect("deeper than `depth`");
+            let open = self
+                .open
+                .get_mut(&func)
+                .expect("a frame's function is open");
+            open.1 -= 1;
+            if open.1 == 0 {
+                times[slot as usize].inclusive_ns += t.saturating_sub(open.2);
+            }
+            let interval = Interval {
+                func,
+                thread,
+                start_ns,
+                end_ns: t,
+                depth: self.frames.len() as u32,
+                truncated,
+            };
+            on_close(interval, self.frames.last().map(|f| f.0));
         }
     }
+}
+
+/// Replay the call stacks of `events` once, as [`Timeline::build`] reads
+/// them, handing each closed interval to `on_close` with its caller: the
+/// function of the frame beneath it, or `None` for a thread's outermost
+/// frame. Returns the timeline without its intervals.
+pub(crate) fn replay(
+    events: &[Event],
+    mut on_close: impl FnMut(Interval, Option<FunctionId>),
+) -> Timeline {
+    let mut tl = Timeline::default();
+    let at = |e: Option<&Event>| e.map_or(0, |e| e.timestamp_ns);
+    tl.span = (at(events.first()), at(events.last()));
+    let mut stacks: Vec<Stack> = Vec::new();
+    let mut times: Vec<FunctionTimes> = Vec::new();
+
+    for e in events {
+        let (func, is_enter) = match e.kind {
+            EventKind::Enter { func } => (func, true),
+            EventKind::Exit { func } => (func, false),
+            EventKind::Sample { .. } | EventKind::Gap { .. } => continue,
+        };
+        let t = e.timestamp_ns;
+        let slot = tl.threads.assign(e.thread.0) as usize;
+        stacks.resize_with(tl.threads.ids.len(), Stack::default);
+        let stack = &mut stacks[slot];
+
+        // Attribute the elapsed slice to the current top (exclusive).
+        if let (Some(p), Some(&(_, top, _))) = (stack.prev_ns, stack.frames.last()) {
+            times[top as usize].exclusive_ns += t.saturating_sub(p);
+        }
+        stack.prev_ns = Some(t);
+
+        if is_enter {
+            let funcs = &mut tl.funcs;
+            let open = stack
+                .open
+                .entry(func)
+                .or_insert_with(|| (funcs.assign(func.0), 0, 0));
+            times.resize(funcs.ids.len(), FunctionTimes::default());
+            times[open.0 as usize].calls += 1;
+            if open.1 == 0 {
+                open.2 = t; // first activation: start the inclusive clock
+            }
+            open.1 += 1;
+            stack.frames.push((func, open.0, t));
+            continue;
+        }
+
+        // An exit closes its function's topmost frame and any above it;
+        // the stack is searched only when the open count puts it there.
+        let top = stack.frames.last().map(|f| f.0);
+        if top != Some(func) && stack.open.get(&func).is_none_or(|o| o.1 == 0) {
+            tl.warnings.push(TimelineWarning::ExitWithoutEnter {
+                thread: e.thread,
+                func,
+                at_ns: t,
+            });
+            continue;
+        }
+        let pos = stack.frames.iter().rposition(|f| f.0 == func);
+        let pos = pos.expect("an open function has a frame");
+        if let Some(expected) = top.filter(|&f| f != func) {
+            tl.warnings.push(TimelineWarning::MismatchedExit {
+                thread: e.thread,
+                expected,
+                got: func,
+                at_ns: t,
+            });
+        }
+        stack.close(pos, e.thread, t, false, &mut times, &mut on_close);
+    }
+
+    // Close anything still open at the end of the trace, in thread-slot
+    // order.
+    for (stack, &id) in stacks.iter_mut().zip(&tl.threads.ids) {
+        if !stack.frames.is_empty() {
+            let thread = ThreadId(id);
+            tl.warnings.push(TimelineWarning::UnclosedFrames {
+                thread,
+                count: stack.frames.len(),
+            });
+            stack.close(0, thread, tl.span.1, true, &mut times, &mut on_close);
+        }
+    }
+    let ids = tl.funcs.ids.iter().map(|&id| FunctionId(id));
+    tl.times = ids.zip(times).collect();
+    tl
 }
 
 #[cfg(test)]
@@ -476,6 +523,48 @@ mod tests {
         assert_eq!(foo.duration_ns(), 0);
         assert!(!foo.contains(15));
         assert_eq!(tl.times[&FOO1].calls, 1);
+    }
+
+    #[test]
+    fn truncated_threads_close_in_a_fixed_order() {
+        // Eight threads cut mid-call: their truncated intervals tie on
+        // (start, depth), so only the close order tells them apart.
+        let events: Vec<Event> = (0..8)
+            .flat_map(|th| [enter(0, ThreadId(th), MAIN), enter(10, ThreadId(th), FOO1)])
+            .chain([enter(20, T0, FOO2), exit(30, T0, FOO2)])
+            .collect();
+        let trace = tempest_probe::trace::Trace {
+            node: tempest_probe::trace::NodeMeta::anonymous(),
+            functions: Vec::new(),
+            events: events.clone(),
+            samples: Vec::new(),
+        };
+        let first = Timeline::build(&events);
+        let chrome = crate::chrome::chrome_trace_json(&trace);
+        for _ in 0..32 {
+            let again = Timeline::build(&events);
+            assert_eq!(again.intervals, first.intervals);
+            assert_eq!(again.warnings, first.warnings);
+            assert_eq!(crate::chrome::chrome_trace_json(&trace), chrome);
+        }
+    }
+
+    #[test]
+    fn stray_exits_over_a_deep_stack_are_linear() {
+        // 100k frames open, then 100k exits of a function never entered:
+        // each exit must not scan the whole stack.
+        let n = 100_000u64;
+        let events: Vec<Event> = (0..n)
+            .map(|i| enter(i, T0, FOO1))
+            .chain((0..n).map(|i| exit(n + i, T0, FOO2)))
+            .collect();
+        let started = std::time::Instant::now();
+        let tl = Timeline::build(&events);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        assert_eq!(tl.warnings.len(), n as usize + 1);
+        assert_eq!(tl.intervals.len(), n as usize);
+        assert!(!tl.times.contains_key(&FOO2), "FOO2 was never entered");
     }
 
     #[test]

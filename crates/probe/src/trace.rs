@@ -242,9 +242,14 @@ impl Trace {
         }
     }
 
-    /// Look up a function definition by id.
+    /// Look up a function definition by id: `functions[id]` when its id
+    /// matches (O(1); every table Tempest writes is indexed so), otherwise
+    /// the first definition carrying `id`.
     pub fn function(&self, id: FunctionId) -> Option<&FunctionDef> {
-        self.functions.iter().find(|f| f.id == id)
+        match self.functions.get(id.0 as usize) {
+            Some(f) if f.id == id => Some(f),
+            _ => self.functions.iter().find(|f| f.id == id),
+        }
     }
 
     // ---- binary encoding -------------------------------------------------

@@ -1847,8 +1847,7 @@ fn cmd_callgraph(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
         .first()
         .ok_or_else(|| CliError::usage("callgraph: which trace file?"))?;
     let trace = load_trace(path)?;
-    let timeline = Timeline::build(&trace.events);
-    let graph = tempest_core::callgraph::CallGraph::build(&timeline);
+    let graph = tempest_core::callgraph::CallGraph::build(&trace.events);
     let names: Vec<String> = trace.functions.iter().map(|f| f.name.clone()).collect();
     let name_of = move |f: tempest_probe::func::FunctionId| {
         names

@@ -9,7 +9,7 @@
 //!   the source spool locally.
 //!
 //! I/O-heavy and timing-dependent, so like the crash-torture suite it
-//! only runs when `TEMPEST_CHAOS=1` (ci.sh exposes the gate). All
+//! only runs when `TEMPEST_CHAOS=1` (ci.sh sets it on every run). All
 //! randomness flows from `TEMPEST_CHAOS_SEED` (default fixed); ports are
 //! always ephemeral and synchronization is protocol completion, never a
 //! wall-clock sleep.

@@ -7,7 +7,7 @@
 //! every acknowledged batch.
 //!
 //! Expensive and I/O-heavy, so it only runs when `TEMPEST_TORTURE=1`
-//! (ci.sh exposes the gate); the seed is fixed for reproducibility and
+//! (ci.sh sets it on every run); the seed is fixed for reproducibility and
 //! overridable via `TEMPEST_TORTURE_SEED`.
 
 use std::io::{BufRead, BufReader};
