@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The CRC-32 kernels against their bit-at-a-time reference in the
+# optimized build that ships, where the carry-less-multiply fold and its
+# unsafe code run as compiled for release.
+echo "==> CRC-32 kernels vs reference (release)"
+cargo test --release -q -p tempest-probe crc
+
 # Kill-9 spool durability torture: spawns and SIGKILLs writer
 # subprocesses. Seeded and bounded (8 iterations) at its default fixed
 # seed; override the seed with TEMPEST_TORTURE_SEED.

@@ -43,6 +43,7 @@ use tempest_core::cache::{AnalysisCache, CacheKey};
 use tempest_core::dto::{HotspotsDto, ProfileDto, DTO_VERSION};
 use tempest_core::{analysis, AnalysisRequest, NodeProfile};
 use tempest_obs::{Counter, Histogram, JsonWriter};
+use tempest_probe::crc::Crc32;
 use tempest_probe::spool;
 
 /// Default `top` for the hotspots endpoint.
@@ -251,7 +252,8 @@ impl QueryServer {
 }
 
 /// Scan the collected directory into a fresh catalog: one entry per
-/// member spool, hashed over its segment bytes in cursor order.
+/// member spool, hashed over its segment bytes in cursor order, one
+/// segment in memory at a time.
 fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
     let mut catalog = BTreeMap::new();
     for member in fleet::member_dirs(dir) {
@@ -263,14 +265,15 @@ fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
         let Ok(segments) = spool::list_segment_files(&member) else {
             continue;
         };
-        let mut bytes: Vec<u8> = Vec::new();
+        let mut crc = Crc32::new();
+        let mut len = 0u64;
         for (_, path) in &segments {
-            if let Ok(b) = std::fs::read(path) {
-                bytes.extend_from_slice(&b);
+            if let Ok(bytes) = std::fs::read(path) {
+                crc.update(&bytes);
+                len += bytes.len() as u64;
             }
         }
-        let crc = spool::crc32(&bytes);
-        let len = bytes.len() as u64;
+        let crc = crc.finish();
         catalog.insert(
             id,
             SessionEntry {

@@ -117,9 +117,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     // is sorted by (start_ns, depth), so each thread's subsequence has
     // non-decreasing ts.
     for iv in &timeline.intervals {
-        let name = trace
-            .function(iv.func)
-            .map_or_else(|| format!("fn#{}", iv.func.0), |f| f.name.clone());
+        let name = trace.function_name(iv.func);
         let args = |w: &mut JsonWriter| {
             w.key("depth").int(iv.depth as u64);
             if iv.truncated {

@@ -94,10 +94,11 @@ impl FlatProfile {
         self.total_ns
     }
 
-    /// Buckets sorted by self time, descending — gprof's default order.
+    /// Buckets sorted by self time, descending — gprof's default order —
+    /// with ties in function-id order.
     pub fn sorted(&self) -> Vec<(FunctionId, Bucket)> {
         let mut rows: Vec<_> = self.buckets.iter().map(|(&f, &b)| (f, b)).collect();
-        rows.sort_by_key(|&(_, b)| std::cmp::Reverse(b.self_ns));
+        rows.sort_by_key(|&(f, b)| (std::cmp::Reverse(b.self_ns), f));
         rows
     }
 
@@ -211,6 +212,42 @@ mod tests {
         let rows = p.sorted();
         assert_eq!(rows[0].0, FOO1); // 40 ns self
         assert!(rows[0].1.self_ns >= rows[1].1.self_ns);
+    }
+
+    #[test]
+    fn tied_rows_render_in_id_order() {
+        use tempest_probe::func::ScopeKind;
+        // Ten functions with equal self time, entered in reverse id order.
+        let events: Vec<Event> = (0..10u32)
+            .rev()
+            .enumerate()
+            .flat_map(|(slot, id)| {
+                let t = slot as u64 * 10;
+                [
+                    Event::enter(t, T0, FunctionId(id)),
+                    Event::exit(t + 10, T0, FunctionId(id)),
+                ]
+            })
+            .collect();
+        let defs: Vec<FunctionDef> = (0..10u32)
+            .map(|id| FunctionDef {
+                id: FunctionId(id),
+                name: format!("f{id}"),
+                address: 0x400000 + id as u64 * 16,
+                kind: ScopeKind::Function,
+            })
+            .collect();
+        let first = FlatProfile::from_events(&events).render(&defs);
+        for _ in 1..32 {
+            assert_eq!(FlatProfile::from_events(&events).render(&defs), first);
+        }
+        let names: Vec<&str> = first
+            .lines()
+            .skip(2)
+            .map(|row| row.rsplit(' ').next().unwrap())
+            .collect();
+        let want: Vec<String> = (0..10).map(|id| format!("f{id}")).collect();
+        assert_eq!(names, want);
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //!   manufacture the damage the salvage/recovery paths must survive.
 //! * [`synth`] — deterministic synthetic-trace generation for benchmarks
 //!   and stress tests (dial in events/depth/threads/sensors exactly).
+//! * [`crc`] — CRC-32, the checksum on every spool frame, ship message,
+//!   cache key and ETag: carry-less-multiply folding where the CPU has it,
+//!   slicing-by-16 everywhere else.
 //! * [`spool`] — crash-consistent spooling: a segmented, checksummed
 //!   write-ahead log with bounded backpressure and `kill -9` recovery.
 //! * [`ship`] — the network shipper: streams a spool directory to a
@@ -43,6 +46,7 @@
 pub mod buffer;
 pub mod clock;
 pub mod corrupt;
+pub mod crc;
 pub mod event;
 pub mod func;
 pub mod guard;

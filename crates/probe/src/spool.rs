@@ -14,12 +14,15 @@
 //! Layout per segment: 8-byte magic `TMPSPOL1`, `u64` sequence number,
 //! then frames. Frame = `kind: u8 | len: u32 | crc: u32 | payload`, with
 //! the CRC-32 computed over `kind || len || payload` so a bit flip in any
-//! of the three is caught. Frame kinds: 1 = event batch (fixed 21-byte
-//! records), 2 = symbol-table snapshot, 3 = node metadata, 4 = session
-//! footer, 6 = self-telemetry, 7 = shipped envelope (collector spools
-//! only). The footer is written only on orderly shutdown — its presence
-//! is the "clean" marker — and carries the backpressure drop counters so
-//! shed events are reported, never silently forgotten.
+//! of the three is caught. The checksum is [`crate::crc`]'s, which runs at
+//! memory speed, so writers checksum every batch and recovery verifies
+//! every frame for little more than the cost of reading the bytes. Frame
+//! kinds: 1 = event batch (fixed 21-byte records), 2 = symbol-table
+//! snapshot, 3 = node metadata, 4 = session footer, 6 = self-telemetry,
+//! 7 = shipped envelope (collector spools only). The footer is written
+//! only on orderly shutdown — its presence is the "clean" marker — and
+//! carries the backpressure drop counters so shed events are reported,
+//! never silently forgotten.
 //!
 //! Writers go through one type, [`SegmentLog`]: [`SpoolWriter`] writes
 //! local sessions through it and the collector daemon shipped ones.
@@ -32,6 +35,8 @@
 //! a kind and payload into a typed [`Decoded`] value or a [`FrameFail`].
 
 use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
+pub use crate::crc::crc32;
+use crate::crc::Crc32;
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
@@ -98,58 +103,7 @@ pub const SHIPPED2_PREFIX_LEN: usize = 8 + 8 + 8 + 8 + 1;
 /// Flight-recorder dump file name beside a spool's segments.
 pub const FLIGHT_DUMP_NAME: &str = "flight.json";
 
-// ---- CRC-32 (IEEE) ---------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// Running CRC-32 state; feed slices, then [`Crc32::finish`].
-#[derive(Clone, Copy)]
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-/// CRC-32 (IEEE 802.3) of one contiguous buffer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
+// ---- frame checksums --------------------------------------------------------
 
 /// The checksum stored in a frame header: CRC-32 over
 /// `kind || len_le || payload`, so damage to any of the three is caught.

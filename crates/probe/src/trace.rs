@@ -252,6 +252,13 @@ impl Trace {
         }
     }
 
+    /// The name of function `id`, or `fn#<id>` when the symbol table
+    /// lacks it.
+    pub fn function_name(&self, id: FunctionId) -> String {
+        self.function(id)
+            .map_or_else(|| format!("fn#{}", id.0), |f| f.name.clone())
+    }
+
     // ---- binary encoding -------------------------------------------------
 
     /// Exact encoded size in bytes — used to reserve the encode buffer in

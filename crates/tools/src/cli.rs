@@ -1275,14 +1275,12 @@ fn cmd_traits(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliEr
 function thermal traits (dominant-phase warming rates):"
     );
     for t in tempest_core::phases::function_traits(&phases, &timeline) {
-        let name = trace
-            .function(t.func)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| format!("fn#{}", t.func.0));
         let _ = writeln!(
             out,
             "  {:<20} {:+7.3} F/s over {:>7.1}s",
-            name, t.rate_f_per_s, t.seconds
+            trace.function_name(t.func),
+            t.rate_f_per_s,
+            t.seconds
         );
     }
     Ok(())
@@ -1812,13 +1810,7 @@ fn cmd_plot(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliErro
         .map_err(|_| CliError::usage("--sensor wants an integer"))?;
     let trace = load_trace(path)?;
     let timeline = Timeline::build(&trace.events);
-    let names: Vec<String> = trace.functions.iter().map(|f| f.name.clone()).collect();
-    let name_of = move |id: u32| {
-        names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("fn#{id}"))
-    };
+    let name_of = |id: u32| trace.function_name(tempest_probe::func::FunctionId(id));
     let label = trace
         .node
         .sensors
@@ -1848,14 +1840,7 @@ fn cmd_callgraph(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
         .ok_or_else(|| CliError::usage("callgraph: which trace file?"))?;
     let trace = load_trace(path)?;
     let graph = tempest_core::callgraph::CallGraph::build(&trace.events);
-    let names: Vec<String> = trace.functions.iter().map(|f| f.name.clone()).collect();
-    let name_of = move |f: tempest_probe::func::FunctionId| {
-        names
-            .get(f.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("fn#{}", f.0))
-    };
-    let _ = write!(out, "{}", graph.render(&name_of));
+    let _ = write!(out, "{}", graph.render(&|f| trace.function_name(f)));
     Ok(())
 }
 
@@ -1973,6 +1958,52 @@ mod tests {
 
         let summary = run(&["summary", trace_s]).unwrap();
         assert!(summary.contains("cluster of 1 node"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn callgraph_and_plot_name_functions_by_id() {
+        use tempest_probe::{Event, FunctionDef, FunctionId, NodeMeta, ScopeKind, ThreadId};
+        use tempest_sensors::{SensorReading, Temperature};
+        // A symbol table not indexed by id: position 0 holds id 1.
+        let def = |id: u32, name: &str| FunctionDef {
+            id: FunctionId(id),
+            name: name.into(),
+            address: 0x40_0000 + id as u64 * 16,
+            kind: ScopeKind::Function,
+        };
+        let (main, leaf, t0) = (FunctionId(0), FunctionId(1), ThreadId(0));
+        let trace = Trace {
+            node: NodeMeta::anonymous(),
+            functions: vec![def(1, "leaf"), def(0, "main")],
+            events: vec![
+                Event::enter(0, t0, main),
+                Event::enter(500, t0, leaf),
+                Event::exit(600, t0, leaf),
+                Event::exit(1_000, t0, main),
+            ],
+            samples: (0..10)
+                .map(|i| SensorReading::new(SensorId(0), i * 100, Temperature::from_celsius(40.0)))
+                .collect(),
+        };
+        let dir = temp_dir("names-by-id");
+        let path = dir.join("table.trace");
+        trace.save(&path).unwrap();
+        let path = path.to_str().unwrap();
+
+        let graph = run(&["callgraph", path]).unwrap();
+        let edge = graph.lines().nth(1).unwrap();
+        let words: Vec<&str> = edge.split_whitespace().take(3).collect();
+        assert_eq!(words, ["main", "->", "leaf"], "{graph}");
+
+        let plot = run(&["plot", path, "--sensor", "0"]).unwrap();
+        let banner = plot.lines().next().unwrap();
+        // One initial per column: main's, with leaf's in the middle.
+        let initials = banner.strip_prefix("function: ").unwrap();
+        assert!(
+            initials.starts_with("mmmm") && initials.ends_with("mmmm") && initials.contains('l'),
+            "{banner}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

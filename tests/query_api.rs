@@ -223,6 +223,54 @@ fn health_and_sessions_bodies_are_exact() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
+/// The catalog checksums a session one segment at a time; the ETag it
+/// serves is still the CRC-32 of every segment, back to back in cursor
+/// order.
+#[test]
+fn multi_segment_etag_is_the_crc_of_the_concatenated_segments() {
+    let parent = temp_dir("segments");
+    let dir = parent.join("multi");
+    let config = SpoolConfig::new(&dir).segment_bytes(4096);
+    let mut w = SpoolWriter::create(&config, NodeMeta::anonymous()).unwrap();
+    for b in 0..8u64 {
+        let batch: Vec<Event> = (0..100u64)
+            .flat_map(|i| {
+                let t = (b * 100 + i) * 1_000;
+                [
+                    Event::enter(t, ThreadId(0), FunctionId(0)),
+                    Event::exit(t + 900, ThreadId(0), FunctionId(0)),
+                ]
+            })
+            .collect();
+        w.append_batch(&batch).unwrap();
+        if w.should_rotate() {
+            w.rotate(&[]).unwrap();
+        }
+    }
+    w.finish(&[], 0, 0).unwrap();
+    let segments = spool::list_segment_files(&dir).unwrap();
+    assert!(segments.len() >= 3, "{} segments", segments.len());
+    let mut bytes = Vec::new();
+    for (_, path) in &segments {
+        bytes.extend(std::fs::read(path).unwrap());
+    }
+    let etag = format!("\"{:08x}-{:x}\"", spool::crc32(&bytes), bytes.len());
+
+    let server = start(QueryConfig {
+        dir: parent.clone(),
+        ..Default::default()
+    });
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+    let (status, headers, _) = client.get("/api/v1/sessions/multi/profile", &[]).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        headers.iter().any(|(n, v)| n == "etag" && *v == etag),
+        "{headers:?} should carry {etag}"
+    );
+    server.join();
+    std::fs::remove_dir_all(&parent).ok();
+}
+
 /// One connection, many requests: the daemon holds the line open, every
 /// analysis answer carries a spool-CRC ETag, and presenting that ETag
 /// back yields an empty-bodied `304 Not Modified`.
