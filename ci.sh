@@ -110,6 +110,13 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
 head -n 1 "$OBS_TMP/collected.doctor" | grep -q ': ok$' \
     || { cat "$OBS_TMP/collected.doctor" >&2; echo "collected spool failed doctor --fsck" >&2; exit 1; }
 echo "    collected spool passes doctor --fsck (verdict ok)"
+# The source spool, written locally, goes through the same segment
+# reader and must deep-verify clean too.
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    doctor "$OBS_TMP/spool" --fsck > "$OBS_TMP/local.doctor"
+head -n 1 "$OBS_TMP/local.doctor" | grep -q ': ok$' \
+    || { cat "$OBS_TMP/local.doctor" >&2; echo "source spool failed doctor --fsck" >&2; exit 1; }
+echo "    source spool passes doctor --fsck (verdict ok)"
 
 echo "==> fleet observability smoke (2 shippers + /fleet.json + /metrics)"
 cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/fleet-a" >/dev/null

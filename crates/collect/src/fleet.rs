@@ -250,15 +250,8 @@ pub fn latest_telemetry(dir: &Path) -> Option<Telemetry> {
     use tempest_probe::spool as sp;
     let limits = tempest_probe::limits::DecodeLimits::default();
     let mut latest: Option<Telemetry> = None;
-    for (_, path) in sp::list_segment_files(dir).ok()? {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let (frames, _) = sp::parse_segment_frames(&bytes);
-        for f in frames.iter().filter_map(sp::unwrap_frame) {
-            if f.kind != sp::FRAME_METRICS {
-                continue;
-            }
+    sp::scan_frames(dir, |f| {
+        if f.kind == sp::FRAME_METRICS {
             if let Ok(sp::Decoded::Telemetry(t)) = sp::decode_frame(f.kind, f.payload, &limits) {
                 if latest
                     .as_ref()
@@ -268,7 +261,8 @@ pub fn latest_telemetry(dir: &Path) -> Option<Telemetry> {
                 }
             }
         }
-    }
+        std::ops::ControlFlow::<()>::Continue(())
+    });
     latest
 }
 

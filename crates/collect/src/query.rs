@@ -252,8 +252,8 @@ impl QueryServer {
 }
 
 /// Scan the collected directory into a fresh catalog: one entry per
-/// member spool, hashed over its segment bytes in cursor order, one
-/// segment in memory at a time.
+/// member spool, hashed over its segment bytes in cursor order through
+/// [`Crc32::update_from`]'s fixed buffer.
 fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
     let mut catalog = BTreeMap::new();
     for member in fleet::member_dirs(dir) {
@@ -268,9 +268,12 @@ fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
         let mut crc = Crc32::new();
         let mut len = 0u64;
         for (_, path) in &segments {
-            if let Ok(bytes) = std::fs::read(path) {
-                crc.update(&bytes);
-                len += bytes.len() as u64;
+            // A segment that fails to read adds nothing, not a part.
+            let mut next = crc;
+            if let Ok(n) =
+                spool::open_segment(path).and_then(|(mut file, _)| next.update_from(&mut file))
+            {
+                (crc, len) = (next, len + n);
             }
         }
         let crc = crc.finish();

@@ -7,6 +7,7 @@
 use std::collections::HashSet;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,9 +23,8 @@ use tempest_probe::ship::{
     MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    decode_frame, list_segment_files, parse_segment_frames, shipped2_payload, unwrap_frame,
-    Decoded, SegmentLog, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2,
-    SEGMENT_HEADER_LEN, SHIPPED2_PREFIX_LEN,
+    decode_frame, scan_frames, shipped2_payload, Decoded, SegmentLog, FRAME_FOOTER,
+    FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SEGMENT_HEADER_LEN, SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -646,15 +646,8 @@ impl SessionWriter {
         let mut next: Option<Cursor> = None;
         let mut footer_seen = false;
         let limits = DecodeLimits::default();
-        for (_, path) in list_segment_files(dir).unwrap_or_default() {
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let (frames, _) = parse_segment_frames(&bytes);
-            for f in frames.iter().filter_map(unwrap_frame) {
-                let Some(shipped) = f.shipped else {
-                    continue;
-                };
+        scan_frames(dir, |f| {
+            if let Some(shipped) = f.shipped {
                 let after = Cursor {
                     seg: shipped.seg,
                     off: shipped.off + (FRAME_HEADER_LEN + f.payload.len()) as u64,
@@ -671,7 +664,8 @@ impl SessionWriter {
                     footer_seen = true;
                 }
             }
-        }
+            ControlFlow::<()>::Continue(())
+        });
         // A crashed collector's leftover open segment is sealed as it
         // stands: its verified prefix is what the cursor above counted.
         Ok(SessionWriter {

@@ -26,6 +26,9 @@ const POLY: u32 = 0xEDB8_8320;
 /// four 16-byte lanes.
 const FOLD_MIN_LEN: usize = 64;
 
+/// The buffer [`Crc32::update_from`] reads through.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// `TABLES[0][b]` advances the register over byte `b`; `TABLES[k][b]`
 /// over byte `b` followed by `k` zero bytes. Sixteen lookups thus advance
 /// it over 16 bytes.
@@ -78,6 +81,24 @@ impl Crc32 {
     /// Feed the next `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
         self.0 = folded(self.0, bytes).unwrap_or_else(|| slice16(self.0, bytes));
+    }
+
+    /// Feed every byte `reader` yields, through one buffer of
+    /// `READ_CHUNK` (64 KiB); returns how many bytes that was.
+    pub fn update_from(&mut self, reader: &mut impl std::io::Read) -> std::io::Result<u64> {
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut fed = 0u64;
+        loop {
+            match reader.read(&mut buf) {
+                Ok(0) => return Ok(fed),
+                Ok(n) => {
+                    self.update(&buf[..n]);
+                    fed += n as u64;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The CRC-32 of every byte fed so far.
@@ -279,6 +300,18 @@ mod tests {
         ) {
             check(seed, offset, len, split)?;
         }
+    }
+
+    #[test]
+    fn update_from_a_reader_matches_one_update() {
+        let data = noise(9, 200_003);
+        let mut running = Crc32::new();
+        running.update(b"head");
+        assert_eq!(running.update_from(&mut data.as_slice()).unwrap(), 200_003);
+        let mut whole = Crc32::new();
+        whole.update(b"head");
+        whole.update(&data);
+        assert_eq!(running.finish(), whole.finish());
     }
 
     #[test]

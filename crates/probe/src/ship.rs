@@ -35,12 +35,13 @@
 
 use crate::limits::DecodeLimits;
 use crate::spool::{
-    self, frame_crc, frame_header, list_segment_files, parse_segment_frames, split_frame_header,
-    Decoded, FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
+    self, frame_crc, frame_header, list_segment_files, split_frame_header, Decoded, SegmentReader,
+    FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
 };
 use crate::trace::encode_str;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -613,21 +614,15 @@ pub fn ship(config: &ShipConfig) -> io::Result<ShipReport> {
 /// anonymous fallback keeps HELLO well-formed for header-damaged spools.
 fn spool_identity(dir: &Path) -> (u32, String) {
     let limits = DecodeLimits::default();
-    for (_, path) in list_segment_files(dir).unwrap_or_default() {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let (frames, _) = parse_segment_frames(&bytes);
-        for f in frames.iter().filter_map(spool::unwrap_frame) {
-            if f.kind != FRAME_NODE {
-                continue;
-            }
+    spool::scan_frames(dir, |f| {
+        if f.kind == FRAME_NODE {
             if let Ok(Decoded::Node(node)) = spool::decode_frame(f.kind, f.payload, &limits) {
-                return (node.node_id, node.hostname);
+                return ControlFlow::Break((node.node_id, node.hostname));
             }
         }
-    }
-    (0, "unknown".to_string())
+        ControlFlow::Continue(())
+    })
+    .unwrap_or_else(|| (0, "unknown".to_string()))
 }
 
 fn proto_err(msg: String) -> io::Error {
@@ -772,20 +767,18 @@ fn ship_available(
     metrics: &ShipMetrics,
 ) -> io::Result<(bool, bool)> {
     let mut shipped_any = false;
-    let mut scratch = Vec::new();
     for (seq, path) in list_segment_files(&config.dir)? {
         if seq < cursor.seg {
             continue;
         }
-        let sealed = path.extension().is_some_and(|e| e == "seg");
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            // Sealed out from under us between listing and reading.
+        let mut segment = match SegmentReader::open(&path) {
+            Ok(segment) => segment,
+            // Gone since the listing, under either name.
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        let (frames, _torn) = parse_segment_frames(&bytes);
-        for f in &frames {
+        let sealed = segment.path().extension().is_some_and(|e| e == "seg");
+        while let Some(f) = segment.next_frame()? {
             let at = Cursor {
                 seg: seq,
                 off: f.offset,
@@ -802,18 +795,12 @@ fn ship_available(
                 }
                 continue;
             }
-            scratch.clear();
-            scratch.extend_from_slice(&data_payload(
-                seq,
-                f.offset,
-                tempest_obs::unix_now_ns(),
-                f.kind,
-                f.payload,
-            ));
-            write_msg(stream, MSG_DATA, &scratch)?;
+            let sent_ns = tempest_obs::unix_now_ns();
+            let msg = data_payload(seq, f.offset, sent_ns, f.kind, f.payload);
+            write_msg(stream, MSG_DATA, &msg)?;
             report.frames_sent += 1;
             metrics.frames_sent.inc();
-            metrics.bytes.add(scratch.len() as u64);
+            metrics.bytes.add(msg.len() as u64);
             match read_msg(stream, MAX_WIRE_LEN)? {
                 (MSG_ACK, p) => {
                     let next = Cursor::decode(&p).ok_or_else(|| proto_err("short ACK".into()))?;

@@ -30,24 +30,34 @@
 //! frame headers (`frame_header`, `split_frame_header`, also used on the
 //! ship wire) each have one owner.
 //!
-//! Readers go through two rules that live only here: [`unwrap_frame`]
-//! takes a frame out of its shipped envelope, and [`decode_frame`] turns
-//! a kind and payload into a typed [`Decoded`] value or a [`FrameFail`].
+//! One segment reader, [`SegmentReader`], reads every segment file:
+//! for recovery, fsck, the shipper, the collector's resume scan and the
+//! fleet view. Readers walk [`list_segment_files`], the one listing, in
+//! which a sealed segment wins over an `.open` twin of its sequence; each
+//! segment opens by [`open_segment`]'s rule (a listed `.open` segment
+//! sealed since is read under its `.seg` name) and yields one frame at a
+//! time from a reused buffer, never past the length it had when opened.
+//! [`parse_segment_frames`] cuts a segment already in memory by the same
+//! frame rule. Two more rules live only here: [`unwrap_frame`] takes a
+//! frame out of its shipped envelope, and [`decode_frame`] turns a kind
+//! and payload into a typed [`Decoded`] value or a [`FrameFail`], through
+//! the trace file's own node and symbol decoders.
 
 use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
 pub use crate::crc::crc32;
 use crate::crc::Crc32;
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
-use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
+use crate::limits::{CancelToken, DecodeLimits, LimitExceeded, ResourceBudget};
 use crate::trace::{
-    decode_sensor_kind, encode_functions, encode_node, NodeMeta, SalvageReport, SensorMeta, Trace,
-    TraceError, TraceSection,
+    decode_functions, decode_node, encode_functions, encode_node, Cursor, NodeMeta, SalvageReport,
+    Trace, TraceError, TraceSection,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,6 +70,8 @@ const SEGMENT_MAGIC: &[u8; 8] = b"TMPSPOL1";
 pub const SEGMENT_HEADER_LEN: usize = 8 + 8;
 /// Frame header: kind + payload length + checksum.
 pub const FRAME_HEADER_LEN: usize = 1 + 4 + 4;
+/// How far a [`SegmentReader`] reads ahead; a longer frame is read whole.
+const READ_AHEAD: usize = 64 * 1024;
 /// One spooled event record: tag + thread + payload + aux + timestamp.
 const EVENT_RECORD_LEN: usize = 1 + 4 + 4 + 4 + 8;
 /// Session-footer payload: four u64 counters.
@@ -165,6 +177,21 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<(u64, bool)> {
     };
     let seq = stem.strip_prefix("seg-")?.parse().ok()?;
     Some((seq, sealed))
+}
+
+/// Every segment file in `dir` as `(sequence, sealed, name)`, ordered by
+/// sequence with a sealed file before an open one of the same sequence:
+/// the one walk of a spool directory's segments.
+fn segment_names(dir: &Path) -> io::Result<Vec<(u64, bool, String)>> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().into_string().unwrap_or_default();
+        if let Some((seq, sealed)) = parse_segment_file_name(&name) {
+            names.push((seq, sealed, name));
+        }
+    }
+    names.sort_by_key(|&(seq, sealed, _)| (seq, !sealed));
+    Ok(names)
 }
 
 // ---- configuration ---------------------------------------------------------
@@ -319,15 +346,9 @@ impl SegmentLog {
     /// on a fresh segment after the highest sequence number present.
     pub fn reopen(dir: &Path, node_id: u32, hostname: &str) -> io::Result<SegmentLog> {
         std::fs::create_dir_all(dir)?;
-        let names: Vec<String> = std::fs::read_dir(dir)?
-            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-            .collect();
         let (mut next_seq, mut sealed) = (0, Vec::new());
-        for name in names {
-            let Some((seq, is_sealed)) = parse_segment_file_name(&name) else {
-                continue;
-            };
-            next_seq = next_seq.max(seq + 1);
+        for (seq, is_sealed, name) in segment_names(dir)? {
+            next_seq = seq + 1;
             let target = segment_file_name(seq, true);
             if is_sealed {
                 sealed.push(name);
@@ -338,7 +359,6 @@ impl SegmentLog {
                 sealed.push(target);
             }
         }
-        sealed.sort();
         Self::start(dir, node_id, hostname, next_seq, sealed)
     }
 
@@ -930,17 +950,13 @@ pub fn check_manifest(dir: &Path) -> io::Result<Option<ManifestCheck>> {
     }
     check.listed = listed.len() as u32;
     let mut sealed_on_disk: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        match parse_segment_file_name(name) {
-            Some((_, true)) => sealed_on_disk.push(name.to_string()),
-            Some((_, false)) => check.unsealed.push(name.to_string()),
-            None => {}
+    for (_, sealed, name) in segment_names(dir)? {
+        if sealed {
+            sealed_on_disk.push(name);
+        } else {
+            check.unsealed.push(name);
         }
     }
-    sealed_on_disk.sort();
-    check.unsealed.sort();
     for name in &listed {
         if !sealed_on_disk.iter().any(|d| d == name) {
             check.missing.push(name.clone());
@@ -965,60 +981,6 @@ fn sync_dir(dir: &Path) {
 
 // ---- payload decoding ------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return None;
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// A length-prefixed string whose claimed length is checked against
-    /// the limit *before* any bytes are touched.
-    fn str(&mut self, limits: &DecodeLimits, what: &'static str) -> Result<String, FrameFail> {
-        let len = self.u16().ok_or(FrameFail::Corrupt)? as usize;
-        limits.check_string(what, len)?;
-        let bytes = self.take(len).ok_or(FrameFail::Corrupt)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| FrameFail::Corrupt)
-    }
-}
-
 /// Why a checksum-valid frame still failed to decode: structural damage
 /// or a kind no reader knows (discard the frame, keep scanning) versus a
 /// resource-limit overrun (stop and surface the typed error — scanning
@@ -1034,9 +996,12 @@ pub enum FrameFail {
     Limit(LimitExceeded),
 }
 
-impl From<LimitExceeded> for FrameFail {
-    fn from(e: LimitExceeded) -> Self {
-        FrameFail::Limit(e)
+impl From<TraceError> for FrameFail {
+    fn from(e: TraceError) -> Self {
+        match e {
+            TraceError::Limit(e) => FrameFail::Limit(e),
+            _ => FrameFail::Corrupt,
+        }
     }
 }
 
@@ -1070,12 +1035,24 @@ pub enum Decoded {
 /// kind under `limits`. Every reader of spool frames decides what a
 /// frame holds here, so recovery and fsck cannot disagree about one.
 pub fn decode_frame(kind: u8, payload: &[u8], limits: &DecodeLimits) -> Result<Decoded, FrameFail> {
+    // Node and symbol frames decode through the trace file's decoders,
+    // without its byte budget or deadline: recovery meters events only.
+    let cur = &mut Cursor::new(payload);
+    let (budget, cancel) = (ResourceBudget::unlimited(), CancelToken::default());
     match kind {
         FRAME_EVENTS => decode_events(payload)
             .map(Decoded::Events)
             .ok_or(FrameFail::Corrupt),
-        FRAME_SYMBOLS => decode_symbols(payload, limits).map(Decoded::Symbols),
-        FRAME_NODE => decode_node(payload, limits).map(Decoded::Node),
+        FRAME_SYMBOLS => {
+            let mut functions = Vec::new();
+            decode_functions(cur, &mut functions, limits, &budget, &cancel)?;
+            Ok(Decoded::Symbols(functions))
+        }
+        FRAME_NODE => {
+            let mut node = NodeMeta::anonymous();
+            decode_node(cur, &mut node, limits, &budget)?;
+            Ok(Decoded::Node(node))
+        }
         FRAME_FOOTER if payload.len() == FOOTER_LEN => {
             let mut vals = [0u64; 4];
             for (v, b) in vals.iter_mut().zip(payload.chunks_exact(8)) {
@@ -1125,64 +1102,6 @@ fn decode_events(payload: &[u8]) -> Option<Vec<Event>> {
         });
     }
     Some(out)
-}
-
-/// Minimum encoded size of one symbol entry: id + address + kind + empty
-/// name. Bounds how many entries a payload of a given size can hold.
-const SYMBOL_ENTRY_MIN_LEN: usize = 4 + 8 + 1 + 2;
-/// Minimum encoded size of one sensor entry: id + kind + empty label.
-const SENSOR_ENTRY_MIN_LEN: usize = 2 + 1 + 2;
-
-fn decode_symbols(payload: &[u8], limits: &DecodeLimits) -> Result<Vec<FunctionDef>, FrameFail> {
-    let mut r = Reader::new(payload);
-    let count = r.u32().ok_or(FrameFail::Corrupt)? as usize;
-    limits.check_count("symbols", count as u64, limits.max_functions as u64)?;
-    // The declared count never drives the reservation directly: clamp to
-    // what the payload bytes can actually hold.
-    let mut out =
-        Vec::with_capacity(limits.clamp_prealloc(count, r.remaining(), SYMBOL_ENTRY_MIN_LEN));
-    for _ in 0..count {
-        let id = FunctionId(r.u32().ok_or(FrameFail::Corrupt)?);
-        let address = r.u64().ok_or(FrameFail::Corrupt)?;
-        let kind = match r.u8().ok_or(FrameFail::Corrupt)? {
-            0 => ScopeKind::Function,
-            1 => ScopeKind::Block,
-            _ => return Err(FrameFail::Corrupt),
-        };
-        let name = r.str(limits, "symbol name")?;
-        out.push(FunctionDef {
-            id,
-            name,
-            address,
-            kind,
-        });
-    }
-    Ok(out)
-}
-
-fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeMeta, FrameFail> {
-    let mut r = Reader::new(payload);
-    let node_id = r.u32().ok_or(FrameFail::Corrupt)?;
-    let hostname = r.str(limits, "hostname")?;
-    let nsensors = r.u16().ok_or(FrameFail::Corrupt)? as usize;
-    limits.check_count("sensors", nsensors as u64, limits.max_sensors as u64)?;
-    // An untrusted count must not size the allocation (this exact line
-    // used to be `Vec::with_capacity(nsensors)` — a 64 KiB payload could
-    // claim 65535 sensors and reserve for all of them upfront).
-    let mut sensors =
-        Vec::with_capacity(limits.clamp_prealloc(nsensors, r.remaining(), SENSOR_ENTRY_MIN_LEN));
-    for _ in 0..nsensors {
-        let id = SensorId(r.u16().ok_or(FrameFail::Corrupt)?);
-        let kind = decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
-            .map_err(|_| FrameFail::Corrupt)?;
-        let label = r.str(limits, "sensor label")?;
-        sensors.push(SensorMeta { id, label, kind });
-    }
-    Ok(NodeMeta {
-        node_id,
-        hostname,
-        sensors,
-    })
 }
 
 // ---- recovery --------------------------------------------------------------
@@ -1253,36 +1172,39 @@ pub fn is_spool_dir(path: &Path) -> bool {
     if path.join(MANIFEST_NAME).is_file() {
         return true;
     }
-    list_segments(path).map(|s| !s.is_empty()).unwrap_or(false)
+    list_segment_files(path).is_ok_and(|s| !s.is_empty())
 }
 
-/// Segment files in `dir` as `(sequence, path)`, ordered by sequence
-/// number. Sealed segments sort before an open one with the same
-/// sequence (the open one is a leftover from a crashed rotation and
-/// scanning it second is harmless — duplicate protection comes from
-/// sequence ordering being strict).
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segs: Vec<(u64, bool, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some((seq, sealed)) = entry.file_name().to_str().and_then(parse_segment_file_name) {
-            segs.push((seq, !sealed, entry.path()));
-        }
-    }
-    segs.sort();
-    Ok(segs.into_iter().map(|(seq, _, path)| (seq, path)).collect())
-}
-
-/// Segment files in `dir` as `(sequence, path)`, ordered by sequence and
-/// deduplicated: when a sealed and an open file share a sequence (a
-/// crashed rotation), the sealed one wins. This is the shipper's view of
-/// a spool — a cursor keyed by sequence must be unambiguous.
+/// Segment files in `dir` as `(sequence, path)`, ordered by sequence: the
+/// one listing every reader walks. When a sealed and an open file share
+/// a sequence (a crashed rotation, or a copy), the sealed one wins, so
+/// each sequence is read once.
 pub fn list_segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segs = list_segments(dir)?;
-    // list_segments sorts sealed before open at equal sequence, so the
-    // first of each sequence is the one to keep.
-    segs.dedup_by_key(|(seq, _)| *seq);
-    Ok(segs)
+    let mut names = segment_names(dir)?;
+    names.dedup_by_key(|(seq, ..)| *seq);
+    Ok(names
+        .into_iter()
+        .map(|(seq, _, name)| (seq, dir.join(name)))
+        .collect())
+}
+
+/// The open rule of every segment scan: open a listed segment, or its
+/// `.seg` name when a listed `.open` segment was sealed since. Returns
+/// the file, capped at the length it had when opened, and the path.
+pub fn open_segment(path: &Path) -> io::Result<(io::Take<File>, PathBuf)> {
+    let (file, path) = match File::open(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let name = path.file_name().and_then(|n| n.to_str());
+            let Some((seq, false)) = name.and_then(parse_segment_file_name) else {
+                return Err(e);
+            };
+            let sealed = path.with_file_name(segment_file_name(seq, true));
+            (File::open(&sealed)?, sealed)
+        }
+        file => (file?, path.to_path_buf()),
+    };
+    let len = file.metadata()?.len();
+    Ok((file.take(len), path))
 }
 
 /// One checksum-verified frame inside a segment file, with the byte
@@ -1298,31 +1220,65 @@ pub struct RawFrame<'a> {
     pub payload: &'a [u8],
 }
 
-/// Parse one segment's bytes into frames; stops at the first torn or
-/// checksum-failed frame (everything after it is untrustworthy).
-/// Returns `(frames, discarded)` where `discarded` is 1 if a damaged
-/// frame terminated the scan.
+/// True when `bytes` start with a whole segment header. Bytes without
+/// one hold no frames, and count as one torn frame unless there are none.
+fn segment_header_ok(bytes: &[u8]) -> bool {
+    bytes.len() >= SEGMENT_HEADER_LEN && bytes.starts_with(SEGMENT_MAGIC)
+}
+
+/// What [`cut_frame`] found at a frame boundary.
+enum Cut {
+    /// A checksum-verified frame: its kind and payload length.
+    Frame(u8, usize),
+    /// The segment ends here, or a torn or checksum-failed frame does.
+    Stop,
+    /// The frame fits in the segment; the window must hold this many
+    /// bytes to check it.
+    Need(usize),
+}
+
+/// The frame-boundary and checksum rule, which [`parse_segment_frames`]
+/// and [`SegmentReader`] both cut by. `window` holds segment bytes from a
+/// frame boundary on, and `left` is how many the segment has from there.
+/// A claimed length is checked against `left` before more bytes are
+/// asked for, so a lying header never grows a buffer past the segment.
+fn cut_frame(window: &[u8], left: u64) -> Cut {
+    if left < FRAME_HEADER_LEN as u64 {
+        return Cut::Stop;
+    }
+    let Some(head) = window.first_chunk() else {
+        return Cut::Need(FRAME_HEADER_LEN);
+    };
+    let (kind, len, crc) = split_frame_header(head);
+    let end = match usize::try_from(FRAME_HEADER_LEN as u64 + u64::from(len)) {
+        Ok(end) if end as u64 <= left => end,
+        _ => return Cut::Stop,
+    };
+    match window.get(FRAME_HEADER_LEN..end) {
+        None => Cut::Need(end),
+        Some(payload) if frame_crc(kind, payload) == crc => Cut::Frame(kind, len as usize),
+        Some(_) => Cut::Stop,
+    }
+}
+
+/// Parse a segment already in memory into frames by `cut_frame`,
+/// stopping at the first torn or checksum-failed frame (everything after
+/// it is untrustworthy). Returns `(frames, discarded)` where `discarded`
+/// is 1 if a damaged frame or segment header ended the scan. Segment
+/// files are read through [`SegmentReader`] instead.
 pub fn parse_segment_frames(bytes: &[u8]) -> (Vec<RawFrame<'_>>, u64) {
     let mut frames = Vec::new();
-    if bytes.len() < SEGMENT_HEADER_LEN || &bytes[..8] != SEGMENT_MAGIC {
-        // Not even a segment header: nothing recoverable, one discard.
+    if !segment_header_ok(bytes) {
         return (frames, u64::from(!bytes.is_empty()));
     }
     let mut pos = SEGMENT_HEADER_LEN;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        let Some(head) = bytes[pos..].first_chunk() else {
-            return (frames, 1); // torn header
+    loop {
+        let window = &bytes[pos..];
+        // The window is the rest of the segment, so no frame needs more.
+        let Cut::Frame(kind, len) = cut_frame(window, window.len() as u64) else {
+            return (frames, u64::from(!window.is_empty()));
         };
-        let (kind, len, crc) = split_frame_header(head);
-        let len = len as usize;
-        if remaining - FRAME_HEADER_LEN < len {
-            return (frames, 1); // torn payload
-        }
-        let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-        if frame_crc(kind, payload) != crc {
-            return (frames, 1); // bit flip somewhere in this frame
-        }
+        let payload = &window[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
         frames.push(RawFrame {
             offset: pos as u64,
             kind,
@@ -1330,7 +1286,131 @@ pub fn parse_segment_frames(bytes: &[u8]) -> (Vec<RawFrame<'_>>, u64) {
         });
         pos += FRAME_HEADER_LEN + len;
     }
-    (frames, 0)
+}
+
+/// The one reader of spool segment files. It opens a listed segment by
+/// [`open_segment`]'s rule and hands out its frames one at a time, cut by
+/// `cut_frame` from a reused buffer that holds `READ_AHEAD` bytes or
+/// one longer frame. It stops at the first torn or checksum-failed frame
+/// and never reads past the length the segment had when it was opened.
+pub struct SegmentReader {
+    file: io::Take<File>,
+    path: PathBuf,
+    /// `buf[..filled]` holds the segment from offset `base` on, and the
+    /// next frame starts at `buf[at]`.
+    buf: Vec<u8>,
+    base: u64,
+    filled: usize,
+    at: usize,
+    torn: bool,
+}
+
+impl SegmentReader {
+    /// Open a listed segment and check its header.
+    pub fn open(path: &Path) -> io::Result<SegmentReader> {
+        let (file, path) = open_segment(path)?;
+        let mut reader = SegmentReader {
+            file,
+            path,
+            buf: Vec::new(),
+            base: 0,
+            filled: 0,
+            at: 0,
+            torn: false,
+        };
+        reader.fill(SEGMENT_HEADER_LEN)?;
+        if segment_header_ok(&reader.buf[..reader.filled]) {
+            reader.at = SEGMENT_HEADER_LEN;
+        } else {
+            reader.torn = reader.filled > 0;
+            reader.at = reader.filled;
+            reader.file.set_limit(0);
+        }
+        Ok(reader)
+    }
+
+    /// The next checksum-verified frame; `None` at the end of the segment
+    /// or at its first torn or checksum-failed frame.
+    pub fn next_frame(&mut self) -> io::Result<Option<RawFrame<'_>>> {
+        loop {
+            let left = (self.filled - self.at) as u64 + self.file.limit();
+            match cut_frame(&self.buf[self.at..self.filled], left) {
+                Cut::Frame(kind, len) => {
+                    let offset = self.base + self.at as u64;
+                    let payload = self.at + FRAME_HEADER_LEN..self.at + FRAME_HEADER_LEN + len;
+                    self.at = payload.end;
+                    let payload = &self.buf[payload];
+                    return Ok(Some(RawFrame {
+                        offset,
+                        kind,
+                        payload,
+                    }));
+                }
+                Cut::Need(n) => self.fill(n)?,
+                Cut::Stop => {
+                    self.torn |= left > 0;
+                    return Ok(None);
+                }
+            }
+        }
+    }
+
+    /// 1 once a torn or checksum-failed frame, or a damaged segment
+    /// header, has ended the scan; 0 otherwise.
+    pub fn torn(&self) -> u64 {
+        u64::from(self.torn)
+    }
+
+    /// The file opened: the listed path, or the `.seg` name it was sealed
+    /// under since.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Make `buf` hold at least `n` bytes from the next frame on, reading
+    /// ahead up to [`READ_AHEAD`]. A file that shrank since it was opened
+    /// ends the segment where it stops.
+    fn fill(&mut self, n: usize) -> io::Result<()> {
+        self.buf.copy_within(self.at..self.filled, 0);
+        self.base += self.at as u64;
+        self.filled -= self.at;
+        self.at = 0;
+        let ahead = (self.filled as u64 + self.file.limit()).min(READ_AHEAD as u64);
+        let want = n.max(ahead as usize);
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        while self.filled < n && self.file.limit() > 0 {
+            match self.file.read(&mut self.buf[self.filled..want]) {
+                Ok(0) => self.file.set_limit(0),
+                Ok(got) => self.filled += got,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Walk the frames of the spool in `dir`, envelopes taken off, in
+/// recovery order, until `visit` breaks with a value. For lookups that
+/// may pass over damage: a segment that cannot be read is skipped from
+/// where it fails, and a malformed envelope is left out.
+pub fn scan_frames<B>(
+    dir: &Path,
+    mut visit: impl FnMut(Unwrapped<'_>) -> ControlFlow<B>,
+) -> Option<B> {
+    for (_, path) in list_segment_files(dir).ok()? {
+        let Ok(mut segment) = SegmentReader::open(&path) else {
+            continue;
+        };
+        while let Ok(Some(frame)) = segment.next_frame() {
+            if let Some(ControlFlow::Break(found)) = unwrap_frame(&frame).map(&mut visit) {
+                return Some(found);
+            }
+        }
+    }
+    None
 }
 
 /// Build a [`FRAME_SHIPPED2`] payload: the source cursor, the shipper's
@@ -1424,8 +1504,9 @@ pub fn unwrap_frame<'a>(frame: &RawFrame<'a>) -> Option<Unwrapped<'a>> {
 
 /// Scan a spool directory and reassemble the trace it holds.
 ///
-/// Deliberately manifest-independent: every segment file present is
-/// scanned, every frame is checksum-verified, and parsing of a segment
+/// Deliberately manifest-independent: every segment present is scanned
+/// once (see [`list_segment_files`]), every frame is checksum-verified,
+/// and parsing of a segment
 /// stops at its first damaged frame (later segments are still used — a
 /// torn rotation does not sacrifice everything after it). Never panics on
 /// arbitrary input; a directory with no usable segment data is an error.
@@ -1445,7 +1526,7 @@ pub fn recover_with(
     limits: &DecodeLimits,
     cancel: &CancelToken,
 ) -> Result<(Trace, SpoolReport), TraceError> {
-    let segments = list_segments(dir)?;
+    let segments = list_segment_files(dir)?;
     if segments.is_empty() {
         return Err(TraceError::Corrupt("no spool segments found"));
     }
@@ -1463,11 +1544,9 @@ pub fn recover_with(
             limit_hit = Some(e);
             break;
         }
-        let bytes = std::fs::read(path)?;
+        let mut segment = SegmentReader::open(path)?;
         report.segments_scanned += 1;
-        let (frames, discarded) = parse_segment_frames(&bytes);
-        report.frames_discarded += discarded;
-        for frame in frames {
+        while let Some(frame) = segment.next_frame()? {
             let Some(inner) = unwrap_frame(&frame) else {
                 report.frames_discarded += 1;
                 continue;
@@ -1522,6 +1601,7 @@ pub fn recover_with(
             }
             report.frames_recovered += 1;
         }
+        report.frames_discarded += segment.torn();
     }
 
     if let Some(limit) = &limit_hit {
@@ -1644,16 +1724,15 @@ impl SegmentFsck {
 /// bounded amount of memory that is dropped before the next one.
 pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck>> {
     let mut out = Vec::new();
-    for (_, path) in list_segments(dir)? {
-        let bytes = std::fs::read(&path)?;
-        let (frames, torn) = parse_segment_frames(&bytes);
+    for (_, path) in list_segment_files(dir)? {
+        let mut segment = SegmentReader::open(&path)?;
         let mut fsck = SegmentFsck {
-            path,
+            path: segment.path().to_path_buf(),
             frames_ok: 0,
-            frames_torn: torn,
+            frames_torn: 0,
             violations: Vec::new(),
         };
-        for frame in frames {
+        while let Some(frame) = segment.next_frame()? {
             let Some(inner) = unwrap_frame(&frame) else {
                 fsck.violations.push(format!(
                     "frame @{}: malformed shipped wrapper",
@@ -1669,6 +1748,7 @@ pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck
                 )),
             }
         }
+        fsck.frames_torn = segment.torn();
         out.push(fsck);
     }
     Ok(out)
@@ -1852,6 +1932,8 @@ impl EventSink for SpoolSink {
 mod tests {
     use super::*;
     use crate::func::FunctionId;
+    use crate::trace::SensorMeta;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
 
     static DIR_SERIAL: AtomicU32 = AtomicU32::new(0);
@@ -1919,7 +2001,7 @@ mod tests {
         let limits = DecodeLimits::strict();
         let (_, report) = recover_with(&dir, &limits, &CancelToken::default()).unwrap();
         let hit = report.salvage.limit.expect("limit recorded");
-        assert_eq!(hit.what, "symbols");
+        assert_eq!(hit.what, "functions");
         assert_eq!(hit.observed, 1 << 31);
         assert!(!report.salvage.is_clean());
         std::fs::remove_dir_all(&dir).ok();
@@ -1935,7 +2017,7 @@ mod tests {
         payload.extend_from_slice(&u16::MAX.to_le_bytes());
         // Under strict limits the cardinality cap trips...
         assert!(matches!(
-            decode_node(&payload, &DecodeLimits::strict()),
+            decode_frame(FRAME_NODE, &payload, &DecodeLimits::strict()),
             Err(FrameFail::Limit(_))
         ));
         // ...and under the generous defaults the claim passes the cap but
@@ -1943,7 +2025,7 @@ mod tests {
         // just fails structurally (no bytes back the claim) without any
         // count-sized reservation.
         assert!(matches!(
-            decode_node(&payload, &DecodeLimits::default()),
+            decode_frame(FRAME_NODE, &payload, &DecodeLimits::default()),
             Err(FrameFail::Corrupt)
         ));
     }
@@ -2523,6 +2605,212 @@ mod tests {
         );
         std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dst).ok();
+    }
+
+    #[test]
+    fn a_sealed_segment_and_its_open_twin_are_read_once() {
+        let dir = temp_spool_dir("twin");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        for i in 0..5 {
+            w.append_batch(&demo_batch(100 * i)).unwrap();
+        }
+        w.finish(&demo_functions(), 0, 0).unwrap();
+        let (trace, alone) = recover(&dir).unwrap();
+        assert_eq!(alone.events_recovered, 15);
+
+        // A byte copy of the sealed segment under its `.open` name, as a
+        // crashed rotation or a careless copy leaves one.
+        std::fs::copy(dir.join("seg-000000.seg"), dir.join("seg-000000.open")).unwrap();
+        let (twinned_trace, twinned) = recover(&dir).unwrap();
+        assert_eq!(twinned.events_recovered, alone.events_recovered);
+        assert_eq!(twinned.frames_recovered, alone.frames_recovered);
+        assert_eq!(twinned.segments_scanned, 1);
+        assert_eq!((twinned_trace, twinned), (trace, alone));
+        let fsck = fsck_dir(&dir, &DecodeLimits::strict()).unwrap();
+        assert_eq!(fsck.len(), 1, "one entry per sequence number: {fsck:?}");
+        assert!(fsck[0].path.ends_with("seg-000000.seg"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_sealed_after_listing_is_still_read() {
+        let dir = temp_spool_dir("sealed-mid-scan");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        w.append_batch(&demo_batch(100)).unwrap();
+        drop(w); // still `.open`, as a live writer's segment is
+
+        // List, seal behind the reader's back, then read what was listed.
+        let listed = list_segment_files(&dir).unwrap();
+        let open = listed[0].1.clone();
+        assert!(open.ends_with("seg-000000.open"));
+        let bytes = std::fs::read(&open).unwrap();
+        std::fs::rename(&open, dir.join("seg-000000.seg")).unwrap();
+        let mut segment = SegmentReader::open(&open).unwrap();
+        assert!(segment.path().ends_with("seg-000000.seg"));
+        let mut offsets = Vec::new();
+        while let Some(frame) = segment.next_frame().unwrap() {
+            offsets.push(frame.offset);
+        }
+        let (want, _) = parse_segment_frames(&bytes);
+        assert_eq!(offsets, want.iter().map(|f| f.offset).collect::<Vec<_>>());
+        assert_eq!(offsets.len(), 2, "node and events frames");
+
+        // Gone under both names, it is still not found.
+        std::fs::remove_file(dir.join("seg-000000.seg")).unwrap();
+        let gone = SegmentReader::open(&open).err().unwrap();
+        assert_eq!(gone.kind(), io::ErrorKind::NotFound);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_frame_claiming_u32_max_bytes_reads_as_one_torn_frame() {
+        // Past the first read-ahead, so the lying header arrives on its
+        // own and its claim is checked before the buffer could grow.
+        let dir = temp_spool_dir("huge-claim");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        let batch: Vec<Event> = (0..500).flat_map(|i| demo_batch(10 * i)).collect();
+        w.append_batch(&batch).unwrap();
+        w.append_batch(&batch).unwrap();
+        drop(w);
+        let path = dir.join("seg-000000.open");
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.len() > READ_AHEAD);
+        let mut head = frame_header(FRAME_EVENTS, &[]);
+        head[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&head);
+        bytes.extend_from_slice(&[7; 100]);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut segment = SegmentReader::open(&path).unwrap();
+        let mut frames = 0;
+        while segment.next_frame().unwrap().is_some() {
+            frames += 1;
+        }
+        assert_eq!(
+            (frames, segment.torn()),
+            (3, 1),
+            "node, two batches, then torn"
+        );
+        let batch_frame = FRAME_HEADER_LEN + batch.len() * EVENT_RECORD_LEN;
+        assert!(segment.buf.len() <= READ_AHEAD.max(batch_frame));
+        assert_eq!(parse_segment_frames(&bytes).1, 1);
+        let (trace, report) = recover(&dir).unwrap();
+        assert_eq!(report.frames_discarded, 1);
+        assert_eq!(trace.events.len(), 2 * 1_500);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A real local segment, with frames both shorter and longer than the
+    /// reader's read-ahead, and the collector's copy of it, written
+    /// through the writers that produce them.
+    fn real_segments() -> &'static [Vec<u8>; 2] {
+        static SEGMENTS: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+        SEGMENTS.get_or_init(|| {
+            let src = temp_spool_dir("agree-local");
+            let config = SpoolConfig::new(&src).fsync(FsyncPolicy::Never);
+            let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+            for i in 0..60u64 {
+                let n = if i == 30 { 5_000 } else { 1 + i * 37 % 400 };
+                let batch: Vec<Event> = (0..n)
+                    .flat_map(|j| demo_batch(100 * (i * 10_000 + j)))
+                    .collect();
+                w.append_batch(&batch).unwrap();
+            }
+            w.finish(&demo_functions(), 0, 0).unwrap();
+            let local = std::fs::read(src.join("seg-000000.seg")).unwrap();
+
+            let dst = temp_spool_dir("agree-collected");
+            let mut log = SegmentLog::create(&dst, 3, "spoolhost").unwrap();
+            for f in parse_segment_frames(&local).0 {
+                let wrapped = shipped2_payload(0, f.offset, 1, 2, f.kind, f.payload);
+                log.append(FRAME_SHIPPED2, &wrapped).unwrap();
+            }
+            log.seal().unwrap();
+            let collected = std::fs::read(dst.join("seg-000000.seg")).unwrap();
+            std::fs::remove_dir_all(&src).ok();
+            std::fs::remove_dir_all(&dst).ok();
+            [local, collected]
+        })
+    }
+
+    /// Read `bytes` back through a file and the [`SegmentReader`], and
+    /// check it cuts the frames [`parse_segment_frames`] cuts.
+    fn reader_agrees_with_slice_parser(bytes: &[u8]) -> Result<(), String> {
+        let dir = temp_spool_dir("agree");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_file_name(0, true));
+        std::fs::write(&path, bytes).unwrap();
+        let (want, want_torn) = parse_segment_frames(bytes);
+        let mut segment = SegmentReader::open(&path).unwrap();
+        let mut got = 0;
+        while let Some(f) = segment.next_frame().unwrap() {
+            let same = want
+                .get(got)
+                .is_some_and(|w| (w.offset, w.kind, w.payload) == (f.offset, f.kind, f.payload));
+            prop_assert!(same, "frame {got} at offset {} differs", f.offset);
+            got += 1;
+        }
+        // The buffer holds at most one frame past the read-ahead: a
+        // verified one, or the one the scan stopped at if it fit in the
+        // segment (its checksum is checked once it is read whole).
+        let stop = want.last().map_or(SEGMENT_HEADER_LEN, |f| {
+            f.offset as usize + FRAME_HEADER_LEN + f.payload.len()
+        });
+        let stopped_at = bytes.get(stop..).and_then(|rest| rest.first_chunk());
+        let stopped_at = stopped_at
+            .map(|head| FRAME_HEADER_LEN + split_frame_header(head).1 as usize)
+            .filter(|&n| n <= bytes.len() - stop);
+        let largest = want.iter().map(|f| FRAME_HEADER_LEN + f.payload.len());
+        let one_frame = largest.chain(stopped_at).max().unwrap_or(0);
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(got, want.len());
+        prop_assert_eq!(segment.torn(), want_torn);
+        prop_assert!(segment.buf.len() <= READ_AHEAD.max(one_frame));
+        Ok(())
+    }
+
+    #[test]
+    fn reader_and_slice_parser_agree_on_whole_segments() {
+        for bytes in real_segments() {
+            assert!(bytes.len() > 4 * READ_AHEAD);
+            assert_eq!(parse_segment_frames(bytes).1, 0);
+            reader_agrees_with_slice_parser(bytes).unwrap();
+        }
+        for junk in [&b""[..], b"TMPSPOL", b"not a segment at all"] {
+            reader_agrees_with_slice_parser(junk).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn reader_and_slice_parser_agree_on_damaged_segments(
+            collected in prop::bool::ANY,
+            near_a_frame in prop::bool::ANY,
+            cut in 0usize..1 << 30,
+            flips in prop::collection::vec((0usize..1 << 30, 0u8..8), 0..4),
+        ) {
+            let mut bytes = real_segments()[usize::from(collected)].clone();
+            // Half the cuts land just past a frame's start, leaving a
+            // torn tail no longer than two frame headers.
+            let cut = if near_a_frame {
+                let (frames, _) = parse_segment_frames(&bytes);
+                frames[cut % frames.len()].offset as usize + cut % (2 * FRAME_HEADER_LEN)
+            } else {
+                cut % (bytes.len() + 1)
+            };
+            bytes.truncate(cut);
+            for (at, bit) in flips {
+                if !bytes.is_empty() {
+                    let at = at % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+            reader_agrees_with_slice_parser(&bytes)?;
+        }
     }
 
     #[test]

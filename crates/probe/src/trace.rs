@@ -10,7 +10,7 @@
 
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, ScopeKind};
-use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
+use crate::limits::{CancelToken, DecodeLimits, LimitExceeded, ResourceBudget};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use tempest_sensors::{SensorId, SensorKind, SensorReading, Temperature};
@@ -27,6 +27,11 @@ const SAMPLE_RECORD_LEN: usize = 2 + 8 + 8;
 /// decoded sensor / function entry, on top of the name bytes.
 const SENSOR_META_COST: usize = std::mem::size_of::<SensorMeta>();
 const FUNCTION_META_COST: usize = std::mem::size_of::<FunctionDef>();
+/// Smallest encoded sensor entry (id, kind, empty label) and function
+/// entry (id, address, kind, empty name): they bound how many entries the
+/// bytes left can hold.
+const SENSOR_ENTRY_MIN_LEN: usize = 2 + 1 + 2;
+const FUNCTION_ENTRY_MIN_LEN: usize = 4 + 8 + 1 + 2;
 
 /// Description of one sensor as recorded in the trace header.
 #[derive(Debug, Clone, PartialEq)]
@@ -414,41 +419,10 @@ impl Trace {
         // damaged record, every record decoded before it is already kept.
         let outcome: Result<(), TraceError> = (|| {
             cancel.check("trace decode")?;
-            trace.node.node_id = cur.u32()?;
-            trace.node.hostname = cur.str(limits, "hostname")?;
-            let sensor_count = cur.u16()? as usize;
-            limits.check_count("sensors", sensor_count as u64, limits.max_sensors as u64)?;
-            for _ in 0..sensor_count {
-                let id = SensorId(cur.u16()?);
-                let kind = decode_sensor_kind(cur.u8()?)?;
-                let label = cur.str(limits, "sensor label")?;
-                budget.charge("sensors", (label.len() + SENSOR_META_COST) as u64)?;
-                trace.node.sensors.push(SensorMeta { id, label, kind });
-            }
+            decode_node(&mut cur, &mut trace.node, limits, &budget)?;
             section = TraceSection::Functions;
             cancel.check("trace decode")?;
-            let fn_count = cur.u32()? as usize;
-            limits.check_count("functions", fn_count as u64, limits.max_functions as u64)?;
-            for i in 0..fn_count {
-                if i & 0xFFF == 0 {
-                    cancel.check("trace decode")?;
-                }
-                let id = FunctionId(cur.u32()?);
-                let address = cur.u64()?;
-                let kind = match cur.u8()? {
-                    0 => ScopeKind::Function,
-                    1 => ScopeKind::Block,
-                    _ => return Err(TraceError::Corrupt("bad scope kind")),
-                };
-                let name = cur.str(limits, "function name")?;
-                budget.charge("functions", (name.len() + FUNCTION_META_COST) as u64)?;
-                trace.functions.push(FunctionDef {
-                    id,
-                    name,
-                    address,
-                    kind,
-                });
-            }
+            decode_functions(&mut cur, &mut trace.functions, limits, &budget, cancel)?;
             section = TraceSection::Events;
             cancel.check("trace decode")?;
             let ev_count = cur.u64()? as usize;
@@ -538,22 +512,11 @@ impl Trace {
         Ok((trace, report))
     }
 
-    /// Write to a file path (one encode buffer, one write).
-    ///
-    /// The write is atomic with respect to crashes: bytes go to a sibling
-    /// temp file first and are `rename`d into place only once fully
-    /// written, so a crash mid-save can truncate the temp file but never
-    /// clobber an existing good trace at `path`.
+    /// Write to a file path (one encode buffer, one write), atomically
+    /// through [`tempest_obs::publish`]: a crash mid-save never clobbers
+    /// an existing good trace at `path`.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = sibling_tmp_path(path);
-        std::fs::write(&tmp, self.to_bytes())?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
+        tempest_obs::publish(path, &self.to_bytes())
     }
 
     /// Read from a file path (one read-to-end, then zero-copy decode).
@@ -607,15 +570,6 @@ impl Trace {
     }
 }
 
-/// Sibling temp-file path used by the atomic [`Trace::save`]: same
-/// directory (so the final `rename` never crosses a filesystem), name
-/// suffixed with the writing pid to keep concurrent savers apart.
-fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
-}
-
 /// Append `node`'s binary layout to `buf`: id, hostname, then the sensor
 /// inventory. The trace header and the spool's node frame share it.
 pub(crate) fn encode_node(buf: &mut Vec<u8>, node: &NodeMeta) {
@@ -645,6 +599,70 @@ pub(crate) fn encode_functions(buf: &mut Vec<u8>, functions: &[FunctionDef]) {
     }
 }
 
+/// Decode [`encode_node`]'s layout from `cur` into `node`, charging each
+/// sensor to `budget`. The count and string limits apply before anything
+/// is materialised, and the sensors decoded before a damaged one stay in
+/// `node`, so a salvage keeps them.
+pub(crate) fn decode_node(
+    cur: &mut Cursor<'_>,
+    node: &mut NodeMeta,
+    limits: &DecodeLimits,
+    budget: &ResourceBudget,
+) -> Result<(), TraceError> {
+    node.node_id = cur.u32()?;
+    node.hostname = cur.str(limits, "hostname")?;
+    let count = cur.u16()? as usize;
+    limits.check_count("sensors", count as u64, limits.max_sensors as u64)?;
+    // An untrusted count never sizes the allocation by itself: it is
+    // clamped to what the remaining bytes can hold.
+    node.sensors
+        .reserve(limits.clamp_prealloc(count, cur.remaining(), SENSOR_ENTRY_MIN_LEN));
+    for _ in 0..count {
+        let id = SensorId(cur.u16()?);
+        let kind = decode_sensor_kind(cur.u8()?)?;
+        let label = cur.str(limits, "sensor label")?;
+        budget.charge("sensors", (label.len() + SENSOR_META_COST) as u64)?;
+        node.sensors.push(SensorMeta { id, label, kind });
+    }
+    Ok(())
+}
+
+/// Decode [`encode_functions`]' layout from `cur` onto `out`, charging
+/// each entry to `budget` and checking `cancel` every 4096 entries. Like
+/// [`decode_node`], it keeps the entries decoded before a damaged one.
+pub(crate) fn decode_functions(
+    cur: &mut Cursor<'_>,
+    out: &mut Vec<FunctionDef>,
+    limits: &DecodeLimits,
+    budget: &ResourceBudget,
+    cancel: &CancelToken,
+) -> Result<(), TraceError> {
+    let count = cur.u32()? as usize;
+    limits.check_count("functions", count as u64, limits.max_functions as u64)?;
+    out.reserve(limits.clamp_prealloc(count, cur.remaining(), FUNCTION_ENTRY_MIN_LEN));
+    for i in 0..count {
+        if i & 0xFFF == 0 {
+            cancel.check("trace decode")?;
+        }
+        let id = FunctionId(cur.u32()?);
+        let address = cur.u64()?;
+        let kind = match cur.u8()? {
+            0 => ScopeKind::Function,
+            1 => ScopeKind::Block,
+            _ => return Err(TraceError::Corrupt("bad scope kind")),
+        };
+        let name = cur.str(limits, "function name")?;
+        budget.charge("functions", (name.len() + FUNCTION_META_COST) as u64)?;
+        out.push(FunctionDef {
+            id,
+            name,
+            address,
+            kind,
+        });
+    }
+    Ok(())
+}
+
 fn encode_sensor_kind(k: SensorKind) -> u8 {
     match k {
         SensorKind::CpuCore => 0,
@@ -656,7 +674,7 @@ fn encode_sensor_kind(k: SensorKind) -> u8 {
     }
 }
 
-pub(crate) fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
+fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
     Ok(match b {
         0 => SensorKind::CpuCore,
         1 => SensorKind::CpuPackage,
@@ -676,17 +694,18 @@ pub(crate) fn encode_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&bytes[..len]);
 }
 
-/// Zero-copy decode cursor over an in-memory trace image. Field reads are
-/// bounds-checked slices of the backing buffer; truncation surfaces as the
+/// Zero-copy decode cursor over an in-memory trace image or a spool
+/// frame's payload. Field reads are bounds-checked slices of the backing
+/// buffer; truncation surfaces as the
 /// same `TraceError::Io(UnexpectedEof)` a streaming reader would produce,
 /// so strict-mode callers see identical error shapes.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
@@ -845,17 +864,11 @@ mod tests {
 
         let first = sample_trace();
         first.save(&path).unwrap();
-        // A stale temp file from a crashed previous save must not confuse
-        // a subsequent save (it is simply overwritten and renamed away).
-        let stale = sibling_tmp_path(&path);
-        std::fs::write(&stale, b"half-written garbage").unwrap();
-
         let mut second = sample_trace();
         second.node.node_id = 9;
         second.save(&path).unwrap();
         assert_eq!(Trace::load(&path).unwrap(), second);
-        assert!(!stale.exists(), "temp file renamed into place, not left");
-        // Nothing else leaked into the directory.
+        // No temp file leaked into the directory.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -878,11 +891,18 @@ mod tests {
         std::fs::create_dir_all(blocked.join("occupied")).unwrap();
         let err = sample_trace().save(&blocked);
         assert!(err.is_err(), "rename onto a non-empty directory must fail");
-        assert!(
-            !sibling_tmp_path(&blocked).exists(),
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["blocked", "good.trace"],
             "failed save cleans up its temp file"
         );
-        // The original, unrelated trace is of course untouched.
+        // The target and the unrelated trace beside it are untouched.
+        assert!(blocked.join("occupied").is_dir());
         assert_eq!(Trace::load(&path).unwrap(), good);
         std::fs::remove_dir_all(&dir).ok();
     }

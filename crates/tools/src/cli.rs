@@ -862,12 +862,7 @@ fn cmd_collect(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
     let _ = writeln!(out, "collecting on {} into {out_dir}", handle.addr());
     let _ = out.flush();
     if let Some(port_file) = flag_value(args, "--port-file") {
-        // Write-then-rename so a watching script never reads a partial
-        // address — the file appears complete or not at all.
-        let tmp = format!("{port_file}.tmp.{}", std::process::id());
-        std::fs::write(&tmp, format!("{}\n", handle.addr()))
-            .and_then(|()| std::fs::rename(&tmp, &port_file))
-            .map_err(|e| CliError::run(format!("{port_file}: {e}")))?;
+        publish_addr(&port_file, handle.addr())?;
     }
     // Optional HTTP surface: GET /metrics (Prometheus text) and
     // GET /fleet.json, fed by the same fleet state the wire protocol
@@ -885,10 +880,7 @@ fn cmd_collect(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
             );
             let _ = out.flush();
             if let Some(file) = flag_value(args, "--metrics-port-file") {
-                let tmp = format!("{file}.tmp.{}", std::process::id());
-                std::fs::write(&tmp, format!("{}\n", server.addr()))
-                    .and_then(|()| std::fs::rename(&tmp, &file))
-                    .map_err(|e| CliError::run(format!("{file}: {e}")))?;
+                publish_addr(&file, server.addr())?;
             }
             Some((server, stop))
         }
@@ -921,6 +913,13 @@ fn cmd_collect(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
         stats.sessions_completed.load(Relaxed),
     );
     Ok(())
+}
+
+/// Publish a bound address, newline-terminated, to `file` through
+/// [`tempest_obs::publish`], so a watching script never reads half of it.
+fn publish_addr(file: &str, addr: impl std::fmt::Display) -> Result<(), CliError> {
+    tempest_obs::publish(Path::new(file), format!("{addr}\n").as_bytes())
+        .map_err(|e| CliError::run(format!("{file}: {e}")))
 }
 
 /// `tempest serve`: the analysis query daemon. Point it at a collected
@@ -997,13 +996,9 @@ fn cmd_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliErr
     );
     let _ = out.flush();
     if let Some(port_file) = port_file {
-        // Write-then-rename so a watching script never reads a partial
-        // address; the catalog scan already ran, so the file appearing
-        // means the API is answering.
-        let tmp = format!("{port_file}.tmp.{}", std::process::id());
-        std::fs::write(&tmp, format!("{}\n", server.addr()))
-            .and_then(|()| std::fs::rename(&tmp, &port_file))
-            .map_err(|e| CliError::run(format!("{port_file}: {e}")))?;
+        // The catalog scan already ran, so the file appearing means the
+        // API is answering.
+        publish_addr(&port_file, server.addr())?;
     }
     match once {
         Some(n) => {
