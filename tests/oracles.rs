@@ -6,9 +6,10 @@
 //! definitions written for clarity, not speed:
 //!
 //! * the **timeline reference** replays each thread's events on their
-//!   own, with a plain `Vec` stack and linear searches, and takes a
+//!   own, with a plain `Vec` stack and linear searches, takes a
 //!   function's inclusive time as the union of its intervals on each
-//!   thread;
+//!   thread, and orders the intervals by (start, depth) with ties in the
+//!   order their frames closed;
 //! * the **correlate reference** is the paper's §3 definition: for each
 //!   sample, every function of `Timeline::active_at(t)` once
 //!   (inclusive), and per thread the deepest interval covering `t`
@@ -50,6 +51,7 @@ const FUNCS: [FunctionId; 6] = [
 
 /// What the timeline reference computes.
 struct ReferenceTimeline {
+    /// In the public order: by (start, depth), ties in close order.
     intervals: Vec<Interval>,
     times: HashMap<FunctionId, FunctionTimes>,
     warnings: Vec<TimelineWarning>,
@@ -70,13 +72,21 @@ fn reference_timeline(events: &[Event]) -> ReferenceTimeline {
         }
     }
 
-    let mut intervals = Vec::new();
+    // Each interval with the index of the event that closed its frame.
+    // Frames left open close after every event, thread by thread in
+    // first-appearance order. Frames one event closes differ in depth, so
+    // (start, depth, close) never ties.
+    let mut closed: Vec<(usize, Interval)> = Vec::new();
     let mut times: HashMap<FunctionId, FunctionTimes> = HashMap::new();
     let mut warnings = Vec::new();
-    for &thread in &threads {
+    for (nth, &thread) in threads.iter().enumerate() {
         let mut stack: Vec<(FunctionId, u64)> = Vec::new();
         let mut prev: Option<u64> = None;
-        for e in events.iter().filter(|e| e.thread == thread) {
+        let mine = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.thread == thread);
+        for (at, e) in mine {
             let Some((func, is_enter)) = scope(e) else {
                 continue;
             };
@@ -109,14 +119,15 @@ fn reference_timeline(events: &[Event]) -> ReferenceTimeline {
                     }
                     while stack.len() > pos {
                         let (f, start) = stack.pop().unwrap();
-                        intervals.push(Interval {
+                        let iv = Interval {
                             func: f,
                             thread,
                             start_ns: start,
                             end_ns: t,
                             depth: stack.len() as u32,
                             truncated: false,
-                        });
+                        };
+                        closed.push((at, iv));
                     }
                 }
             }
@@ -128,16 +139,19 @@ fn reference_timeline(events: &[Event]) -> ReferenceTimeline {
             });
         }
         while let Some((f, start)) = stack.pop() {
-            intervals.push(Interval {
+            let iv = Interval {
                 func: f,
                 thread,
                 start_ns: start,
                 end_ns: end,
                 depth: stack.len() as u32,
                 truncated: true,
-            });
+            };
+            closed.push((events.len() + nth, iv));
         }
     }
+    closed.sort_by_key(|&(close, iv)| (iv.start_ns, iv.depth, close));
+    let intervals: Vec<Interval> = closed.into_iter().map(|(_, iv)| iv).collect();
 
     // Inclusive time: the measure of the union of each function's
     // intervals, thread by thread.
@@ -265,23 +279,6 @@ fn arb_samples() -> impl Strategy<Value = Vec<SensorReading>> {
 
 // ---------- comparisons -----------------------------------------------------
 
-fn interval_key(iv: &Interval) -> (u32, u64, u64, u32, u32, bool) {
-    (
-        iv.thread.0,
-        iv.start_ns,
-        iv.end_ns,
-        iv.depth,
-        iv.func.0,
-        iv.truncated,
-    )
-}
-
-fn sorted_intervals(intervals: &[Interval]) -> Vec<Interval> {
-    let mut out = intervals.to_vec();
-    out.sort_by_key(interval_key);
-    out
-}
-
 fn sorted_warnings(warnings: &[TimelineWarning]) -> Vec<String> {
     let mut out: Vec<String> = warnings.iter().map(|w| format!("{w:?}")).collect();
     out.sort();
@@ -320,14 +317,10 @@ proptest! {
         let events = stream(&ops);
         let tl = Timeline::build(&events);
         let want = reference_timeline(&events);
-        prop_assert_eq!(sorted_intervals(&tl.intervals), sorted_intervals(&want.intervals));
+        // The exact public order, which the chrome export's bytes follow.
+        prop_assert_eq!(&tl.intervals, &want.intervals);
         prop_assert_eq!(&tl.times, &want.times);
         prop_assert_eq!(sorted_warnings(&tl.warnings), sorted_warnings(&want.warnings));
-        // The public order: by start, then depth.
-        prop_assert!(tl
-            .intervals
-            .windows(2)
-            .all(|w| (w[0].start_ns, w[0].depth) <= (w[1].start_ns, w[1].depth)));
     }
 
     #[test]
