@@ -17,6 +17,12 @@ cargo test -q
 echo "==> CRC-32 kernels vs reference (release)"
 cargo test --release -q -p tempest-probe crc
 
+# The timeline replay and the correlate sweep against their slow
+# references (tests/oracles.rs) in the optimized build, where
+# debug assertions are off and the fast paths run as shipped.
+echo "==> analysis oracles (release)"
+cargo test --release -q -p tempest-bench --test oracles
+
 # Kill-9 spool durability torture: spawns and SIGKILLs writer
 # subprocesses. Seeded and bounded (8 iterations) at its default fixed
 # seed; override the seed with TEMPEST_TORTURE_SEED.

@@ -42,7 +42,7 @@ impl CallGraph {
     /// root call when it was its thread's outermost frame.
     pub fn build(events: &[Event]) -> CallGraph {
         let mut graph = CallGraph::default();
-        replay(events, |iv, caller| match caller {
+        replay(events, |iv, caller, _| match caller {
             Some(caller) => {
                 let callee = iv.func;
                 let e = graph.edges.entry((caller, callee)).or_insert(CallEdge {

@@ -1,15 +1,12 @@
-//! Struct-of-arrays batches for the analysis hot path.
+//! Struct-of-arrays sample batches for the analysis hot path.
 //!
-//! The decode path produces arrays-of-structs ([`SensorReading`],
-//! [`Interval`](crate::timeline::Interval)) because that is the natural
-//! shape for parsing and for the public API. The correlate sweep, though,
-//! touches only a few fields of each record millions of times, so it wants
-//! the opposite layout: one flat, contiguous vector per field. This module
-//! is the pivot — [`SampleColumns`] and [`IntervalColumns`] are built once
-//! per trace and swept by [`crate::correlate`] with zero allocation in the
-//! inner loop. `IntervalColumns` index functions and threads by the slots
-//! the timeline's replay assigned ([`crate::timeline`]), so this side
-//! builds no id map of its own.
+//! The decode path produces arrays-of-structs ([`SensorReading`]) because
+//! that is the natural shape for parsing and for the public API. The
+//! correlate sweep, though, touches only a few fields of each sample, so
+//! it wants one flat, contiguous vector per field. [`SampleColumns`] is
+//! that pivot, built once per trace and swept by [`crate::correlate`]
+//! with zero allocation in the inner loop; the sweep reads the timeline's
+//! intervals as they are.
 //!
 //! `SampleColumns` additionally *dictionary-encodes* the temperature
 //! values: sensors report quantised readings (a 1 °C or 0.25 °C grid), so
@@ -17,12 +14,11 @@
 //! Each sample stores a dense `(sensor, value)` slot pair instead of an
 //! `f64`, which lets the sweep accumulate plain `u64` counts in a flat
 //! grid and materialise exact [`StreamingStats`](crate::stats::StreamingStats)
-//! histograms afterwards.
+//! histograms afterwards. A sensor's consecutive readings mostly repeat,
+//! so the dictionaries are built from the readings that differ from the
+//! sensor's previous one, and a sample that repeats it reuses its rank.
 
 use crate::stats::f64_key;
-use crate::timeline::Timeline;
-use std::collections::HashMap;
-use tempest_probe::func::FunctionId;
 use tempest_sensors::{SensorId, SensorReading};
 
 /// Column-major sensor samples with dictionary-encoded values.
@@ -55,6 +51,10 @@ pub struct SampleColumns {
     pub resorted: bool,
 }
 
+/// Marks a sensor id with no slot yet in [`SampleColumns::from_readings`]'
+/// direct table.
+const NO_SLOT: u32 = u32::MAX;
+
 impl SampleColumns {
     /// Build columns from a sample stream, re-sorting (stably) when the
     /// stream is out of timestamp order.
@@ -66,16 +66,29 @@ impl SampleColumns {
             ..Default::default()
         };
         let mut keys: Vec<u64> = Vec::with_capacity(n);
-        let mut sensor_map: HashMap<SensorId, u32> = HashMap::new();
+        // Sensor id → slot, a direct table over the `u16` id.
+        let mut slot_of: Vec<u32> = Vec::new();
+        // Per sensor slot, the keys that differ from its previous reading.
+        let mut runs: Vec<Vec<u64>> = Vec::new();
         for s in samples {
-            let next = cols.sensor_ids.len() as u32;
-            let slot = *sensor_map.entry(s.sensor).or_insert(next);
-            if slot == next {
+            let id = usize::from(s.sensor.0);
+            if slot_of.len() <= id {
+                slot_of.resize(id + 1, NO_SLOT);
+            }
+            if slot_of[id] == NO_SLOT {
+                slot_of[id] = cols.sensor_ids.len() as u32;
                 cols.sensor_ids.push(s.sensor);
+                runs.push(Vec::new());
+            }
+            let slot = slot_of[id];
+            let key = f64_key(s.temperature.fahrenheit());
+            let run = &mut runs[slot as usize];
+            if run.last() != Some(&key) {
+                run.push(key);
             }
             cols.timestamp_ns.push(s.timestamp_ns);
             cols.sensor_slot.push(slot);
-            keys.push(f64_key(s.temperature.fahrenheit()));
+            keys.push(key);
         }
 
         // Recovering sort: the sweep is only correct on time-sorted
@@ -90,13 +103,10 @@ impl SampleColumns {
         }
 
         // Per-sensor value dictionaries: ascending distinct keys.
-        cols.value_dicts = vec![Vec::new(); cols.sensor_ids.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            cols.value_dicts[cols.sensor_slot[i] as usize].push(k);
-        }
-        for d in &mut cols.value_dicts {
+        for mut d in runs {
             d.sort_unstable();
             d.dedup();
+            cols.value_dicts.push(d);
         }
         let mut base = 0u32;
         for d in &cols.value_dicts {
@@ -105,16 +115,26 @@ impl SampleColumns {
             base += d.len() as u32;
         }
 
-        // Encode each sample as its global value slot.
+        // Encode each sample as its global value slot; a sample that
+        // repeats its sensor's previous key reuses that key's rank.
+        let mut prev: Vec<Option<(u64, u32)>> = vec![None; cols.sensor_ids.len()];
         cols.value_slot = keys
             .iter()
             .zip(&cols.sensor_slot)
             .map(|(&k, &s)| {
                 let s = s as usize;
-                let rank = cols.value_dicts[s]
-                    .binary_search(&k)
-                    .expect("every sample key is in its sensor's dictionary");
-                cols.value_base[s] + rank as u32
+                let rank = match prev[s] {
+                    Some((key, rank)) if key == k => rank,
+                    _ => {
+                        let rank = cols.value_dicts[s]
+                            .binary_search(&k)
+                            .expect("every sample key is in its sensor's dictionary")
+                            as u32;
+                        prev[s] = Some((k, rank));
+                        rank
+                    }
+                };
+                cols.value_base[s] + rank
             })
             .collect();
         cols
@@ -140,67 +160,10 @@ fn permute<T: Copy>(order: &[u32], values: &[T]) -> Vec<T> {
     order.iter().map(|&i| values[i as usize]).collect()
 }
 
-/// Column-major timeline intervals with dense function/thread slots.
-///
-/// Vectors are parallel and follow the timeline's interval order (sorted
-/// by start time, then depth). The slots are the timeline's own: its
-/// replay gave each entered function and each thread one, in
-/// first-appearance order.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalColumns {
-    /// Interval start timestamps (inclusive), ascending.
-    pub start_ns: Vec<u64>,
-    /// Interval end timestamps (exclusive).
-    pub end_ns: Vec<u64>,
-    /// Dense function slot per interval (index into [`Self::func_ids`]).
-    pub func_slot: Vec<u32>,
-    /// Dense thread slot per interval.
-    pub thread_slot: Vec<u32>,
-    /// Stack depth per interval.
-    pub depth: Vec<u32>,
-    /// Function slot → function id.
-    pub func_ids: Vec<FunctionId>,
-    /// Number of thread slots.
-    pub n_threads: usize,
-}
-
-impl IntervalColumns {
-    /// Flatten a timeline's intervals into columns, indexed by the
-    /// timeline's slots (its replay gave every interval's function and
-    /// thread one).
-    pub fn from_timeline(timeline: &Timeline) -> IntervalColumns {
-        let (funcs, threads) = (&timeline.funcs, &timeline.threads);
-        let intervals = &timeline.intervals;
-        IntervalColumns {
-            start_ns: intervals.iter().map(|iv| iv.start_ns).collect(),
-            end_ns: intervals.iter().map(|iv| iv.end_ns).collect(),
-            func_slot: intervals.iter().map(|iv| funcs.of[&iv.func.0]).collect(),
-            thread_slot: intervals
-                .iter()
-                .map(|iv| threads.of[&iv.thread.0])
-                .collect(),
-            depth: intervals.iter().map(|iv| iv.depth).collect(),
-            func_ids: funcs.ids.iter().map(|&id| FunctionId(id)).collect(),
-            n_threads: threads.ids.len(),
-        }
-    }
-
-    /// Number of intervals.
-    pub fn len(&self) -> usize {
-        self.start_ns.len()
-    }
-
-    /// True when there are no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.start_ns.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::f64_unkey;
-    use tempest_probe::event::{Event, ThreadId};
     use tempest_sensors::Temperature;
 
     fn sample(t: u64, sensor: u16, celsius: f64) -> SensorReading {
@@ -241,31 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn interval_columns_mirror_the_timeline() {
-        let tl = Timeline::build(&[
-            Event::enter(0, ThreadId(0), FunctionId(0)),
-            Event::enter(10, ThreadId(1), FunctionId(1)),
-            Event::exit(50, ThreadId(1), FunctionId(1)),
-            Event::exit(100, ThreadId(0), FunctionId(0)),
-        ]);
-        let cols = IntervalColumns::from_timeline(&tl);
-        assert_eq!(cols.len(), tl.intervals.len());
-        assert_eq!(cols.n_threads, 2);
-        assert_eq!(cols.func_ids.len(), 2);
-        for (i, iv) in tl.intervals.iter().enumerate() {
-            assert_eq!(cols.start_ns[i], iv.start_ns);
-            assert_eq!(cols.end_ns[i], iv.end_ns);
-            assert_eq!(cols.depth[i], iv.depth);
-            assert_eq!(cols.func_ids[cols.func_slot[i] as usize], iv.func);
-        }
-    }
-
-    #[test]
     fn empty_inputs_build_empty_columns() {
         let s = SampleColumns::from_readings(&[]);
         assert!(s.is_empty());
         assert_eq!(s.total_values(), 0);
-        let i = IntervalColumns::from_timeline(&Timeline::build(&[]));
-        assert!(i.is_empty());
     }
 }

@@ -8,22 +8,26 @@
 //! spends its time in), and separately to the innermost frame (exclusive
 //! attribution, used by hot-spot ranking).
 //!
-//! The sweep is O((intervals + samples)·log) — a merge along the time axis
-//! with an active-interval set — and runs over the columnar batches of
-//! [`crate::columns`]: timestamps, slot ids, and dictionary-encoded values
-//! in contiguous flat vectors. Because values are dictionary-encoded, the
-//! inner loop is a plain `counts[func × value] += 1` into a dense grid —
-//! no hashing, no tree nodes, no allocation — and exact
-//! [`StreamingStats`] histograms are materialised once at the end.
+//! The sweep walks the timeline's intervals in their (start, depth) order
+//! alongside the time-sorted samples of [`crate::columns`], keeping one
+//! stack of open frames per thread: admitting a frame pops the frames as
+//! deep as it or deeper, and frames that have ended pop off the top. A
+//! `tempd` round stamps every sensor with one instant, so each distinct
+//! sample timestamp is resolved once — the set of functions on any stack
+//! and each thread's innermost frame — and every sample of that instant
+//! then adds one to those functions' cells in its value's row of a
+//! `[value][function]` count grid. Values are dictionary-encoded, so the
+//! inner loop is plain `u64` increments with no hashing and no allocation,
+//! and exact [`StreamingStats`] histograms are materialised once at the
+//! end. Above [`MAX_DENSE_CELLS`] only the cells samples hit are counted.
 //!
 //! The sample axis is additionally **sharded**: contiguous time-window
-//! shards sweep independently (each shard re-admits the intervals that
-//! straddle its left boundary) on the vendored work-stealing pool, and the
-//! per-shard count grids merge by plain addition — an order-independent
-//! reduction, so the result is bit-identical to the sequential sweep for
-//! every shard count.
+//! shards sweep independently (each shard re-admits the frames open at
+//! its first sample) on the vendored work-stealing pool, and the per-shard
+//! counts merge by plain addition — an order-independent reduction, so the
+//! result is bit-identical to the sequential sweep for every shard count.
 
-use crate::columns::{IntervalColumns, SampleColumns};
+use crate::columns::SampleColumns;
 use crate::stats::{f64_unkey, StreamingStats};
 use crate::timeline::Timeline;
 use rayon::prelude::*;
@@ -64,12 +68,15 @@ pub struct Correlation {
 /// Ceiling on the dense grid (`functions × distinct values` cells per
 /// attribution kind). Real sensor data is quantised to a coarse grid, so
 /// traces land far below this; a pathological trace with millions of
-/// distinct values falls back to sparse per-cell accumulators.
+/// distinct values falls back to counting only the cells samples hit.
 const MAX_DENSE_CELLS: usize = 1 << 22;
 
 /// Auto-sharding refuses to split below this many samples per shard —
 /// spawning threads for a few thousand samples costs more than it saves.
 const AUTO_SHARD_MIN_SAMPLES: usize = 8_192;
+
+/// Samples a shard sweeps between two looks at its [`CancelToken`].
+const CANCEL_CHECK_SAMPLES: usize = 4_096;
 
 /// Attribute `samples` to the functions of `timeline`, choosing the shard
 /// count automatically (one per available CPU, clamped so small traces
@@ -87,7 +94,12 @@ pub fn correlate(timeline: &Timeline, samples: &[SensorReading]) -> Correlation 
 /// sequential, `n` = exactly `n` time-window shards (clamped to the sample
 /// count so every shard is non-empty). Every shard count produces a
 /// bit-identical [`Correlation`]: shards accumulate disjoint sample ranges
-/// into count grids that merge by addition, in fixed shard order.
+/// into counts that merge by addition, in fixed shard order.
+///
+/// The timeline must be one [`Timeline::build`] made from time-sorted
+/// scope events, as the parser hands them over in strict, recover and
+/// deadline modes: then every frame lies within its caller's, which the
+/// per-thread stacks of the sweep rely on.
 pub fn correlate_with(
     timeline: &Timeline,
     samples: &[SensorReading],
@@ -115,17 +127,17 @@ pub fn correlate_with_cancel(
 
     let cols = SampleColumns::from_readings(samples);
     result.resorted = cols.resorted;
-    let ivs = IntervalColumns::from_timeline(timeline);
-    if ivs.is_empty() {
+    if timeline.intervals.is_empty() {
         result.unattributed = cols.len();
         return result;
     }
 
-    let n_funcs = ivs.func_ids.len();
-    let dense = n_funcs
+    let dense = timeline
+        .funcs
+        .ids
+        .len()
         .checked_mul(cols.total_values())
-        .map(|cells| cells <= MAX_DENSE_CELLS)
-        .unwrap_or(false);
+        .is_some_and(|cells| cells <= MAX_DENSE_CELLS);
 
     // Contiguous sample ranges, one per shard.
     let shards = effective_shards(shards, cols.len());
@@ -136,23 +148,23 @@ pub fn correlate_with_cancel(
         .collect();
 
     let accums: Vec<ShardAccum> = if ranges.len() == 1 {
-        vec![sweep_range(&ivs, &cols, ranges[0], dense, cancel)]
+        vec![sweep_range(timeline, &cols, ranges[0], dense, cancel)]
     } else {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(ranges.len())
             .build()
             .expect("thread pool construction is infallible");
-        let (ivs_ref, cols_ref) = (&ivs, &cols);
+        let cols = &cols;
         pool.install(|| {
             ranges
                 .into_par_iter()
-                .map(|range| sweep_range(ivs_ref, cols_ref, range, dense, cancel))
+                .map(|range| sweep_range(timeline, cols, range, dense, cancel))
                 .collect()
         })
     };
 
-    // Deterministic merge: fixed shard order, and the dense representation
-    // is additive anyway (order-independent u64 sums).
+    // Deterministic merge: fixed shard order, and counts are additive
+    // anyway (order-independent u64 sums).
     let mut accums = accums.into_iter();
     let mut acc = accums.next().expect("at least one shard");
     for other in accums {
@@ -160,7 +172,7 @@ pub fn correlate_with_cancel(
     }
     result.unattributed = acc.unattributed;
     result.cancelled = acc.cancelled;
-    materialize(&ivs, &cols, acc, &mut result);
+    materialize(timeline, &cols, acc, &mut result);
     result
 }
 
@@ -179,318 +191,270 @@ fn effective_shards(requested: usize, n_samples: usize) -> usize {
     resolved.clamp(1, n_samples.max(1))
 }
 
-/// One shard's accumulated counts plus its unattributed tally.
+/// One shard's counts plus its unattributed tally.
 struct ShardAccum {
     unattributed: usize,
     cancelled: bool,
-    grid: Grid,
+    inclusive: Counts,
+    exclusive: Counts,
 }
 
 impl ShardAccum {
     fn absorb(&mut self, other: ShardAccum) {
         self.unattributed += other.unattributed;
         self.cancelled |= other.cancelled;
-        match (&mut self.grid, other.grid) {
-            (
-                Grid::Dense {
-                    inclusive,
-                    exclusive,
-                },
-                Grid::Dense {
-                    inclusive: oi,
-                    exclusive: oe,
-                },
-            ) => {
-                for (a, b) in inclusive.iter_mut().zip(&oi) {
-                    *a += b;
+        self.inclusive.absorb(other.inclusive);
+        self.exclusive.absorb(other.exclusive);
+    }
+}
+
+/// Samples per `(value slot, function slot)` cell, for one attribution
+/// kind.
+enum Counts {
+    /// Every cell, `[value_slot][func_slot]` with rows `width` functions
+    /// wide: a sample adds to one row.
+    Dense { width: usize, cells: Vec<u64> },
+    /// Only the cells samples hit, for traces whose value dictionaries
+    /// are too large to grid.
+    Sparse(HashMap<(u32, u32), u64>),
+}
+
+impl Counts {
+    fn new(dense: bool, funcs: usize, values: usize) -> Counts {
+        if dense {
+            Counts::Dense {
+                width: funcs,
+                cells: vec![0; funcs * values],
+            }
+        } else {
+            Counts::Sparse(HashMap::new())
+        }
+    }
+
+    /// Count one sample of value slot `value` for each of `funcs`.
+    #[inline]
+    fn add(&mut self, value: u32, funcs: &[u32]) {
+        match self {
+            Counts::Dense { width, cells } => {
+                let row = &mut cells[value as usize * *width..][..*width];
+                for &f in funcs {
+                    row[f as usize] += 1;
                 }
-                for (a, b) in exclusive.iter_mut().zip(&oe) {
+            }
+            Counts::Sparse(cells) => {
+                for &f in funcs {
+                    *cells.entry((value, f)).or_default() += 1;
+                }
+            }
+        }
+    }
+
+    fn absorb(&mut self, other: Counts) {
+        match (self, other) {
+            (Counts::Dense { cells, .. }, Counts::Dense { cells: o, .. }) => {
+                for (a, b) in cells.iter_mut().zip(&o) {
                     *a += b;
                 }
             }
-            (
-                Grid::Sparse {
-                    inclusive,
-                    exclusive,
-                },
-                Grid::Sparse {
-                    inclusive: oi,
-                    exclusive: oe,
-                },
-            ) => {
-                merge_sparse(inclusive, &oi);
-                merge_sparse(exclusive, &oe);
+            (Counts::Sparse(cells), Counts::Sparse(o)) => {
+                for (cell, n) in o {
+                    *cells.entry(cell).or_default() += n;
+                }
             }
             _ => unreachable!("all shards share one representation"),
         }
     }
-}
 
-fn merge_sparse(into: &mut [Vec<StreamingStats>], from: &[Vec<StreamingStats>]) {
-    for (a_row, b_row) in into.iter_mut().zip(from) {
-        for (a, b) in a_row.iter_mut().zip(b_row) {
-            if !b.is_empty() {
-                a.merge(b);
-            }
-        }
-    }
-}
-
-/// The per-shard accumulator. Dense is the normal case: one `u64` count
-/// per `(function, sensor·value)` cell, `+= 1` in the hot loop. Sparse
-/// keeps a `StreamingStats` per `(sensor, function)` cell for traces whose
-/// value dictionaries are too large to grid.
-enum Grid {
-    Dense {
-        /// `func_slot × total_values` counts, inclusive attribution.
-        inclusive: Vec<u64>,
-        /// Same shape, exclusive attribution.
-        exclusive: Vec<u64>,
-    },
-    Sparse {
-        /// `[sensor_slot][func_slot]` accumulators.
-        inclusive: Vec<Vec<StreamingStats>>,
-        /// Same shape, exclusive attribution.
-        exclusive: Vec<Vec<StreamingStats>>,
-    },
-}
-
-impl Grid {
-    fn new(dense: bool, n_funcs: usize, n_sensors: usize, total_values: usize) -> Grid {
-        if dense {
-            Grid::Dense {
-                inclusive: vec![0; n_funcs * total_values],
-                exclusive: vec![0; n_funcs * total_values],
-            }
-        } else {
-            Grid::Sparse {
-                inclusive: vec![vec![StreamingStats::default(); n_funcs]; n_sensors],
-                exclusive: vec![vec![StreamingStats::default(); n_funcs]; n_sensors],
-            }
-        }
-    }
-
-    #[inline]
-    fn hit_inclusive(&mut self, total_values: usize, cell: Cell) {
+    /// The non-zero cells as `(func_slot, value_slot, count)`, ascending.
+    fn into_cells(self) -> Vec<(u32, u32, u64)> {
         match self {
-            Grid::Dense { inclusive, .. } => inclusive[cell.fslot * total_values + cell.vslot] += 1,
-            Grid::Sparse { inclusive, .. } => inclusive[cell.sslot][cell.fslot].push(cell.value),
-        }
-    }
-
-    #[inline]
-    fn hit_exclusive(&mut self, total_values: usize, cell: Cell) {
-        match self {
-            Grid::Dense { exclusive, .. } => exclusive[cell.fslot * total_values + cell.vslot] += 1,
-            Grid::Sparse { exclusive, .. } => exclusive[cell.sslot][cell.fslot].push(cell.value),
+            Counts::Dense { width, cells } => {
+                let values = cells.len().checked_div(width).unwrap_or(0);
+                let mut out = Vec::new();
+                for f in 0..width {
+                    for v in 0..values {
+                        let n = cells[v * width + f];
+                        if n > 0 {
+                            out.push((f as u32, v as u32, n));
+                        }
+                    }
+                }
+                out
+            }
+            Counts::Sparse(cells) => {
+                let mut out: Vec<(u32, u32, u64)> =
+                    cells.into_iter().map(|((v, f), n)| (f, v, n)).collect();
+                out.sort_unstable();
+                out
+            }
         }
     }
 }
 
-/// One attribution target: which function, and the sample's encoded value
-/// (dense path uses the slot, sparse path the decoded Fahrenheit value).
+/// One open frame on a thread's stack.
 #[derive(Clone, Copy)]
-struct Cell {
-    fslot: usize,
-    sslot: usize,
-    vslot: usize,
-    value: f64,
+struct Open {
+    end_ns: u64,
+    depth: u32,
+    func: u32,
 }
 
-/// Sweep one contiguous sample range. Intervals that straddle the shard's
-/// left boundary are re-admitted by scanning the interval columns from the
-/// start and skipping everything that already ended — linear in intervals,
-/// but over contiguous flat arrays, and done once per shard.
+/// Sweep one contiguous sample range. Frames open at the shard's first
+/// sample are re-admitted by walking the intervals from the start, once
+/// per shard.
 fn sweep_range(
-    ivs: &IntervalColumns,
+    tl: &Timeline,
     cols: &SampleColumns,
     (lo, hi): (usize, usize),
     dense: bool,
     cancel: &CancelToken,
 ) -> ShardAccum {
-    let n_funcs = ivs.func_ids.len();
-    let n_threads = ivs.n_threads;
-    let total_values = cols.total_values();
-    let mut grid = Grid::new(dense, n_funcs, cols.sensor_ids.len(), total_values);
-    let mut unattributed = 0usize;
-    let mut cancelled = false;
+    let n_funcs = tl.funcs.ids.len();
+    let n_threads = tl.threads.ids.len();
+    let mut acc = ShardAccum {
+        unattributed: 0,
+        cancelled: false,
+        inclusive: Counts::new(dense, n_funcs, cols.total_values()),
+        exclusive: Counts::new(dense, n_funcs, cols.total_values()),
+    };
 
-    // Sweep state. Epoch stamps replace per-sample clearing: a slot is
-    // "marked for this sample" iff its stamp equals the current epoch.
-    let mut active: Vec<u32> = Vec::new(); // interval indices, unordered
+    // Per thread, the open frames, outermost first; `live` lists the
+    // threads whose stack is non-empty (`listed` marks them).
+    let mut stacks: Vec<Vec<Open>> = vec![Vec::new(); n_threads];
+    let mut live: Vec<u32> = Vec::new();
+    let mut listed = vec![false; n_threads];
     let mut next = 0usize;
+    // Epoch stamps replace per-instant clearing: a function is in this
+    // instant's inclusive set iff its stamp equals the current epoch.
     let mut func_epoch: Vec<u64> = vec![0; n_funcs];
-    let mut thread_epoch: Vec<u64> = vec![0; n_threads];
-    let mut thread_best_depth: Vec<u32> = vec![0; n_threads];
-    let mut thread_best_cell: Vec<usize> = vec![0; n_threads];
-    let mut touched_threads: Vec<u32> = Vec::with_capacity(n_threads);
+    let mut epoch = 0u64;
+    let mut inclusive: Vec<u32> = Vec::with_capacity(n_funcs);
+    let mut exclusive: Vec<u32> = Vec::with_capacity(n_threads);
+    let mut check_at = lo;
 
-    for i in lo..hi {
+    let mut i = lo;
+    while i < hi {
         // Cooperative cancellation: one branch on the free default token;
-        // an armed token reads the clock only every 4096 samples.
-        if (i - lo) & 0xFFF == 0 && cancel.is_cancelled() {
-            cancelled = true;
-            break;
+        // an armed token reads the clock only every few thousand samples.
+        if i >= check_at {
+            if cancel.is_cancelled() {
+                acc.cancelled = true;
+                break;
+            }
+            check_at = i + CANCEL_CHECK_SAMPLES;
         }
         let t = cols.timestamp_ns[i];
-        let epoch = (i - lo) as u64 + 1; // 0 = "never seen"
+        let mut end = i + 1;
+        while end < hi && cols.timestamp_ns[end] == t {
+            end += 1;
+        }
 
-        // Admit intervals that have started and not already ended —
-        // skipping dead ones keeps a mid-trace shard's first admission
-        // from flooding the active set with the entire prefix.
-        while next < ivs.len() && ivs.start_ns[next] <= t {
-            if ivs.end_ns[next] > t {
-                active.push(next as u32);
-            }
+        // Admit the frames that started by `t`. The frames as deep as one
+        // or deeper ended by the time it started, so they are popped; a
+        // frame that has ended by `t` is not pushed.
+        while let Some(iv) = tl.intervals.get(next).filter(|iv| iv.start_ns <= t) {
+            let (func, thread) = tl.slots[next];
             next += 1;
-        }
-        // Retire intervals that have ended (swap-remove keeps this O(1)
-        // per retirement; the active set is unordered by construction).
-        let mut j = 0;
-        while j < active.len() {
-            if ivs.end_ns[active[j] as usize] <= t {
-                active.swap_remove(j);
-            } else {
-                j += 1;
+            let stack = &mut stacks[thread as usize];
+            while stack.last().is_some_and(|f| f.depth >= iv.depth) {
+                stack.pop();
             }
-        }
-        // Post-retirement, every active interval covers t: admission
-        // guarantees start ≤ t and retirement guarantees end > t, which is
-        // exactly `Interval::contains` ([start, end)).
-        if active.is_empty() {
-            unattributed += 1;
-            continue;
-        }
-
-        let sslot = cols.sensor_slot[i] as usize;
-        let vslot = cols.value_slot[i] as usize;
-        let value = f64_unkey(cols.flat_values[vslot]);
-
-        touched_threads.clear();
-        for &idx in &active {
-            let idx = idx as usize;
-            let fslot = ivs.func_slot[idx] as usize;
-            let tslot = ivs.thread_slot[idx] as usize;
-            let depth = ivs.depth[idx];
-
-            // Inclusive: each distinct function once per sample, even when
-            // on the stack multiple times (recursion) or on several threads.
-            if func_epoch[fslot] != epoch {
-                func_epoch[fslot] = epoch;
-                grid.hit_inclusive(
-                    total_values,
-                    Cell {
-                        fslot,
-                        sslot,
-                        vslot,
-                        value,
-                    },
-                );
+            if iv.end_ns <= t {
+                continue;
             }
-
-            // Track the innermost (deepest) frame per thread.
-            if thread_epoch[tslot] != epoch {
-                thread_epoch[tslot] = epoch;
-                thread_best_depth[tslot] = depth;
-                thread_best_cell[tslot] = fslot;
-                touched_threads.push(tslot as u32);
-            } else if depth > thread_best_depth[tslot] {
-                thread_best_depth[tslot] = depth;
-                thread_best_cell[tslot] = fslot;
-            }
-        }
-
-        // Exclusive: the innermost frame of each thread active at t.
-        for &tslot in &touched_threads {
-            let fslot = thread_best_cell[tslot as usize];
-            grid.hit_exclusive(
-                total_values,
-                Cell {
-                    fslot,
-                    sslot,
-                    vslot,
-                    value,
-                },
+            debug_assert!(
+                stack.last().is_none_or(|f| f.end_ns >= iv.end_ns),
+                "a frame outlives its caller: the timeline was not replayed from time-sorted events"
             );
+            stack.push(Open {
+                end_ns: iv.end_ns,
+                depth: iv.depth,
+                func,
+            });
+            if !listed[thread as usize] {
+                listed[thread as usize] = true;
+                live.push(thread);
+            }
         }
-    }
 
-    ShardAccum {
-        unattributed,
-        cancelled,
-        grid,
+        // Resolve the instant once: pop the frames that have ended (a
+        // frame ends no later than its caller, so they sit on top), then
+        // take every function on a stack and each thread's innermost.
+        epoch += 1;
+        inclusive.clear();
+        exclusive.clear();
+        let mut k = 0;
+        while k < live.len() {
+            let thread = live[k] as usize;
+            let stack = &mut stacks[thread];
+            while stack.last().is_some_and(|f| f.end_ns <= t) {
+                stack.pop();
+            }
+            let Some(top) = stack.last() else {
+                listed[thread] = false;
+                live.swap_remove(k);
+                continue;
+            };
+            exclusive.push(top.func);
+            for f in stack.iter() {
+                // Each distinct function once per instant, even when on
+                // the stack several times (recursion) or on several
+                // threads.
+                if func_epoch[f.func as usize] != epoch {
+                    func_epoch[f.func as usize] = epoch;
+                    inclusive.push(f.func);
+                }
+            }
+            k += 1;
+        }
+
+        if live.is_empty() {
+            acc.unattributed += end - i;
+        } else {
+            for &value in &cols.value_slot[i..end] {
+                acc.inclusive.add(value, &inclusive);
+                acc.exclusive.add(value, &exclusive);
+            }
+        }
+        i = end;
     }
+    acc
 }
 
-/// Build the public per-function map from the merged accumulator. The
-/// dense path replays each `(sensor, value)` dictionary run through
+/// Build the public per-function map from the merged counts. Each
+/// function's cells of one sensor are folded through
 /// [`StreamingStats::push_n`] in ascending value order, yielding exactly
 /// the histogram a sample-at-a-time sweep would have built.
-fn materialize(
-    ivs: &IntervalColumns,
-    cols: &SampleColumns,
-    acc: ShardAccum,
-    out: &mut Correlation,
-) {
-    match acc.grid {
-        Grid::Dense {
-            inclusive,
-            exclusive,
-        } => {
-            let total_values = cols.total_values();
-            for (fslot, &func) in ivs.func_ids.iter().enumerate() {
-                let mut fs = FunctionSamples::default();
-                for (sslot, &sensor) in cols.sensor_ids.iter().enumerate() {
-                    let base = fslot * total_values + cols.value_base[sslot] as usize;
-                    let dict = &cols.value_dicts[sslot];
-                    let inc = gather(&inclusive[base..base + dict.len()], dict);
-                    if !inc.is_empty() {
-                        fs.inclusive.insert(sensor, inc);
-                    }
-                    let exc = gather(&exclusive[base..base + dict.len()], dict);
-                    if !exc.is_empty() {
-                        fs.exclusive.insert(sensor, exc);
-                    }
-                }
-                if !fs.inclusive.is_empty() || !fs.exclusive.is_empty() {
-                    out.per_function.insert(func, fs);
-                }
+fn materialize(tl: &Timeline, cols: &SampleColumns, acc: ShardAccum, out: &mut Correlation) {
+    for (counts, exclusive) in [(acc.inclusive, false), (acc.exclusive, true)] {
+        let cells = counts.into_cells();
+        // Runs of cells with one function and one sensor: a sensor's value
+        // slots are the contiguous range from its base to the next one's.
+        let mut rest = &cells[..];
+        while let Some(&(func, value, _)) = rest.first() {
+            let sensor = cols.value_base.partition_point(|&b| b <= value) - 1;
+            let limit = cols.value_base.get(sensor + 1).map_or(u32::MAX, |&b| b);
+            let run = rest
+                .iter()
+                .take_while(|&&(f, v, _)| f == func && v < limit)
+                .count();
+            let mut stats = StreamingStats::with_distinct_capacity(run);
+            for &(_, v, n) in &rest[..run] {
+                stats.push_n(f64_unkey(cols.flat_values[v as usize]), n);
             }
-        }
-        Grid::Sparse {
-            mut inclusive,
-            mut exclusive,
-        } => {
-            for (fslot, &func) in ivs.func_ids.iter().enumerate() {
-                let mut fs = FunctionSamples::default();
-                for (sslot, &sensor) in cols.sensor_ids.iter().enumerate() {
-                    let inc = std::mem::take(&mut inclusive[sslot][fslot]);
-                    if !inc.is_empty() {
-                        fs.inclusive.insert(sensor, inc);
-                    }
-                    let exc = std::mem::take(&mut exclusive[sslot][fslot]);
-                    if !exc.is_empty() {
-                        fs.exclusive.insert(sensor, exc);
-                    }
-                }
-                if !fs.inclusive.is_empty() || !fs.exclusive.is_empty() {
-                    out.per_function.insert(func, fs);
-                }
-            }
+            rest = &rest[run..];
+            let fs = out
+                .per_function
+                .entry(FunctionId(tl.funcs.ids[func as usize]))
+                .or_default();
+            let side = if exclusive {
+                &mut fs.exclusive
+            } else {
+                &mut fs.inclusive
+            };
+            side.insert(cols.sensor_ids[sensor], stats);
         }
     }
-}
-
-/// Fold one sensor's dictionary run of counts into a fresh accumulator,
-/// pre-sized to the number of occupied buckets so the whole histogram is
-/// one allocation.
-fn gather(counts: &[u64], dict: &[u64]) -> StreamingStats {
-    let occupied = counts.iter().filter(|&&c| c > 0).count();
-    let mut stats = StreamingStats::with_distinct_capacity(occupied);
-    for (&key, &count) in dict.iter().zip(counts) {
-        stats.push_n(f64_unkey(key), count);
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -816,20 +780,58 @@ mod tests {
                 .map(|&(t, s, v)| sample(t, SensorId(s), 30.0 + f64::from(v) * 0.25))
                 .collect();
             let dense = correlate_with(&tl, &samples, 1);
-            let (ivs, cols) = (IntervalColumns::from_timeline(&tl), SampleColumns::from_readings(&samples));
+            let cols = SampleColumns::from_readings(&samples);
             let never = CancelToken::default();
             for shards in 1..=4 {
                 let chunk = cols.len().div_ceil(shards);
-                let mut acc = sweep_range(&ivs, &cols, (0, chunk.min(cols.len())), false, &never);
+                let mut acc = sweep_range(&tl, &cols, (0, chunk.min(cols.len())), false, &never);
                 for lo in (chunk..cols.len()).step_by(chunk) {
                     let hi = (lo + chunk).min(cols.len());
-                    acc.absorb(sweep_range(&ivs, &cols, (lo, hi), false, &never));
+                    acc.absorb(sweep_range(&tl, &cols, (lo, hi), false, &never));
                 }
                 let mut sparse = Correlation { resorted: cols.resorted, ..Default::default() };
                 sparse.unattributed = acc.unattributed;
-                materialize(&ivs, &cols, acc, &mut sparse);
+                materialize(&tl, &cols, acc, &mut sparse);
                 assert_correlations_equal(&dense, &sparse);
             }
+        }
+    }
+
+    #[test]
+    fn sparse_counts_only_the_cells_samples_hit() {
+        // 4,000 functions each called once under main and 4,000 sensors
+        // with one sample each: 16M cells per attribution kind, past the
+        // dense ceiling. A `StreamingStats` per (sensor, function) cell
+        // took 984 MB and 1.33 s here (release, 2-vCPU VM).
+        let n = 4_000u32;
+        let at = |k: u32| 10 * u64::from(k);
+        let mut events = vec![Event::enter(0, T0, MAIN)];
+        for k in 1..=n {
+            events.push(Event::enter(at(k), T0, FunctionId(k)));
+            events.push(Event::exit(at(k) + 5, T0, FunctionId(k)));
+        }
+        events.push(Event::exit(at(n + 1), T0, MAIN));
+        let samples: Vec<SensorReading> = (1..=n)
+            .map(|k| sample(at(k) + 2, SensorId(k as u16), 30.0 + f64::from(k) * 0.25))
+            .collect();
+        let tl = Timeline::build(&events);
+        assert!(tl.funcs.ids.len() * samples.len() > MAX_DENSE_CELLS);
+
+        let started = std::time::Instant::now();
+        let c = correlate_with(&tl, &samples, 1);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        assert_eq!(c.unattributed, 0);
+        assert_eq!(c.per_function.len(), n as usize + 1);
+        assert_eq!(c.per_function[&MAIN].inclusive.len(), n as usize);
+        assert!(c.per_function[&MAIN].exclusive.is_empty());
+        for k in 1..=n {
+            let fs = &c.per_function[&FunctionId(k)];
+            assert_eq!(fs.inclusive.len(), 1);
+            let exclusive = &fs.exclusive[&SensorId(k as u16)];
+            assert_eq!(exclusive.count(), 1);
+            let celsius = (exclusive.max().unwrap() - 32.0) / 1.8;
+            assert!((celsius - (30.0 + f64::from(k) * 0.25)).abs() < 1e-9);
         }
     }
 
@@ -843,22 +845,21 @@ mod tests {
             .map(|t| sample(t, S0, 30.0 + t as f64 * 0.25))
             .collect();
         let cols = SampleColumns::from_readings(&samples);
-        let ivs = IntervalColumns::from_timeline(&tl);
         let never = CancelToken::default();
-        let dense = sweep_range(&ivs, &cols, (0, cols.len()), true, &never);
-        let sparse = sweep_range(&ivs, &cols, (0, cols.len()), false, &never);
+        let dense = sweep_range(&tl, &cols, (0, cols.len()), true, &never);
+        let sparse = sweep_range(&tl, &cols, (0, cols.len()), false, &never);
         let mut out_dense = Correlation::default();
-        materialize(&ivs, &cols, dense, &mut out_dense);
+        materialize(&tl, &cols, dense, &mut out_dense);
         let mut out_sparse = Correlation::default();
-        materialize(&ivs, &cols, sparse, &mut out_sparse);
+        materialize(&tl, &cols, sparse, &mut out_sparse);
         assert_correlations_equal(&out_dense, &out_sparse);
         // Sparse shard merging is exercised too.
-        let a = sweep_range(&ivs, &cols, (0, 100), false, &never);
-        let b = sweep_range(&ivs, &cols, (100, cols.len()), false, &never);
+        let a = sweep_range(&tl, &cols, (0, 100), false, &never);
+        let b = sweep_range(&tl, &cols, (100, cols.len()), false, &never);
         let mut merged = a;
         merged.absorb(b);
         let mut out_merged = Correlation::default();
-        materialize(&ivs, &cols, merged, &mut out_merged);
+        materialize(&tl, &cols, merged, &mut out_merged);
         assert_correlations_equal(&out_dense, &out_merged);
     }
 }

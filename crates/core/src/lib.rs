@@ -17,7 +17,8 @@
 //!    buckets, §3.1).
 //! 2. [`correlate`] — walk the sensor samples along that timeline and
 //!    attribute each sample to every function active at that instant,
-//!    sweeping the columnar batches of [`columns`] in time-window shards.
+//!    over per-thread stacks of open frames and the dictionary-encoded
+//!    sample columns of [`columns`], in time-window shards.
 //! 3. [`stats`] — the Min/Avg/Max/Sdv/Var/Med/Mod summary statistics of
 //!    the paper's tables.
 //! 4. [`profile`] — per-function, per-sensor thermal profiles with the

@@ -295,21 +295,25 @@ pub(crate) fn analyze_trace_salvaged(
 /// dead all run therefore drags coverage down even though it wrote no
 /// samples at all.
 fn sensor_coverage(node: &NodeMeta, samples: &[SensorReading]) -> f64 {
-    use std::collections::HashMap;
-    let mut per_sensor: HashMap<u16, usize> = HashMap::new();
+    // Samples per sensor, a direct table over the `u16` id.
+    let mut per_sensor: Vec<usize> = Vec::new();
     for s in samples {
-        *per_sensor.entry(s.sensor.0).or_default() += 1;
+        let id = usize::from(s.sensor.0);
+        if per_sensor.len() <= id {
+            per_sensor.resize(id + 1, 0);
+        }
+        per_sensor[id] += 1;
     }
-    let expected_sensors = node.sensors.len().max(per_sensor.len());
+    let observed = per_sensor.iter().filter(|&&n| n > 0).count();
+    let expected_sensors = node.sensors.len().max(observed);
     if expected_sensors == 0 {
         return 1.0; // nothing expected, nothing missing
     }
-    let best = per_sensor.values().copied().max().unwrap_or(0);
+    let best = per_sensor.iter().copied().max().unwrap_or(0);
     if best == 0 {
         return 0.0; // sensors exist but none ever produced a sample
     }
-    let total: usize = per_sensor.values().sum();
-    (total as f64 / (best * expected_sensors) as f64).min(1.0)
+    (samples.len() as f64 / (best * expected_sensors) as f64).min(1.0)
 }
 
 #[cfg(test)]

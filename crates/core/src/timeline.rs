@@ -13,11 +13,12 @@
 //! space: one pass gives each thread and each entered function a dense
 //! slot in first-appearance order. Stray exits cost O(1) and leftover
 //! frames close in thread-slot order (DESIGN.md §8). [`Timeline::build`]
-//! collects the closed intervals, [`CallGraph::build`] folds the caller
-//! handed with each, and [`IntervalColumns`] take the timeline's slots.
+//! places the closed intervals in the order their frames were entered,
+//! which is start order, and settles ties with one sort of indices; it
+//! keeps each interval's slots for [`crate::correlate`].
+//! [`CallGraph::build`] folds the caller handed with each interval.
 //!
 //! [`CallGraph::build`]: crate::callgraph::CallGraph::build
-//! [`IntervalColumns`]: crate::columns::IntervalColumns
 
 use std::collections::HashMap;
 use tempest_probe::event::{Event, EventKind, ThreadId};
@@ -103,7 +104,8 @@ pub struct FunctionTimes {
 /// The reconstructed timeline of one node.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// All intervals, sorted by start time.
+    /// All intervals, ordered by start time, then depth, with ties in the
+    /// order their frames closed.
     pub intervals: Vec<Interval>,
     /// Aggregate times per function.
     pub times: HashMap<FunctionId, FunctionTimes>,
@@ -115,6 +117,9 @@ pub struct Timeline {
     pub(crate) funcs: Slots,
     /// The replay's slots for every thread with a scope event.
     pub(crate) threads: Slots,
+    /// Per interval, in [`Self::intervals`] order: the slots of its
+    /// function and of its thread.
+    pub(crate) slots: Vec<(u32, u32)>,
 }
 
 impl Timeline {
@@ -125,10 +130,35 @@ impl Timeline {
     /// each thread's subsequence is then interpreted as a call-stack
     /// history.
     pub fn build(events: &[Event]) -> Timeline {
-        let mut intervals = Vec::new();
-        let mut tl = replay(events, |iv, _| intervals.push(iv));
-        intervals.sort_by_key(|i| (i.start_ns, i.depth));
-        tl.intervals = intervals;
+        // Each interval at the index its frame was entered at, with its
+        // slots and its place in close order. Frames close out of entry
+        // order; every index gets written once, when its frame closes.
+        let mut entered: Vec<(Interval, (u32, u32), u32)> = Vec::new();
+        let mut closes = 0u32;
+        let mut tl = replay(events, |iv, _, frame| {
+            let placed = (iv, frame.slots, closes);
+            let at = frame.entered as usize;
+            if entered.len() <= at {
+                entered.resize(at + 1, placed);
+            }
+            entered[at] = placed;
+            closes += 1;
+        });
+        // Time-sorted events are entered in start order, so the sort only
+        // settles ties: by depth, then by close order. No two keys are
+        // equal, so an unstable sort gives the one order.
+        let mut order: Vec<u32> = (0..closes).collect();
+        order.sort_unstable_by_key(|&i| {
+            let (iv, _, closed) = &entered[i as usize];
+            (iv.start_ns, iv.depth, *closed)
+        });
+        (tl.intervals, tl.slots) = order
+            .iter()
+            .map(|&i| {
+                let (iv, slots, _) = entered[i as usize];
+                (iv, slots)
+            })
+            .unzip();
         tl
     }
 
@@ -172,11 +202,21 @@ impl Slots {
     }
 }
 
+/// What the replay hands over with each interval it closes besides the
+/// caller.
+#[derive(Clone, Copy)]
+pub(crate) struct Closed {
+    /// How many frames were entered before this one.
+    pub(crate) entered: u32,
+    /// The slots of the frame's function and of its thread.
+    pub(crate) slots: (u32, u32),
+}
+
 /// One thread's replay state.
 #[derive(Default)]
 struct Stack {
-    /// Open frames: function, its slot, entry time.
-    frames: Vec<(FunctionId, u32, u64)>,
+    /// Open frames: function, its slot, entry time, entry index.
+    frames: Vec<(FunctionId, u32, u64, u32)>,
     /// Timestamp of the thread's previous scope event.
     prev_ns: Option<u64>,
     /// Per function entered here: its slot, its open frames, and since
@@ -191,14 +231,14 @@ impl Stack {
     fn close(
         &mut self,
         depth: usize,
-        thread: ThreadId,
+        (thread, thread_slot): (ThreadId, u32),
         t: u64,
         truncated: bool,
         times: &mut [FunctionTimes],
-        on_close: &mut impl FnMut(Interval, Option<FunctionId>),
+        on_close: &mut impl FnMut(Interval, Option<FunctionId>, Closed),
     ) {
         while self.frames.len() > depth {
-            let (func, slot, start_ns) = self.frames.pop().expect("deeper than `depth`");
+            let (func, slot, start_ns, entered) = self.frames.pop().expect("deeper than `depth`");
             let open = self
                 .open
                 .get_mut(&func)
@@ -215,24 +255,30 @@ impl Stack {
                 depth: self.frames.len() as u32,
                 truncated,
             };
-            on_close(interval, self.frames.last().map(|f| f.0));
+            let closed = Closed {
+                entered,
+                slots: (slot, thread_slot),
+            };
+            on_close(interval, self.frames.last().map(|f| f.0), closed);
         }
     }
 }
 
 /// Replay the call stacks of `events` once, as [`Timeline::build`] reads
-/// them, handing each closed interval to `on_close` with its caller: the
+/// them, handing each closed interval to `on_close` with its caller (the
 /// function of the frame beneath it, or `None` for a thread's outermost
-/// frame. Returns the timeline without its intervals.
+/// frame) and its [`Closed`] record. Returns the timeline without its
+/// intervals.
 pub(crate) fn replay(
     events: &[Event],
-    mut on_close: impl FnMut(Interval, Option<FunctionId>),
+    mut on_close: impl FnMut(Interval, Option<FunctionId>, Closed),
 ) -> Timeline {
     let mut tl = Timeline::default();
     let at = |e: Option<&Event>| e.map_or(0, |e| e.timestamp_ns);
     tl.span = (at(events.first()), at(events.last()));
     let mut stacks: Vec<Stack> = Vec::new();
     let mut times: Vec<FunctionTimes> = Vec::new();
+    let mut entered = 0u32;
 
     for e in events {
         let (func, is_enter) = match e.kind {
@@ -246,7 +292,7 @@ pub(crate) fn replay(
         let stack = &mut stacks[slot];
 
         // Attribute the elapsed slice to the current top (exclusive).
-        if let (Some(p), Some(&(_, top, _))) = (stack.prev_ns, stack.frames.last()) {
+        if let (Some(p), Some(&(_, top, ..))) = (stack.prev_ns, stack.frames.last()) {
             times[top as usize].exclusive_ns += t.saturating_sub(p);
         }
         stack.prev_ns = Some(t);
@@ -263,7 +309,8 @@ pub(crate) fn replay(
                 open.2 = t; // first activation: start the inclusive clock
             }
             open.1 += 1;
-            stack.frames.push((func, open.0, t));
+            stack.frames.push((func, open.0, t, entered));
+            entered = entered.checked_add(1).expect("fewer than 2^32 frames");
             continue;
         }
 
@@ -288,19 +335,25 @@ pub(crate) fn replay(
                 at_ns: t,
             });
         }
-        stack.close(pos, e.thread, t, false, &mut times, &mut on_close);
+        let thread = (e.thread, slot as u32);
+        stack.close(pos, thread, t, false, &mut times, &mut on_close);
     }
 
     // Close anything still open at the end of the trace, in thread-slot
-    // order.
-    for (stack, &id) in stacks.iter_mut().zip(&tl.threads.ids) {
+    // order. A trailing marker (a gap) may carry an earlier timestamp than
+    // the thread's last scope event, since only scope events are checked
+    // for order; closing no earlier than that event keeps every frame
+    // within its caller, which the correlate sweep relies on.
+    for (slot, (stack, &id)) in stacks.iter_mut().zip(&tl.threads.ids).enumerate() {
         if !stack.frames.is_empty() {
             let thread = ThreadId(id);
             tl.warnings.push(TimelineWarning::UnclosedFrames {
                 thread,
                 count: stack.frames.len(),
             });
-            stack.close(0, thread, tl.span.1, true, &mut times, &mut on_close);
+            let end = tl.span.1.max(stack.prev_ns.unwrap_or(0));
+            let thread = (thread, slot as u32);
+            stack.close(0, thread, end, true, &mut times, &mut on_close);
         }
     }
     let ids = tl.funcs.ids.iter().map(|&id| FunctionId(id));
@@ -450,6 +503,30 @@ mod tests {
         assert!(main_iv.truncated);
         assert_eq!(main_iv.end_ns, 50);
         assert_eq!(tl.times[&MAIN].inclusive_ns, 50);
+    }
+
+    #[test]
+    fn frames_left_open_close_after_their_callees() {
+        // Only scope events are checked for order, so a trailing gap
+        // marker may be stamped before the last exit. Main, left open,
+        // must still close no earlier than the foo1 it called.
+        use tempest_sensors::{SensorId, SensorReading, Temperature};
+        let tl = Timeline::build(&[
+            enter(10, T0, MAIN),
+            enter(20, T0, FOO1),
+            exit(30, T0, FOO1),
+            Event::gap(25, SensorId(0)),
+        ]);
+        assert_eq!(tl.span, (10, 25));
+        let main = tl.intervals.iter().find(|i| i.func == MAIN).unwrap();
+        assert!(main.truncated);
+        assert_eq!(main.end_ns, 30);
+        assert_eq!(tl.times[&MAIN].inclusive_ns, 20);
+        // So the sweep's stacks hold: main stays under foo1 throughout.
+        let at = |t| SensorReading::new(SensorId(0), t, Temperature::from_celsius(40.0));
+        let c = crate::correlate::correlate(&tl, &[at(22), at(27)]);
+        assert_eq!(c.per_function[&MAIN].inclusive[&SensorId(0)].count(), 2);
+        assert_eq!(c.per_function[&FOO1].exclusive[&SensorId(0)].count(), 2);
     }
 
     #[test]

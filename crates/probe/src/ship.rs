@@ -39,6 +39,7 @@ use crate::spool::{
     FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
 };
 use crate::trace::encode_str;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
@@ -667,10 +668,21 @@ fn connect_and_drain(
         send_telemetry(config, &mut stream, report, metrics, node_id, &hostname)?;
     }
 
+    // Per segment, where this connection's last scan of it stopped. The
+    // first pass scans every segment from its start, so a footer behind
+    // the resume cursor is still seen; later passes read only what was
+    // appended since.
+    let mut scanned: HashMap<u64, u64> = HashMap::new();
     let mut last_activity = Instant::now();
     loop {
-        let (shipped_any, footer_shipped) =
-            ship_available(config, &mut stream, &mut cursor, report, metrics)?;
+        let (shipped_any, footer_shipped) = ship_available(
+            config,
+            &mut stream,
+            &mut cursor,
+            &mut scanned,
+            report,
+            metrics,
+        )?;
         if shipped_any {
             last_activity = Instant::now();
             // Persist progress after every drain pass; losing it only
@@ -758,11 +770,14 @@ fn send_telemetry(
 /// Ship every frame at or past `cursor` currently on disk, in recovery
 /// order: ascending segment sequence, ascending offset, and never past an
 /// unsealed segment (the live tail may still grow and must ship before
-/// anything that could follow it). Returns `(shipped_any, footer_shipped)`.
+/// anything that could follow it). Each segment's scan starts where
+/// `scanned` says an earlier one stopped, and records where this one
+/// does. Returns `(shipped_any, footer_shipped)`.
 fn ship_available(
     config: &ShipConfig,
     stream: &mut TcpStream,
     cursor: &mut Cursor,
+    scanned: &mut HashMap<u64, u64>,
     report: &mut ShipReport,
     metrics: &ShipMetrics,
 ) -> io::Result<(bool, bool)> {
@@ -771,7 +786,8 @@ fn ship_available(
         if seq < cursor.seg {
             continue;
         }
-        let mut segment = match SegmentReader::open(&path) {
+        let from = scanned.get(&seq).copied().unwrap_or(0);
+        let mut segment = match SegmentReader::open_at(&path, from) {
             Ok(segment) => segment,
             // Gone since the listing, under either name.
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
@@ -820,6 +836,7 @@ fn ship_available(
                 return Ok((shipped_any, true));
             }
         }
+        scanned.insert(seq, segment.offset());
         if !sealed {
             // The open segment is the live tail; everything after it (a
             // later rescan will see it sealed plus a successor) must wait

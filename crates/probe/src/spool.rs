@@ -56,7 +56,7 @@ use crate::trace::{
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1308,25 +1308,46 @@ pub struct SegmentReader {
 impl SegmentReader {
     /// Open a listed segment and check its header.
     pub fn open(path: &Path) -> io::Result<SegmentReader> {
-        let (file, path) = open_segment(path)?;
+        SegmentReader::open_at(path, SEGMENT_HEADER_LEN as u64)
+    }
+
+    /// [`Self::open`], then go on from `offset`: a frame boundary that an
+    /// earlier reader of this segment reached ([`Self::offset`]). The
+    /// segment only grows, so the boundary holds; nothing before it is
+    /// read but the header, which is still checked.
+    pub fn open_at(path: &Path, offset: u64) -> io::Result<SegmentReader> {
+        let (mut file, path) = open_segment(path)?;
+        let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
+        (&mut file)
+            .take(SEGMENT_HEADER_LEN as u64)
+            .read_to_end(&mut header)?;
         let mut reader = SegmentReader {
             file,
             path,
             buf: Vec::new(),
-            base: 0,
+            base: header.len() as u64,
             filled: 0,
             at: 0,
             torn: false,
         };
-        reader.fill(SEGMENT_HEADER_LEN)?;
-        if segment_header_ok(&reader.buf[..reader.filled]) {
-            reader.at = SEGMENT_HEADER_LEN;
-        } else {
-            reader.torn = reader.filled > 0;
-            reader.at = reader.filled;
+        if !segment_header_ok(&header) {
+            reader.torn = !header.is_empty();
             reader.file.set_limit(0);
+            return Ok(reader);
+        }
+        let skip = offset.saturating_sub(reader.base).min(reader.file.limit());
+        if skip > 0 {
+            reader.base += skip;
+            reader.file.get_mut().seek(SeekFrom::Start(reader.base))?;
+            reader.file.set_limit(reader.file.limit() - skip);
         }
         Ok(reader)
+    }
+
+    /// Where the next frame starts: the end of the last frame handed out,
+    /// or of the header before the first.
+    pub fn offset(&self) -> u64 {
+        self.base + self.at as u64
     }
 
     /// The next checksum-verified frame; `None` at the end of the segment
@@ -2782,6 +2803,37 @@ mod tests {
         for junk in [&b""[..], b"TMPSPOL", b"not a segment at all"] {
             reader_agrees_with_slice_parser(junk).unwrap();
         }
+    }
+
+    #[test]
+    fn a_reader_opened_at_a_boundary_reads_only_what_follows() {
+        let bytes = &real_segments()[0];
+        let (frames, _) = parse_segment_frames(bytes);
+        let dir = temp_spool_dir("open-at");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_file_name(0, true));
+        std::fs::write(&path, bytes).unwrap();
+        for nth in [0, 1, frames.len() / 2, frames.len() - 1] {
+            let mut segment = SegmentReader::open_at(&path, frames[nth].offset).unwrap();
+            for want in &frames[nth..] {
+                let got = segment.next_frame().unwrap().expect("a frame");
+                let got = (got.offset, got.kind, got.payload);
+                assert_eq!(got, (want.offset, want.kind, want.payload));
+            }
+            assert!(segment.next_frame().unwrap().is_none());
+            assert_eq!((segment.offset(), segment.torn()), (bytes.len() as u64, 0));
+        }
+        let mut segment = SegmentReader::open_at(&path, bytes.len() as u64 + 7).unwrap();
+        assert!(segment.next_frame().unwrap().is_none());
+        assert_eq!(segment.torn(), 0);
+        // The header is still checked.
+        let mut damaged = bytes.clone();
+        damaged[0] ^= 1;
+        std::fs::write(&path, &damaged).unwrap();
+        let mut segment = SegmentReader::open_at(&path, frames[1].offset).unwrap();
+        assert!(segment.next_frame().unwrap().is_none());
+        assert_eq!(segment.torn(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest! {

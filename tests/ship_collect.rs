@@ -9,11 +9,14 @@
 //! sleeps.
 
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 use tempest_collect::{Collector, CollectorConfig, CollectorHandle};
 use tempest_core::report::render_stdout;
 use tempest_core::AnalysisRequest;
+use tempest_obs::Registry;
 use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{self, RetryPolicy, ShipConfig};
 use tempest_probe::spool::{self, FsyncPolicy, SpoolConfig, SpoolWriter};
@@ -346,6 +349,59 @@ fn follow_mode_tails_a_live_session_to_completion() {
     let (dst_trace, dst_text) = analysis_of(&out.join("live-node7"));
     assert_eq!(src_trace, dst_trace);
     assert_eq!(src_text, dst_text);
+
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn an_idle_follow_shipper_reads_only_what_was_appended() {
+    // Caught up on a live segment, a follow shipper polls it every
+    // `poll`. Each poll must go on from where the last one stopped rather
+    // than walk the segment again from its first frame, skipping every
+    // frame the collector already holds.
+    let src = temp_dir("idle-src");
+    let out = temp_dir("idle-out");
+    let (handle, server) = start_collector(&out);
+    let addr = handle.addr();
+    let config = SpoolConfig::new(&src).fsync(FsyncPolicy::PerBatch);
+    let mut w = SpoolWriter::create(&config, node(8)).unwrap();
+    for i in 0..20 {
+        w.append_batch(&batch(i)).unwrap();
+    }
+    let mut on_disk = 0;
+    spool::scan_frames(&src, |_| {
+        on_disk += 1;
+        ControlFlow::<()>::Continue(())
+    });
+
+    let registry = Arc::new(Registry::new());
+    let acked = registry.counter("ship_frames_acked_total");
+    let (dir, reg) = (src.clone(), Arc::clone(&registry));
+    let shipper = std::thread::spawn(move || {
+        let mut config = ShipConfig::new(&dir, addr.to_string());
+        config.session = "idle".into();
+        config.follow = true;
+        config.retry = quick_retries();
+        config.poll = Duration::from_millis(5);
+        config.registry = Some(reg);
+        ship::ship(&config).unwrap()
+    });
+    while acked.get() < on_disk {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Caught up: idle for about twenty polls, then seal the session.
+    std::thread::sleep(Duration::from_millis(100));
+    w.finish(&functions(), 0, 0).unwrap();
+
+    let report = shipper.join().unwrap();
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(report.complete, "{report:?}");
+    assert_eq!(report.frames_skipped, 0, "idle polls rescanned: {report:?}");
+    let (src_trace, _) = analysis_of(&src);
+    let (dst_trace, _) = analysis_of(&out.join("idle-node8"));
+    assert_eq!(src_trace, dst_trace);
 
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&out).ok();
