@@ -79,6 +79,15 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
     --out "$OBS_TMP/trace.json" >/dev/null
 cargo run --release -q -p tempest-bench --bin json_check -- chrome "$OBS_TMP/trace.json"
 
+echo "==> CLI grammar (a misspelt flag is a usage error, exit 2)"
+GRAMMAR_STATUS=0
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    report "$OBS_TMP/traces/micro-d-node0.trace" --formt csv >/dev/null 2>&1 \
+    || GRAMMAR_STATUS=$?
+[ "$GRAMMAR_STATUS" -eq 2 ] \
+    || { echo "report --formt csv exited $GRAMMAR_STATUS, not 2" >&2; exit 1; }
+echo "    report --formt csv refused with exit 2"
+
 echo "==> network collection smoke (collect serve --once --fsync + ship, loopback)"
 cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/spool" >/dev/null
 # Ephemeral port; the daemon publishes the bound address atomically via

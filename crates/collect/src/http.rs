@@ -19,9 +19,9 @@
 //!   fixed set of worker threads over a bounded queue; when the queue is
 //!   full the listener answers `503` inline rather than queueing without
 //!   bound;
-//! * **rate limiting** — an optional server-wide token bucket (the same
-//!   2×-burst shape as the collector's ingest shed policy) answering
-//!   `429 Too Many Requests` when drained;
+//! * **rate limiting** — an optional server-wide token bucket with a 2×
+//!   burst (`RateLimiter`, which the collector's per-connection ingest
+//!   limit shares) answering `429 Too Many Requests` when drained;
 //! * **per-connection deadlines and size caps** — a stuck or hostile
 //!   client cannot pin a worker, and oversized request heads are refused
 //!   with `431`.
@@ -31,7 +31,8 @@
 //! segment instead of a body that waits ~40 ms for the peer's delayed
 //! ACK. The last response a connection carries says `Connection: close`,
 //! and [`HttpClient`] reconnects after it. The accept loop blocks in
-//! `accept()`; [`HttpServer::join`] wakes it with one loopback connect.
+//! `accept()`; [`HttpServer::join`] wakes it with one loopback connect
+//! through `wake_accept`, as the collector's shutdown does.
 //!
 //! Handlers are plain `Fn(&Request) -> Response` closures; conditional
 //! requests (`ETag` / `If-None-Match` / `304`) are expressed through
@@ -40,6 +41,7 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,7 +68,7 @@ pub struct HttpConfig {
     pub max_requests_per_conn: usize,
     /// Server-wide sustained requests/second; `None` disables the
     /// limiter. Bursts up to 2× are absorbed (token bucket).
-    pub rate_limit: Option<u32>,
+    pub rate_limit: Option<NonZeroU32>,
 }
 
 impl Default for HttpConfig {
@@ -187,18 +189,25 @@ impl HttpServer {
     /// flag is set). The accept loop is parked in `accept()`, so one
     /// loopback connect to the bound port wakes it to see the flag.
     pub fn join(mut self) {
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&wake, IO_TIMEOUT);
+        wake_accept(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// Wake an accept loop parked in `accept()` on `addr` with one connect,
+/// sent to loopback when `addr` is a wildcard. The loop must check its
+/// stop flag before serving what it accepted.
+pub(crate) fn wake_accept(addr: SocketAddr) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, IO_TIMEOUT);
 }
 
 /// Bounded hand-off queue from the accept loop to the workers.
@@ -249,23 +258,24 @@ impl ConnQueue {
     }
 }
 
-/// Server-wide token bucket: sustained `rate`/s with a 2× burst — the
-/// same shed shape as the collector's ingest rate limit.
-struct RateLimiter {
+/// Token bucket: sustained `rate`/s with a 2× burst. The HTTP layer
+/// keeps one per server, the collector one per connection.
+pub(crate) struct RateLimiter {
     state: Mutex<(f64, Instant)>,
     rate: f64,
 }
 
 impl RateLimiter {
-    fn new(rate: u32) -> RateLimiter {
-        let rate = f64::from(rate.max(1));
+    pub(crate) fn new(rate: NonZeroU32) -> RateLimiter {
+        let rate = f64::from(rate.get());
         RateLimiter {
             state: Mutex::new((2.0 * rate, Instant::now())),
             rate,
         }
     }
 
-    fn admit(&self) -> bool {
+    /// Take one token if the bucket holds one.
+    pub(crate) fn admit(&self) -> bool {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let (ref mut bucket, ref mut last) = *s;
         *bucket = (*bucket + last.elapsed().as_secs_f64() * self.rate).min(2.0 * self.rate);
@@ -1012,7 +1022,7 @@ mod tests {
         let shed2 = Arc::clone(&shed);
         let stop = Arc::new(AtomicBool::new(false));
         let config = HttpConfig {
-            rate_limit: Some(2),
+            rate_limit: NonZeroU32::new(2),
             ..HttpConfig::default()
         };
         let server = serve(

@@ -62,7 +62,7 @@ pub struct QueryConfig {
     /// Analysis result cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
     /// Server-wide sustained requests/second (2× burst); `None` disables.
-    pub rate_limit: Option<u32>,
+    pub rate_limit: Option<std::num::NonZeroU32>,
     /// Background catalog re-scan debounce in milliseconds; 0 disables
     /// the re-scan thread (the catalog is frozen at boot).
     pub rescan_ms: u64,

@@ -7,6 +7,7 @@
 use std::collections::HashSet;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroU32;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,6 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::fleet::FleetState;
+use crate::http::{wake_accept, RateLimiter};
 use parking_lot::Mutex;
 use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{
@@ -55,7 +57,7 @@ pub struct CollectorConfig {
     pub shed: ShedPolicy,
     /// DATA frames per second tolerated per connection (token bucket
     /// with a burst of twice the rate); `None` disables rate limiting.
-    pub rate_limit: Option<u32>,
+    pub rate_limit: Option<NonZeroU32>,
     /// Fsync the session segment after every accepted frame. Makes ACK
     /// mean "on stable storage" at per-frame fsync cost; off, ACK means
     /// "handed to the OS".
@@ -160,6 +162,7 @@ impl CollectorHandle {
     /// Ask the accept loop to exit; in-flight connections finish.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
+        wake_accept(self.addr);
     }
 
     /// Read the live counters.
@@ -228,33 +231,25 @@ impl Collector {
     }
 
     fn accept_loop(self, mut remaining: Option<u64>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let metrics = Arc::new(CollectMetrics::resolve());
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
+        while remaining != Some(0) {
+            let accepted = self.listener.accept();
+            // `CollectorHandle::shutdown` connects once after the flag
+            // flips; that connection only wakes this loop to leave.
             if self.shared.stop.load(Ordering::Acquire) {
                 break;
             }
-            if remaining == Some(0) {
-                break;
+            let (stream, _peer) = accepted?;
+            if let Some(n) = remaining.as_mut() {
+                *n -= 1;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Some(n) = remaining.as_mut() {
-                        *n -= 1;
-                    }
-                    let config = self.config.clone();
-                    let shared = self.shared.clone();
-                    let metrics = metrics.clone();
-                    workers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &config, &shared, &metrics);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
+            let config = self.config.clone();
+            let shared = self.shared.clone();
+            let metrics = metrics.clone();
+            workers.push(std::thread::spawn(move || {
+                handle_connection(stream, &config, &shared, &metrics);
+            }));
             workers.retain(|w| !w.is_finished());
         }
         for w in workers {
@@ -402,8 +397,7 @@ fn handle_connection(
     let node_frames =
         tempest_obs::global().gauge(&format!("collect_node_{}_frames", hello.node_id));
 
-    // Token bucket for the per-connection rate limit.
-    let mut tokens = config.rate_limit.map(|r| (2.0 * r as f64, Instant::now()));
+    let limiter = config.rate_limit.map(RateLimiter::new);
     // The size limit is checked against the header, before allocating.
     let max_msg = config
         .max_frame_bytes
@@ -447,15 +441,9 @@ fn handle_connection(
         };
         match kind {
             MSG_DATA => {
-                if let Some((ref mut bucket, ref mut last)) = tokens {
-                    let rate = config.rate_limit.unwrap_or(0) as f64;
-                    *bucket = (*bucket + last.elapsed().as_secs_f64() * rate).min(2.0 * rate);
-                    *last = Instant::now();
-                    if *bucket < 1.0 {
-                        send_err(&mut stream, ERR_RATE_LIMITED, "frame rate limit exceeded");
-                        break;
-                    }
-                    *bucket -= 1.0;
+                if limiter.as_ref().is_some_and(|l| !l.admit()) {
+                    send_err(&mut stream, ERR_RATE_LIMITED, "frame rate limit exceeded");
+                    break;
                 }
                 let Some((cur, origin_ns, inner_kind, inner_payload)) = decode_data(&payload)
                 else {
@@ -780,11 +768,111 @@ mod tests {
     fn collector_binds_ephemeral_and_shuts_down() {
         let out = std::env::temp_dir().join(format!("tempest-collect-bind-{}", std::process::id()));
         std::fs::remove_dir_all(&out).ok();
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let collector = Collector::bind(addr, CollectorConfig::new(&out)).unwrap();
+            let handle = collector.handle().unwrap();
+            assert_ne!(handle.addr().port(), 0);
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done.send(collector.run().is_ok()));
+            handle.shutdown();
+            // The accept loop sleeps in `accept()`; shutdown's wake-up
+            // connect reaches it even on a wildcard address, and is
+            // neither served nor counted.
+            assert_eq!(
+                finished.recv_timeout(Duration::from_secs(1)),
+                Ok(true),
+                "{addr}"
+            );
+            assert_eq!(handle.stats().connections.load(Ordering::Relaxed), 0);
+        }
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    /// An idle collector sleeps in `accept()` rather than polling.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_collector_does_not_wake() {
+        let out = std::env::temp_dir().join(format!("tempest-collect-idle-{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
         let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(&out)).unwrap();
         let handle = collector.handle().unwrap();
-        assert_ne!(handle.addr().port(), 0);
-        let t = std::thread::spawn(move || collector.run());
+        const NAME: &str = "idle-collector";
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::Builder::new()
+            .name(NAME.into())
+            .spawn(move || done.send(collector.run().is_ok()))
+            .unwrap();
+        // The accept thread's voluntary context switches, found by name.
+        let switches = || -> u64 {
+            for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+                let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+                if comm.trim() == NAME {
+                    let status = std::fs::read_to_string(task.path().join("status")).unwrap();
+                    let line = status
+                        .lines()
+                        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+                    return line.unwrap().trim().parse().unwrap();
+                }
+            }
+            panic!("no thread named {NAME}");
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        let before = switches();
+        std::thread::sleep(Duration::from_millis(500));
+        let woke = switches() - before;
         handle.shutdown();
+        assert!(woke < 5, "{woke} wakeups in 0.5 s");
+        let stopped = finished.recv_timeout(Duration::from_secs(1));
+        assert_eq!(stopped, Ok(true));
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn data_frames_past_the_burst_get_err_rate_limited() {
+        use std::io::Write;
+        use tempest_probe::ship::{decode_err, encode_hello, Hello};
+        use tempest_probe::spool::FRAME_EVENTS;
+
+        let out = std::env::temp_dir().join(format!("tempest-collect-rate-{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let mut config = CollectorConfig::new(&out);
+        config.rate_limit = NonZeroU32::new(2);
+        let collector = Collector::bind("127.0.0.1:0", config).unwrap();
+        let addr = collector.local_addr().unwrap();
+        let t = std::thread::spawn(move || collector.serve_connections(1));
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(SHIP_MAGIC).unwrap();
+        let hello = Hello {
+            version: SHIP_VERSION,
+            node_id: 1,
+            session: "rate-test".into(),
+            hostname: "test".into(),
+        };
+        write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+        assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_WELCOME);
+        // DATA frames back to back, each the next in source order: the
+        // burst of twice the rate is acknowledged, then the limit refuses.
+        let inner = [0u8; 16];
+        let mut acked = 0;
+        let refused = (0..10u64).any(|i| {
+            let off = i * (FRAME_HEADER_LEN + inner.len()) as u64;
+            let mut data = [0u64.to_le_bytes(), off.to_le_bytes(), 0u64.to_le_bytes()].concat();
+            data.push(FRAME_EVENTS);
+            data.extend_from_slice(&inner);
+            write_msg(&mut stream, MSG_DATA, &data).unwrap();
+            match read_msg(&mut stream, MAX_WIRE_LEN).unwrap() {
+                (MSG_ACK, _) => acked += 1,
+                (kind, payload) => {
+                    assert_eq!(kind, MSG_ERR);
+                    assert_eq!(decode_err(&payload).0, ERR_RATE_LIMITED);
+                    return true;
+                }
+            }
+            false
+        });
+        assert!(refused, "10 frames at once never hit a 2/s limit");
+        assert!(acked >= 4, "the burst of 4 was cut to {acked}");
         t.join().unwrap().unwrap();
         std::fs::remove_dir_all(&out).ok();
     }

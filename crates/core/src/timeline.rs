@@ -111,7 +111,7 @@ pub struct Timeline {
     pub times: HashMap<FunctionId, FunctionTimes>,
     /// Repairs performed during reconstruction.
     pub warnings: Vec<TimelineWarning>,
-    /// First and last event timestamps (0,0 if no events).
+    /// Earliest and latest event timestamps (0,0 if no events).
     pub span: (u64, u64),
     /// The replay's slots for every function entered.
     pub(crate) funcs: Slots,
@@ -274,19 +274,21 @@ pub(crate) fn replay(
     mut on_close: impl FnMut(Interval, Option<FunctionId>, Closed),
 ) -> Timeline {
     let mut tl = Timeline::default();
-    let at = |e: Option<&Event>| e.map_or(0, |e| e.timestamp_ns);
-    tl.span = (at(events.first()), at(events.last()));
     let mut stacks: Vec<Stack> = Vec::new();
     let mut times: Vec<FunctionTimes> = Vec::new();
     let mut entered = 0u32;
+    let mut span = (u64::MAX, 0);
 
     for e in events {
+        // Only scope events are checked for order, so a marker may carry
+        // any timestamp: the span runs from the earliest to the latest.
+        let t = e.timestamp_ns;
+        span = (span.0.min(t), span.1.max(t));
         let (func, is_enter) = match e.kind {
             EventKind::Enter { func } => (func, true),
             EventKind::Exit { func } => (func, false),
             EventKind::Sample { .. } | EventKind::Gap { .. } => continue,
         };
-        let t = e.timestamp_ns;
         let slot = tl.threads.assign(e.thread.0) as usize;
         stacks.resize_with(tl.threads.ids.len(), Stack::default);
         let stack = &mut stacks[slot];
@@ -339,11 +341,10 @@ pub(crate) fn replay(
         stack.close(pos, thread, t, false, &mut times, &mut on_close);
     }
 
-    // Close anything still open at the end of the trace, in thread-slot
-    // order. A trailing marker (a gap) may carry an earlier timestamp than
-    // the thread's last scope event, since only scope events are checked
-    // for order; closing no earlier than that event keeps every frame
-    // within its caller, which the correlate sweep relies on.
+    // Close anything still open at the end of the span, in thread-slot
+    // order: no earlier than any event, so every frame stays within its
+    // caller, which the correlate sweep relies on.
+    tl.span = if events.is_empty() { (0, 0) } else { span };
     for (slot, (stack, &id)) in stacks.iter_mut().zip(&tl.threads.ids).enumerate() {
         if !stack.frames.is_empty() {
             let thread = ThreadId(id);
@@ -351,9 +352,8 @@ pub(crate) fn replay(
                 thread,
                 count: stack.frames.len(),
             });
-            let end = tl.span.1.max(stack.prev_ns.unwrap_or(0));
             let thread = (thread, slot as u32);
-            stack.close(0, thread, end, true, &mut times, &mut on_close);
+            stack.close(0, thread, tl.span.1, true, &mut times, &mut on_close);
         }
     }
     let ids = tl.funcs.ids.iter().map(|&id| FunctionId(id));
@@ -517,7 +517,7 @@ mod tests {
             exit(30, T0, FOO1),
             Event::gap(25, SensorId(0)),
         ]);
-        assert_eq!(tl.span, (10, 25));
+        assert_eq!(tl.span, (10, 30));
         let main = tl.intervals.iter().find(|i| i.func == MAIN).unwrap();
         assert!(main.truncated);
         assert_eq!(main.end_ns, 30);
@@ -527,6 +527,23 @@ mod tests {
         let c = crate::correlate::correlate(&tl, &[at(22), at(27)]);
         assert_eq!(c.per_function[&MAIN].inclusive[&SensorId(0)].count(), 2);
         assert_eq!(c.per_function[&FOO1].exclusive[&SensorId(0)].count(), 2);
+    }
+
+    #[test]
+    fn a_leading_gap_does_not_start_the_span_after_the_first_enter() {
+        use tempest_probe::trace::NodeMeta;
+        use tempest_sensors::SensorId;
+        let tl = Timeline::build(&[
+            Event::gap(60, SensorId(0)),
+            enter(10, T0, MAIN),
+            exit(100, T0, MAIN),
+        ]);
+        assert_eq!(tl.span, (10, 100));
+        let banner = crate::plot::function_banner(&tl, &|_| "main".into(), 16);
+        assert_eq!(banner, "m".repeat(16));
+        let c = crate::correlate::correlate(&tl, &[]);
+        let p = crate::profile::build_profiles(NodeMeta::anonymous(), &[], &tl, &c, &[]);
+        assert_eq!(p.span_ns, 90);
     }
 
     #[test]

@@ -406,7 +406,7 @@ fn rate_limited_daemon_sheds_429_rather_than_stalls() {
     write_session(&parent, "alpha");
     let server = start(QueryConfig {
         dir: parent.clone(),
-        rate_limit: Some(2),
+        rate_limit: std::num::NonZeroU32::new(2),
         ..Default::default()
     });
     let addr = server.addr().to_string();
