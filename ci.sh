@@ -23,6 +23,12 @@ cargo test --release -q -p tempest-probe crc
 echo "==> analysis oracles (release)"
 cargo test --release -q -p tempest-bench --test oracles
 
+# The hostile-input suite in the optimized build as well, so its time
+# bound on a symbol table out of id order holds as shipped, as the
+# oracles' 100k-thread replay above does.
+echo "==> hostile input (release)"
+cargo test --release -q -p tempest-bench --test hostile_input
+
 # Kill-9 spool durability torture: spawns and SIGKILLs writer
 # subprocesses. Seeded and bounded (8 iterations) at its default fixed
 # seed; override the seed with TEMPEST_TORTURE_SEED.

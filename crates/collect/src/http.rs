@@ -239,7 +239,8 @@ impl ConnQueue {
         Ok(())
     }
 
-    /// Dequeue, waking periodically to observe the stop flag.
+    /// Dequeue, or `None` once the queue is empty and `stop` is set. An
+    /// idle worker sleeps until a push or [`ConnQueue::wake_all`].
     fn pop(&self, stop: &AtomicBool) -> Option<TcpStream> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -249,12 +250,16 @@ impl ConnQueue {
             if stop.load(Ordering::Relaxed) {
                 return None;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Wake every idle worker to see the stop flag, set before the call.
+    /// Taking the lock first means no worker is between its stop check
+    /// and its wait, where a wakeup would be lost.
+    fn wake_all(&self) {
+        drop(self.queue.lock().unwrap_or_else(|e| e.into_inner()));
+        self.ready.notify_all();
     }
 }
 
@@ -382,7 +387,7 @@ fn accept_loop(
         }
     }
     // Wake any workers parked on an empty queue so they observe stop.
-    queue.ready.notify_all();
+    queue.wake_all();
 }
 
 /// Serve one connection: keep-alive loop bounded by the per-connection
@@ -999,6 +1004,58 @@ mod tests {
             None,
         )
         .expect("bind");
+        stop_and_join_promptly(server, &stop);
+    }
+
+    /// Idle workers sleep on the queue until a connection or stop comes.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_workers_do_not_wake() {
+        use std::collections::{HashMap, HashSet};
+        let task = |tid: &str, file: &str| {
+            std::fs::read_to_string(format!("/proc/self/task/{tid}/{file}")).unwrap_or_default()
+        };
+        let tasks = || -> HashSet<String> {
+            let dir = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+            dir.map(|t| t.file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        // The threads `serve` starts are the tasks new across the call;
+        // they are named once running.
+        let before = tasks();
+        let handler: Handler = Arc::new(|_req: &Request| Response::json("{}\n"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = serve(
+            "127.0.0.1:0",
+            HttpConfig::default(),
+            handler,
+            stop.clone(),
+            None,
+        )
+        .expect("bind");
+        let started: Vec<String> = tasks().difference(&before).cloned().collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let http: Vec<&String> = started
+            .iter()
+            .filter(|tid| task(tid, "comm").starts_with("tempest-http"))
+            .collect();
+        assert_eq!(http.len(), 3, "two workers and the accept loop");
+        let switches = || -> HashMap<&String, u64> {
+            let count = |tid: &String| {
+                let status = task(tid, "status");
+                let line = status
+                    .lines()
+                    .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+                line.expect("a live thread").trim().parse::<u64>().unwrap()
+            };
+            http.iter().map(|&tid| (tid, count(tid))).collect()
+        };
+        let was = switches();
+        std::thread::sleep(Duration::from_millis(500));
+        for (tid, now) in switches() {
+            let woke = now - was[tid];
+            assert!(woke < 5, "thread {tid} woke {woke} times in 0.5 s");
+        }
         stop_and_join_promptly(server, &stop);
     }
 

@@ -8,7 +8,7 @@
 //! caller makes this function hot" drill-down that buckets cannot
 //! express.
 
-use crate::timeline::replay;
+use crate::timeline::{keep_all, replay};
 use std::collections::BTreeMap;
 use tempest_probe::event::Event;
 use tempest_probe::func::FunctionId;
@@ -42,7 +42,7 @@ impl CallGraph {
     /// root call when it was its thread's outermost frame.
     pub fn build(events: &[Event]) -> CallGraph {
         let mut graph = CallGraph::default();
-        replay(events, |iv, caller, _| match caller {
+        let Ok(_) = replay(events, keep_all, |iv, caller, _| match caller {
             Some(caller) => {
                 let callee = iv.func;
                 let e = graph.edges.entry((caller, callee)).or_insert(CallEdge {

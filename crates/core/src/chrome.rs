@@ -18,8 +18,10 @@
 //! within every thread track — a property the golden-file test and the
 //! ci.sh schema check both enforce.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
+use crate::parser::FunctionIndex;
 use crate::timeline::Timeline;
 use tempest_obs::JsonWriter;
 use tempest_probe::{Event, EventKind, Trace};
@@ -115,9 +117,14 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 
     // Function intervals as complete duration events. `timeline.intervals`
     // is sorted by (start_ns, depth), so each thread's subsequence has
-    // non-decreasing ts.
+    // non-decreasing ts. Names resolve through one index of the table, as
+    // `Trace::function_name` would resolve them.
+    let index = FunctionIndex::new(&trace.functions);
     for iv in &timeline.intervals {
-        let name = trace.function_name(iv.func);
+        let name = match index.position(iv.func) {
+            Some(at) => Cow::Borrowed(trace.functions[at].name.as_str()),
+            None => Cow::Owned(format!("fn#{}", iv.func.0)),
+        };
         let args = |w: &mut JsonWriter| {
             w.key("depth").int(iv.depth as u64);
             if iv.truncated {

@@ -13,10 +13,11 @@
 //! stack of open frames per thread: admitting a frame pops the frames as
 //! deep as it or deeper, and frames that have ended pop off the top. A
 //! `tempd` round stamps every sensor with one instant, so each distinct
-//! sample timestamp is resolved once — the set of functions on any stack
-//! and each thread's innermost frame — and every sample of that instant
-//! then adds one to those functions' cells in its value's row of a
-//! `[value][function]` count grid. Values are dictionary-encoded, so the
+//! sample timestamp is resolved once — the set of functions on any stack,
+//! kept as frames are pushed and popped, and each thread's innermost
+//! frame — and every sample of that instant then adds one to those
+//! functions' cells in its value's row of a `[value][function]` count
+//! grid. Values are dictionary-encoded, so the
 //! inner loop is plain `u64` increments with no hashing and no allocation,
 //! and exact [`StreamingStats`] histograms are materialised once at the
 //! end. Above [`MAX_DENSE_CELLS`] only the cells samples hit are counted.
@@ -134,7 +135,6 @@ pub fn correlate_with_cancel(
 
     let dense = timeline
         .funcs
-        .ids
         .len()
         .checked_mul(cols.total_values())
         .is_some_and(|cells| cells <= MAX_DENSE_CELLS);
@@ -299,6 +299,52 @@ struct Open {
     func: u32,
 }
 
+/// The functions with a frame on any stack, kept as frames are pushed
+/// and popped rather than rebuilt per instant. Counts add, so the order
+/// of the set does not matter.
+struct InclusiveSet {
+    /// Each function in the set once.
+    funcs: Vec<u32>,
+    /// Per function slot: its frames on any stack, and its place in
+    /// `funcs` while that is non-zero.
+    open: Vec<(u32, u32)>,
+}
+
+impl InclusiveSet {
+    fn new(n_funcs: usize) -> InclusiveSet {
+        InclusiveSet {
+            funcs: Vec::with_capacity(n_funcs),
+            open: vec![(0, 0); n_funcs],
+        }
+    }
+
+    /// Push `frame` onto `stack`.
+    fn push(&mut self, stack: &mut Vec<Open>, frame: Open) {
+        let (count, at) = &mut self.open[frame.func as usize];
+        if *count == 0 {
+            *at = self.funcs.len() as u32;
+            self.funcs.push(frame.func);
+        }
+        *count += 1;
+        stack.push(frame);
+    }
+
+    /// Pop the top frame of `stack` while `ended` holds for it.
+    fn pop_while(&mut self, stack: &mut Vec<Open>, ended: impl Fn(&Open) -> bool) {
+        while let Some(frame) = stack.pop_if(|f| ended(f)) {
+            let (count, at) = &mut self.open[frame.func as usize];
+            *count -= 1;
+            if *count == 0 {
+                let at = *at as usize;
+                self.funcs.swap_remove(at);
+                if let Some(&moved) = self.funcs.get(at) {
+                    self.open[moved as usize].1 = at as u32;
+                }
+            }
+        }
+    }
+}
+
 /// Sweep one contiguous sample range. Frames open at the shard's first
 /// sample are re-admitted by walking the intervals from the start, once
 /// per shard.
@@ -309,8 +355,8 @@ fn sweep_range(
     dense: bool,
     cancel: &CancelToken,
 ) -> ShardAccum {
-    let n_funcs = tl.funcs.ids.len();
-    let n_threads = tl.threads.ids.len();
+    let n_funcs = tl.funcs.len();
+    let n_threads = tl.threads.len();
     let mut acc = ShardAccum {
         unattributed: 0,
         cancelled: false,
@@ -324,11 +370,7 @@ fn sweep_range(
     let mut live: Vec<u32> = Vec::new();
     let mut listed = vec![false; n_threads];
     let mut next = 0usize;
-    // Epoch stamps replace per-instant clearing: a function is in this
-    // instant's inclusive set iff its stamp equals the current epoch.
-    let mut func_epoch: Vec<u64> = vec![0; n_funcs];
-    let mut epoch = 0u64;
-    let mut inclusive: Vec<u32> = Vec::with_capacity(n_funcs);
+    let mut inclusive = InclusiveSet::new(n_funcs);
     let mut exclusive: Vec<u32> = Vec::with_capacity(n_threads);
     let mut check_at = lo;
 
@@ -356,9 +398,7 @@ fn sweep_range(
             let (func, thread) = tl.slots[next];
             next += 1;
             let stack = &mut stacks[thread as usize];
-            while stack.last().is_some_and(|f| f.depth >= iv.depth) {
-                stack.pop();
-            }
+            inclusive.pop_while(stack, |f| f.depth >= iv.depth);
             if iv.end_ns <= t {
                 continue;
             }
@@ -366,11 +406,12 @@ fn sweep_range(
                 stack.last().is_none_or(|f| f.end_ns >= iv.end_ns),
                 "a frame outlives its caller: the timeline was not replayed from time-sorted events"
             );
-            stack.push(Open {
+            let frame = Open {
                 end_ns: iv.end_ns,
                 depth: iv.depth,
                 func,
-            });
+            };
+            inclusive.push(stack, frame);
             if !listed[thread as usize] {
                 listed[thread as usize] = true;
                 live.push(thread);
@@ -378,33 +419,22 @@ fn sweep_range(
         }
 
         // Resolve the instant once: pop the frames that have ended (a
-        // frame ends no later than its caller, so they sit on top), then
-        // take every function on a stack and each thread's innermost.
-        epoch += 1;
-        inclusive.clear();
+        // frame ends no later than its caller, so they sit on top) and
+        // take each thread's innermost. The inclusive set is then every
+        // function on a stack, each once, however often it is there
+        // (recursion, several threads).
         exclusive.clear();
         let mut k = 0;
         while k < live.len() {
             let thread = live[k] as usize;
             let stack = &mut stacks[thread];
-            while stack.last().is_some_and(|f| f.end_ns <= t) {
-                stack.pop();
-            }
+            inclusive.pop_while(stack, |f| f.end_ns <= t);
             let Some(top) = stack.last() else {
                 listed[thread] = false;
                 live.swap_remove(k);
                 continue;
             };
             exclusive.push(top.func);
-            for f in stack.iter() {
-                // Each distinct function once per instant, even when on
-                // the stack several times (recursion) or on several
-                // threads.
-                if func_epoch[f.func as usize] != epoch {
-                    func_epoch[f.func as usize] = epoch;
-                    inclusive.push(f.func);
-                }
-            }
             k += 1;
         }
 
@@ -412,7 +442,7 @@ fn sweep_range(
             acc.unattributed += end - i;
         } else {
             for &value in &cols.value_slot[i..end] {
-                acc.inclusive.add(value, &inclusive);
+                acc.inclusive.add(value, &inclusive.funcs);
                 acc.exclusive.add(value, &exclusive);
             }
         }
@@ -445,7 +475,7 @@ fn materialize(tl: &Timeline, cols: &SampleColumns, acc: ShardAccum, out: &mut C
             rest = &rest[run..];
             let fs = out
                 .per_function
-                .entry(FunctionId(tl.funcs.ids[func as usize]))
+                .entry(FunctionId(tl.funcs[func as usize]))
                 .or_default();
             let side = if exclusive {
                 &mut fs.exclusive
@@ -815,7 +845,7 @@ mod tests {
             .map(|k| sample(at(k) + 2, SensorId(k as u16), 30.0 + f64::from(k) * 0.25))
             .collect();
         let tl = Timeline::build(&events);
-        assert!(tl.funcs.ids.len() * samples.len() > MAX_DENSE_CELLS);
+        assert!(tl.funcs.len() * samples.len() > MAX_DENSE_CELLS);
 
         let started = std::time::Instant::now();
         let c = correlate_with(&tl, &samples, 1);

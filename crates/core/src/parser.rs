@@ -21,9 +21,10 @@
 
 use crate::correlate::correlate_with_cancel;
 use crate::profile::{build_profiles, DataQuality, NodeProfile};
-use crate::timeline::Timeline;
+use crate::timeline::{Admit, Timeline};
 use std::borrow::Cow;
 use tempest_probe::event::{Event, EventKind};
+use tempest_probe::func::{FunctionDef, FunctionId};
 use tempest_probe::limits::CancelToken;
 use tempest_probe::trace::{NodeMeta, SalvageReport, Trace};
 use tempest_sensors::SensorReading;
@@ -96,12 +97,18 @@ impl ParseError {
     /// hit, or `None` for a clean trace. Used by `tempest doctor`.
     pub fn classify(trace: &Trace) -> Option<ParseError> {
         let mut quality = DataQuality::default();
-        let strict = walk_events(trace, false, &CancelToken::default(), &mut quality)
-            .and_then(|_| finite_samples(trace, false, &mut quality));
+        let never = CancelToken::default();
+        let mut walk = Walk::new(trace, false, &never);
+        let strict = trace
+            .events
+            .iter()
+            .enumerate()
+            .try_for_each(|(index, e)| walk.admit(index, e, &mut quality).map(drop))
+            .and_then(|()| finite_samples(trace, false, &mut quality).map(drop));
         match strict {
             Err(problem) => Some(problem),
-            Ok(_) if quality.events_seen == 0 => Some(ParseError::NoScopeEvents),
-            Ok(_) => None,
+            Ok(()) if quality.events_seen == 0 => Some(ParseError::NoScopeEvents),
+            Ok(()) => None,
         }
     }
 }
@@ -136,67 +143,123 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Symbolisation + monotonicity walk. The original tool did the
-/// analogous address→symbol lookup via the ELF symbol table; an
-/// unresolvable address meant a corrupt trace. Strict, the first problem
-/// is the error; tolerant, the offending events are dropped (greedy
-/// monotonic filter: keep a scope event only if it does not precede the
-/// last kept one) and counted.
-fn walk_events<'a>(
-    trace: &'a Trace,
+/// Id → position in one symbol table, built once so that resolving many
+/// ids costs O(1) each on an id-indexed table (every table Tempest
+/// writes) and O(log n) on any other, where [`Trace::function`] scans.
+/// It finds the definition [`Trace::function`] finds.
+pub(crate) struct FunctionIndex {
+    /// `None` when `functions[i].id == i` throughout. Otherwise each id
+    /// once, ascending, with the position of its definition.
+    sorted: Option<Vec<(u32, u32)>>,
+    len: usize,
+}
+
+impl FunctionIndex {
+    pub(crate) fn new(functions: &[FunctionDef]) -> FunctionIndex {
+        let len = functions.len();
+        let at = |id: u32| functions.get(id as usize).is_some_and(|f| f.id.0 == id);
+        if (0..len).all(|i| at(i as u32)) {
+            return FunctionIndex { sorted: None, len };
+        }
+        let mut sorted: Vec<(u32, u32)> = functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.id.0, i as u32))
+            .collect();
+        // The first definition of each id, unless `functions[id]` is one.
+        sorted.sort_unstable();
+        sorted.dedup_by_key(|&mut (id, _)| id);
+        for (id, position) in &mut sorted {
+            if at(*id) {
+                *position = *id;
+            }
+        }
+        FunctionIndex {
+            sorted: Some(sorted),
+            len,
+        }
+    }
+
+    /// Where the definition of `id` sits in the table, if it has one.
+    pub(crate) fn position(&self, id: FunctionId) -> Option<usize> {
+        match &self.sorted {
+            None => ((id.0 as usize) < self.len).then_some(id.0 as usize),
+            Some(sorted) => {
+                let k = sorted.binary_search_by_key(&id.0, |&(id, _)| id).ok()?;
+                Some(sorted[k].1 as usize)
+            }
+        }
+    }
+}
+
+/// Symbolisation + monotonicity walk, asked about each event as the
+/// timeline replay reads it. The original tool did the analogous
+/// address→symbol lookup via the ELF symbol table; an unresolvable
+/// address meant a corrupt trace. Strict, the first problem is the error;
+/// tolerant, the offending events are dropped (greedy monotonic filter:
+/// keep a scope event only if it does not precede the last kept one) and
+/// counted.
+struct Walk<'a> {
+    /// The trace's symbol table, indexed once.
+    functions: FunctionIndex,
     tolerant: bool,
-    cancel: &CancelToken,
-    quality: &mut DataQuality,
-) -> Result<Cow<'a, [Event]>, ParseError> {
-    let mut kept: Vec<Event> = Vec::new();
-    let mut last_ts = 0u64;
-    for (index, e) in trace.events.iter().enumerate() {
-        if index & 0xFFF == 0 && cancel.is_cancelled() {
+    cancel: &'a CancelToken,
+    /// Timestamp of the last scope event kept.
+    last_ts: u64,
+}
+
+impl<'a> Walk<'a> {
+    fn new(trace: &Trace, tolerant: bool, cancel: &'a CancelToken) -> Walk<'a> {
+        Walk {
+            functions: FunctionIndex::new(&trace.functions),
+            tolerant,
+            cancel,
+            last_ts: 0,
+        }
+    }
+
+    /// The verdict on event `index`, counted in `quality`.
+    fn admit(
+        &mut self,
+        index: usize,
+        e: &Event,
+        quality: &mut DataQuality,
+    ) -> Result<Admit, ParseError> {
+        if index & 0xFFF == 0 && self.cancel.is_cancelled() {
             // Deadline passed mid-walk: profile what was kept so far.
             quality.deadline_hit = true;
-            break;
+            return Ok(Admit::Stop);
         }
         let func = match e.kind {
             EventKind::Enter { func } | EventKind::Exit { func } => func,
-            _ => {
-                if matches!(e.kind, EventKind::Gap { .. }) {
-                    quality.gap_events += 1;
-                }
-                if tolerant {
-                    kept.push(*e);
-                }
-                continue;
+            EventKind::Gap { .. } => {
+                quality.gap_events += 1;
+                return Ok(Admit::Keep);
             }
+            EventKind::Sample { .. } => return Ok(Admit::Keep),
         };
         quality.events_seen += 1;
-        if trace.function(func).is_none() {
-            if tolerant {
+        if self.functions.position(func).is_none() {
+            if self.tolerant {
                 quality.events_dropped_unknown_func += 1;
-                continue;
+                return Ok(Admit::Drop);
             }
             return Err(ParseError::UnknownFunction(func.0));
         }
-        if e.timestamp_ns < last_ts {
-            if tolerant {
+        if e.timestamp_ns < self.last_ts {
+            if self.tolerant {
                 quality.events_dropped_nonmonotonic += 1;
-                continue;
+                return Ok(Admit::Drop);
             }
             return Err(ParseError::NonMonotonicTimestamps {
                 index,
-                prev_ns: last_ts,
+                prev_ns: self.last_ts,
                 ts_ns: e.timestamp_ns,
             });
         }
-        last_ts = e.timestamp_ns;
-        if tolerant {
-            kept.push(*e);
-        }
+        self.last_ts = e.timestamp_ns;
+        Ok(Admit::Keep)
     }
-    Ok(if tolerant {
-        Cow::Owned(kept)
-    } else {
-        Cow::Borrowed(&trace.events)
-    })
 }
 
 /// Sample hygiene: the statistics layer requires finite temperatures.
@@ -245,13 +308,12 @@ pub(crate) fn analyze_trace_salvaged(
     // damage the way recover mode does instead of erroring out.
     let tolerant = options.recover || options.deadline.is_some();
 
-    let events = walk_events(trace, tolerant, &cancel, &mut quality)?;
-    let samples = finite_samples(trace, tolerant, &mut quality)?;
-
+    let mut walk = Walk::new(trace, tolerant, &cancel);
     let timeline = {
         let _stage = tempest_obs::stage("timeline");
-        Timeline::build(&events)
+        Timeline::build_with(&trace.events, |index, e| walk.admit(index, e, &mut quality))?
     };
+    let samples = finite_samples(trace, tolerant, &mut quality)?;
     let correlation = correlate_with_cancel(&timeline, &samples, options.shards, &cancel);
     quality.samples_resorted = correlation.resorted;
     quality.deadline_hit |= correlation.cancelled;
@@ -537,6 +599,38 @@ mod tests {
         let full = analyze_trace(&t, future).unwrap();
         assert!(!full.quality.deadline_hit);
         assert!(full.by_name("main").unwrap().significant);
+    }
+
+    #[test]
+    fn function_index_finds_what_trace_function_finds() {
+        let def = |id: u32, name: &str| FunctionDef {
+            id: FunctionId(id),
+            name: name.into(),
+            address: 0,
+            kind: ScopeKind::Function,
+        };
+        let tables = [
+            vec![def(0, "a"), def(1, "b"), def(2, "c")],
+            vec![def(2, "c"), def(0, "a"), def(1, "b")],
+            // Duplicates: `functions[1]` is a definition of 1, the first
+            // definition of 7 sits at position 0.
+            vec![
+                def(7, "x"),
+                def(1, "b"),
+                def(1, "b2"),
+                def(7, "y"),
+                def(9, "z"),
+            ],
+        ];
+        for functions in tables {
+            let mut trace = mini_trace();
+            trace.functions = functions;
+            let index = FunctionIndex::new(&trace.functions);
+            for id in (0..12).map(FunctionId) {
+                let got = index.position(id).map(|at| &trace.functions[at].name);
+                assert_eq!(got, trace.function(id).map(|f| &f.name), "{id:?}");
+            }
+        }
     }
 
     #[test]

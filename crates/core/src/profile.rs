@@ -245,10 +245,11 @@ impl NodeProfile {
 }
 
 /// Estimate the per-sensor sampling interval as the median gap between
-/// consecutive samples of the first sensor present.
+/// consecutive samples of the first sensor present, in time order (a
+/// damaged trace may store them out of it).
 pub fn estimate_sample_interval_ns(samples: &[SensorReading]) -> Option<u64> {
     let first_sensor = samples.first()?.sensor;
-    let ts: Vec<u64> = samples
+    let mut ts: Vec<u64> = samples
         .iter()
         .filter(|s| s.sensor == first_sensor)
         .map(|s| s.timestamp_ns)
@@ -256,6 +257,7 @@ pub fn estimate_sample_interval_ns(samples: &[SensorReading]) -> Option<u64> {
     if ts.len() < 2 {
         return None;
     }
+    ts.sort_unstable();
     let mut gaps: Vec<u64> = ts.windows(2).map(|w| w[1] - w[0]).collect();
     gaps.sort_unstable();
     Some(gaps[gaps.len() / 2])
@@ -463,5 +465,10 @@ mod tests {
             .map(|&t| SensorReading::new(S0, t, Temperature::from_celsius(40.0)))
             .collect();
         assert_eq!(estimate_sample_interval_ns(&samples), Some(100));
+        // Stored out of time order, the same samples give the same gaps
+        // rather than an underflow.
+        let mut shuffled = samples.clone();
+        shuffled.swap(1, 3);
+        assert_eq!(estimate_sample_interval_ns(&shuffled), Some(100));
     }
 }

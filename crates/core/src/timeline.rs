@@ -11,16 +11,20 @@
 //!
 //! `replay` is the front end's one call-stack replay and owns its id
 //! space: one pass gives each thread and each entered function a dense
-//! slot in first-appearance order. Stray exits cost O(1) and leftover
-//! frames close in thread-slot order (DESIGN.md §8). [`Timeline::build`]
-//! places the closed intervals in the order their frames were entered,
-//! which is start order, and settles ties with one sort of indices; it
-//! keeps each interval's slots for [`crate::correlate`].
-//! [`CallGraph::build`] folds the caller handed with each interval.
+//! slot in first-appearance order, looked up through direct tables.
+//! Stray exits cost O(1) and leftover frames close in thread-slot order
+//! (DESIGN.md §8). The parser hands it each event's verdict under the
+//! walk's rules (`Admit`), so a checked analysis reads the events once.
+//! [`Timeline::build`] writes each closed interval at the index its frame
+//! was entered at, which is start order for time-sorted events, and
+//! settles only runs of equal start; it keeps each interval's slots for
+//! [`crate::correlate`]. [`CallGraph::build`] folds the caller handed
+//! with each interval.
 //!
 //! [`CallGraph::build`]: crate::callgraph::CallGraph::build
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use tempest_probe::event::{Event, EventKind, ThreadId};
 use tempest_probe::func::FunctionId;
 
@@ -113,10 +117,10 @@ pub struct Timeline {
     pub warnings: Vec<TimelineWarning>,
     /// Earliest and latest event timestamps (0,0 if no events).
     pub span: (u64, u64),
-    /// The replay's slots for every function entered.
-    pub(crate) funcs: Slots,
-    /// The replay's slots for every thread with a scope event.
-    pub(crate) threads: Slots,
+    /// Slot → id of every function entered.
+    pub(crate) funcs: Vec<u32>,
+    /// Slot → id of every thread with a scope event.
+    pub(crate) threads: Vec<u32>,
     /// Per interval, in [`Self::intervals`] order: the slots of its
     /// function and of its thread.
     pub(crate) slots: Vec<(u32, u32)>,
@@ -130,36 +134,68 @@ impl Timeline {
     /// each thread's subsequence is then interpreted as a call-stack
     /// history.
     pub fn build(events: &[Event]) -> Timeline {
-        // Each interval at the index its frame was entered at, with its
-        // slots and its place in close order. Frames close out of entry
-        // order; every index gets written once, when its frame closes.
-        let mut entered: Vec<(Interval, (u32, u32), u32)> = Vec::new();
-        let mut closes = 0u32;
-        let mut tl = replay(events, |iv, _, frame| {
-            let placed = (iv, frame.slots, closes);
-            let at = frame.entered as usize;
-            if entered.len() <= at {
-                entered.resize(at + 1, placed);
-            }
-            entered[at] = placed;
-            closes += 1;
-        });
-        // Time-sorted events are entered in start order, so the sort only
-        // settles ties: by depth, then by close order. No two keys are
-        // equal, so an unstable sort gives the one order.
-        let mut order: Vec<u32> = (0..closes).collect();
-        order.sort_unstable_by_key(|&i| {
-            let (iv, _, closed) = &entered[i as usize];
-            (iv.start_ns, iv.depth, *closed)
-        });
-        (tl.intervals, tl.slots) = order
-            .iter()
-            .map(|&i| {
-                let (iv, slots, _) = entered[i as usize];
-                (iv, slots)
-            })
-            .unzip();
+        let Ok(tl) = Timeline::build_with(events, keep_all);
         tl
+    }
+
+    /// [`Timeline::build`] over the events `admit` lets through, in one
+    /// pass: it is asked about each event, by index, before the replay
+    /// reads it, and its first error ends the build.
+    pub(crate) fn build_with<E>(
+        events: &[Event],
+        mut admit: impl FnMut(usize, &Event) -> Result<Admit, E>,
+    ) -> Result<Timeline, E> {
+        // Whether entries tied or ran backwards in time, which decides
+        // what is sorted once the intervals are placed.
+        let (mut last, mut tied, mut unsorted) = (None, false, false);
+        let admit = |index: usize, e: &Event| {
+            let verdict = admit(index, e)?;
+            if let (Admit::Keep, EventKind::Enter { .. }) = (verdict, e.kind) {
+                let t = Some(e.timestamp_ns);
+                (tied, unsorted) = (tied || t == last, unsorted || t < last);
+                last = t;
+            }
+            Ok(verdict)
+        };
+        // Every frame entered closes once, into the index it was entered
+        // at. A balanced stream enters once per two events, so the arrays
+        // are sized for that once; only a stream of more entries grows them.
+        let capacity = events.len().div_ceil(2);
+        let mut intervals = Vec::with_capacity(capacity);
+        let mut slots = Vec::with_capacity(capacity);
+        let mut closed = Vec::with_capacity(capacity);
+        let mut closes = 0u32;
+        let mut tl = replay(events, admit, |iv, _, frame| {
+            let at = frame.entered as usize;
+            if intervals.len() <= at {
+                // The frames entered since are still open: their indices
+                // are filled in when they close.
+                intervals.resize(at + 1, iv);
+                slots.resize(at + 1, frame.slots);
+                closed.resize(at + 1, closes);
+            }
+            intervals[at] = iv;
+            slots[at] = frame.slots;
+            closed[at] = closes;
+            closes += 1;
+        })?;
+        if unsorted {
+            sort_by_key(&mut intervals, &mut slots, &closed, 0..closed.len());
+        } else if tied {
+            // Entry order is start order: only runs of equal start sort.
+            let mut lo = 0;
+            while lo < intervals.len() {
+                let start = intervals[lo].start_ns;
+                let run = intervals[lo..].iter().take_while(|iv| iv.start_ns == start);
+                let hi = lo + run.count();
+                if hi - lo > 1 {
+                    sort_by_key(&mut intervals, &mut slots, &closed, lo..hi);
+                }
+                lo = hi;
+            }
+        }
+        (tl.intervals, tl.slots) = (intervals, slots);
+        Ok(tl)
     }
 
     /// Every interval covering instant `t` (linear scan — fine for tests
@@ -182,23 +218,90 @@ impl Timeline {
     }
 }
 
-/// Dense slots for ids, in first-appearance order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Slots {
+/// Sort `range` of intervals placed in entry order, with their slots,
+/// by (start, depth, close order). No two keys are equal, so an unstable
+/// sort gives the one order.
+fn sort_by_key(
+    intervals: &mut [Interval],
+    slots: &mut [(u32, u32)],
+    closed: &[u32],
+    range: std::ops::Range<usize>,
+) {
+    let key = |k: usize| (intervals[k].start_ns, intervals[k].depth, closed[k]);
+    let mut placed: Vec<_> = range
+        .clone()
+        .map(|k| (key(k), intervals[k], slots[k]))
+        .collect();
+    placed.sort_unstable_by_key(|&(key, ..)| key);
+    for (k, (_, iv, s)) in range.zip(placed) {
+        (intervals[k], slots[k]) = (iv, s);
+    }
+}
+
+/// The replay's verdict on one event, from the parser's walk
+/// ([`crate::parser`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// Replay it.
+    Keep,
+    /// Skip it, as if it were not in the stream.
+    Drop,
+    /// Skip it and every later event.
+    Stop,
+}
+
+/// Admit every event: the replay of a stream taken as it is.
+pub(crate) fn keep_all(_: usize, _: &Event) -> Result<Admit, Infallible> {
+    Ok(Admit::Keep)
+}
+
+/// Dense slots for ids, in first-appearance order. An id below the
+/// number of events replayed indexes a direct table; a larger one goes
+/// through a SipHash map, so memory stays proportional to the input
+/// however the ids are spread (DESIGN.md §11).
+#[derive(Default)]
+struct Slots {
     /// Slot → id.
-    pub(crate) ids: Vec<u32>,
-    /// Id → slot.
-    pub(crate) of: HashMap<u32, u32>,
+    ids: Vec<u32>,
+    /// Id → slot + 1 (0 for none yet), for ids below `limit`; grown to
+    /// the largest such id seen.
+    direct: Vec<u32>,
+    limit: usize,
+    /// Id → slot, for the rest.
+    of: HashMap<u32, u32>,
 }
 
 impl Slots {
+    /// The slot of `id`, if it has one.
+    fn get(&self, id: u32) -> Option<u32> {
+        if (id as usize) < self.limit {
+            let slot = self.direct.get(id as usize).copied().unwrap_or(0);
+            slot.checked_sub(1)
+        } else {
+            self.of.get(&id).copied()
+        }
+    }
+
     /// The slot of `id`, giving it the next one on first sight.
     fn assign(&mut self, id: u32) -> u32 {
-        let ids = &mut self.ids;
-        *self.of.entry(id).or_insert_with(|| {
-            ids.push(id);
-            ids.len() as u32 - 1
-        })
+        let next = self.ids.len() as u32;
+        let slot = if (id as usize) < self.limit {
+            let at = id as usize;
+            if self.direct.len() <= at {
+                self.direct.resize(at + 1, 0);
+            }
+            let cell = &mut self.direct[at];
+            if *cell == 0 {
+                *cell = next + 1;
+            }
+            *cell - 1
+        } else {
+            *self.of.entry(id).or_insert(next)
+        };
+        if slot == next {
+            self.ids.push(id);
+        }
+        slot
     }
 }
 
@@ -212,6 +315,65 @@ pub(crate) struct Closed {
     pub(crate) slots: (u32, u32),
 }
 
+/// One thread's open frames per function slot, each with since when the
+/// outermost is open (the inclusive-time clock).
+enum OpenFrames {
+    /// Indexed by function slot. All threads' tables together hold at
+    /// most one cell per event replayed.
+    Table(Vec<(u32, u64)>),
+    /// For a thread whose table would pass that budget: it grows with
+    /// the functions the thread enters, not with every function.
+    Map(HashMap<u32, (u32, u64)>),
+}
+
+impl Default for OpenFrames {
+    fn default() -> Self {
+        OpenFrames::Table(Vec::new())
+    }
+}
+
+impl OpenFrames {
+    /// How many frames of function slot `slot` are open.
+    fn count(&self, slot: u32) -> u32 {
+        match self {
+            OpenFrames::Table(table) => table.get(slot as usize).map_or(0, |c| c.0),
+            OpenFrames::Map(map) => map.get(&slot).map_or(0, |c| c.0),
+        }
+    }
+
+    /// The cell of function slot `slot`, which has open frames.
+    fn of_frame(&mut self, slot: u32) -> &mut (u32, u64) {
+        match self {
+            OpenFrames::Table(table) => &mut table[slot as usize],
+            OpenFrames::Map(map) => map.get_mut(&slot).expect("an open frame has a cell"),
+        }
+    }
+
+    /// The cell of function slot `slot`, one of `funcs` slots given out.
+    /// A table grows to cover all of them, at least doubling, while
+    /// `budget` cells are left; past that it becomes a map of the cells
+    /// with open frames.
+    fn cell(&mut self, slot: u32, funcs: usize, budget: &mut usize) -> &mut (u32, u64) {
+        if let OpenFrames::Table(table) = self {
+            if table.len() <= slot as usize {
+                let grow = funcs.max(2 * table.len()) - table.len();
+                if grow <= *budget {
+                    *budget -= grow;
+                    table.resize(table.len() + grow, (0, 0));
+                } else {
+                    *budget += table.len();
+                    let open = table.iter().enumerate().filter(|(_, c)| c.0 > 0);
+                    *self = OpenFrames::Map(open.map(|(s, &c)| (s as u32, c)).collect());
+                }
+            }
+        }
+        match self {
+            OpenFrames::Table(table) => &mut table[slot as usize],
+            OpenFrames::Map(map) => map.entry(slot).or_default(),
+        }
+    }
+}
+
 /// One thread's replay state.
 #[derive(Default)]
 struct Stack {
@@ -219,10 +381,8 @@ struct Stack {
     frames: Vec<(FunctionId, u32, u64, u32)>,
     /// Timestamp of the thread's previous scope event.
     prev_ns: Option<u64>,
-    /// Per function entered here: its slot, its open frames, and since
-    /// when the outermost is open (the inclusive-time clock). Per thread,
-    /// so it grows with (thread, function) pairs, not their product.
-    open: HashMap<FunctionId, (u32, u32, u64)>,
+    /// Per function slot entered here: its open frames, and since when.
+    open: OpenFrames,
 }
 
 impl Stack {
@@ -239,13 +399,10 @@ impl Stack {
     ) {
         while self.frames.len() > depth {
             let (func, slot, start_ns, entered) = self.frames.pop().expect("deeper than `depth`");
-            let open = self
-                .open
-                .get_mut(&func)
-                .expect("a frame's function is open");
-            open.1 -= 1;
-            if open.1 == 0 {
-                times[slot as usize].inclusive_ns += t.saturating_sub(open.2);
+            let open = self.open.of_frame(slot);
+            open.0 -= 1;
+            if open.0 == 0 {
+                times[slot as usize].inclusive_ns += t.saturating_sub(open.1);
             }
             let interval = Interval {
                 func,
@@ -264,22 +421,39 @@ impl Stack {
     }
 }
 
-/// Replay the call stacks of `events` once, as [`Timeline::build`] reads
-/// them, handing each closed interval to `on_close` with its caller (the
-/// function of the frame beneath it, or `None` for a thread's outermost
-/// frame) and its [`Closed`] record. Returns the timeline without its
-/// intervals.
-pub(crate) fn replay(
+/// Replay the call stacks of the events `admit` lets through once, as
+/// [`Timeline::build`] reads them, handing each closed interval to
+/// `on_close` with its caller (the function of the frame beneath it, or
+/// `None` for a thread's outermost frame) and its [`Closed`] record.
+/// Returns the timeline without its intervals, or `admit`'s first error.
+pub(crate) fn replay<E>(
     events: &[Event],
+    mut admit: impl FnMut(usize, &Event) -> Result<Admit, E>,
     mut on_close: impl FnMut(Interval, Option<FunctionId>, Closed),
-) -> Timeline {
+) -> Result<Timeline, E> {
     let mut tl = Timeline::default();
+    let limit = events.len();
+    let mut funcs = Slots {
+        limit,
+        ..Slots::default()
+    };
+    let mut threads = Slots {
+        limit,
+        ..Slots::default()
+    };
     let mut stacks: Vec<Stack> = Vec::new();
     let mut times: Vec<FunctionTimes> = Vec::new();
+    // Open-count table cells the threads may still take, one per event.
+    let mut budget = events.len();
     let mut entered = 0u32;
     let mut span = (u64::MAX, 0);
 
-    for e in events {
+    for (index, e) in events.iter().enumerate() {
+        match admit(index, e)? {
+            Admit::Keep => {}
+            Admit::Drop => continue,
+            Admit::Stop => break,
+        }
         // Only scope events are checked for order, so a marker may carry
         // any timestamp: the span runs from the earliest to the latest.
         let t = e.timestamp_ns;
@@ -289,8 +463,10 @@ pub(crate) fn replay(
             EventKind::Exit { func } => (func, false),
             EventKind::Sample { .. } | EventKind::Gap { .. } => continue,
         };
-        let slot = tl.threads.assign(e.thread.0) as usize;
-        stacks.resize_with(tl.threads.ids.len(), Stack::default);
+        let slot = threads.assign(e.thread.0) as usize;
+        if slot == stacks.len() {
+            stacks.push(Stack::default());
+        }
         let stack = &mut stacks[slot];
 
         // Attribute the elapsed slice to the current top (exclusive).
@@ -300,18 +476,17 @@ pub(crate) fn replay(
         stack.prev_ns = Some(t);
 
         if is_enter {
-            let funcs = &mut tl.funcs;
-            let open = stack
-                .open
-                .entry(func)
-                .or_insert_with(|| (funcs.assign(func.0), 0, 0));
-            times.resize(funcs.ids.len(), FunctionTimes::default());
-            times[open.0 as usize].calls += 1;
-            if open.1 == 0 {
-                open.2 = t; // first activation: start the inclusive clock
+            let func_slot = funcs.assign(func.0);
+            if func_slot as usize == times.len() {
+                times.push(FunctionTimes::default());
             }
-            open.1 += 1;
-            stack.frames.push((func, open.0, t, entered));
+            times[func_slot as usize].calls += 1;
+            let open = stack.open.cell(func_slot, times.len(), &mut budget);
+            if open.0 == 0 {
+                open.1 = t; // first activation: start the inclusive clock
+            }
+            open.0 += 1;
+            stack.frames.push((func, func_slot, t, entered));
             entered = entered.checked_add(1).expect("fewer than 2^32 frames");
             continue;
         }
@@ -319,7 +494,7 @@ pub(crate) fn replay(
         // An exit closes its function's topmost frame and any above it;
         // the stack is searched only when the open count puts it there.
         let top = stack.frames.last().map(|f| f.0);
-        if top != Some(func) && stack.open.get(&func).is_none_or(|o| o.1 == 0) {
+        if top != Some(func) && funcs.get(func.0).is_none_or(|s| stack.open.count(s) == 0) {
             tl.warnings.push(TimelineWarning::ExitWithoutEnter {
                 thread: e.thread,
                 func,
@@ -344,8 +519,8 @@ pub(crate) fn replay(
     // Close anything still open at the end of the span, in thread-slot
     // order: no earlier than any event, so every frame stays within its
     // caller, which the correlate sweep relies on.
-    tl.span = if events.is_empty() { (0, 0) } else { span };
-    for (slot, (stack, &id)) in stacks.iter_mut().zip(&tl.threads.ids).enumerate() {
+    tl.span = if span.0 > span.1 { (0, 0) } else { span };
+    for (slot, (stack, &id)) in stacks.iter_mut().zip(&threads.ids).enumerate() {
         if !stack.frames.is_empty() {
             let thread = ThreadId(id);
             tl.warnings.push(TimelineWarning::UnclosedFrames {
@@ -356,9 +531,10 @@ pub(crate) fn replay(
             stack.close(0, thread, tl.span.1, true, &mut times, &mut on_close);
         }
     }
-    let ids = tl.funcs.ids.iter().map(|&id| FunctionId(id));
+    let ids = funcs.ids.iter().map(|&id| FunctionId(id));
     tl.times = ids.zip(times).collect();
-    tl
+    (tl.funcs, tl.threads) = (funcs.ids, threads.ids);
+    Ok(tl)
 }
 
 #[cfg(test)]
@@ -640,6 +816,31 @@ mod tests {
             assert_eq!(again.intervals, first.intervals);
             assert_eq!(again.warnings, first.warnings);
             assert_eq!(crate::chrome::chrome_trace_json(&trace), chrome);
+        }
+    }
+
+    #[test]
+    fn entries_out_of_time_order_still_list_in_start_order() {
+        // Thread 1's call starts before thread 0's but enters after it:
+        // entry order is not start order, so the whole timeline sorts,
+        // and each interval keeps its own slots.
+        let tl = Timeline::build(&[
+            enter(10, T0, MAIN),
+            enter(5, T1, FOO1),
+            enter(5, T1, FOO2),
+            exit(20, T1, FOO2),
+            exit(20, T1, FOO1),
+            exit(30, T0, MAIN),
+        ]);
+        let order: Vec<(u64, u32, FunctionId)> = tl
+            .intervals
+            .iter()
+            .map(|iv| (iv.start_ns, iv.depth, iv.func))
+            .collect();
+        assert_eq!(order, [(5, 0, FOO1), (5, 1, FOO2), (10, 0, MAIN)]);
+        for (iv, &(func, thread)) in tl.intervals.iter().zip(&tl.slots) {
+            assert_eq!(tl.funcs[func as usize], iv.func.0);
+            assert_eq!(tl.threads[thread as usize], iv.thread.0);
         }
     }
 

@@ -992,6 +992,25 @@ mod tests {
         std::fs::remove_dir_all(&parent).ok();
     }
 
+    /// Run a command line that must be refused on a helper thread, and
+    /// fail after a deadline: a refresh loop that stopped checking its
+    /// flags would redraw forever instead of hanging the test binary.
+    fn refused_within_deadline(args: &[&str]) -> CliError {
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let (done, refused) = std::sync::mpsc::channel();
+        let command = std::thread::spawn(move || {
+            let args: Vec<&str> = owned.iter().map(String::as_str).collect();
+            let _ = done.send(run(&args));
+        });
+        match refused.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(outcome) => {
+                command.join().expect("the command line's thread");
+                outcome.expect_err("a refused command line")
+            }
+            Err(_) => panic!("{args:?} still running after 10 s"),
+        }
+    }
+
     /// `watch` and `fleet` share one refresh loop: the same usage errors
     /// for bad `--interval`/`--count` values, and a screen clear between
     /// frames only where a table is drawn.
@@ -1005,7 +1024,7 @@ mod tests {
                 ("--interval", "nan"),
                 ("--count", "x"),
             ] {
-                let err = run(&[verb, dir_s, flag, value]).unwrap_err();
+                let err = refused_within_deadline(&[verb, dir_s, flag, value]);
                 assert_eq!(err.code, 2, "{verb} {flag} {value}: {}", err.message);
             }
         }

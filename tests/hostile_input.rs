@@ -182,3 +182,79 @@ fn expired_deadline_still_renders_partial_results() {
         profile.quality
     );
 }
+
+/// 200k scope events over a 20k-function table, analysed and exported
+/// once with the table in id order and once reversed. Both resolve each
+/// event's function through one index of the table, so the reversed
+/// table renders byte-identical output in about the same time. With a
+/// table scan per event and per interval, the reversed table took 2.5 s
+/// against 0.18 s in id order (release, 2-vCPU VM).
+#[test]
+fn a_table_out_of_id_order_costs_no_scan_per_event() {
+    use tempest_core::{chrome_trace_json, report};
+    use tempest_probe::event::{Event, ThreadId};
+    use tempest_probe::func::{FunctionDef, FunctionId, ScopeKind};
+    use tempest_sensors::{SensorId, SensorReading, Temperature};
+
+    const FUNCS: u32 = 20_000;
+    const ROUNDS: u64 = 5;
+    let (t0, main) = (ThreadId(0), FunctionId(0));
+    // Function k runs k + 1 ns per call, so no two inclusive times tie.
+    let mut events = vec![Event::enter(0, t0, main)];
+    let mut t = 1;
+    for _ in 0..ROUNDS {
+        for k in 1..FUNCS {
+            events.push(Event::enter(t, t0, FunctionId(k)));
+            t += u64::from(k) + 1;
+            events.push(Event::exit(t, t0, FunctionId(k)));
+            t += 1;
+        }
+    }
+    events.push(Event::exit(t, t0, main));
+    let samples = (0..400u64)
+        .map(|i| {
+            let celsius = 40.0 + (i % 7) as f64;
+            SensorReading::new(SensorId(0), i * t / 400, Temperature::from_celsius(celsius))
+        })
+        .collect();
+    let functions: Vec<FunctionDef> = (0..FUNCS)
+        .map(|k| FunctionDef {
+            id: FunctionId(k),
+            name: format!("f{k}"),
+            address: 0x40_0000 + u64::from(k) * 16,
+            kind: ScopeKind::Function,
+        })
+        .collect();
+    let in_order = Trace {
+        node: NodeMeta::anonymous(),
+        functions,
+        events,
+        samples,
+    };
+    let mut reversed = in_order.clone();
+    reversed.functions.reverse();
+
+    let render = |trace: &Trace| {
+        let started = Instant::now();
+        let profile = AnalysisRequest::new()
+            .analyze_trace(trace)
+            .expect("analyzes");
+        let out = (report::render_stdout(&profile), chrome_trace_json(trace));
+        (out, started.elapsed())
+    };
+    let (want, in_order_took) = render(&in_order);
+    let (got, reversed_took) = render(&reversed);
+    assert!(
+        got.0 == want.0,
+        "the report differs with the table reversed"
+    );
+    assert!(
+        got.1 == want.1,
+        "the chrome export differs with the table reversed"
+    );
+    let bound = 2 * in_order_took + Duration::from_millis(250);
+    assert!(
+        reversed_took < bound,
+        "reversed table took {reversed_took:?}, id order {in_order_took:?}"
+    );
+}
