@@ -28,17 +28,20 @@
 //! A background thread re-scans the directory on a debounce so sessions
 //! appearing (or growing) while the daemon runs become visible without a
 //! restart — a changed CRC changes the ETag and the cache key, so stale
-//! bytes are never served.
+//! bytes are never served. A sealed segment never changes, so a re-scan
+//! resumes each session's CRC after the sealed segments it has already
+//! hashed and reads only new segments and the open tail.
 
 use crate::fleet::{self, FleetState};
 use crate::http::{self, Handler, HttpConfig, HttpServer, Request, Response};
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 use tempest_core::cache::{AnalysisCache, CacheKey};
 use tempest_core::dto::{HotspotsDto, ProfileDto, DTO_VERSION};
 use tempest_core::{analysis, AnalysisRequest, NodeProfile};
@@ -104,6 +107,7 @@ struct ServeMetrics {
     shed: Counter,
     not_modified: Counter,
     rescan: Counter,
+    rescan_bytes: Counter,
     lat_health: Histogram,
     lat_sessions: Histogram,
     lat_profile: Histogram,
@@ -119,6 +123,7 @@ impl ServeMetrics {
             shed: reg.counter("serve_shed_total"),
             not_modified: reg.counter("serve_not_modified_total"),
             rescan: reg.counter("serve_rescan_total"),
+            rescan_bytes: reg.counter("serve_rescan_bytes_total"),
             lat_health: reg.histogram("serve_latency_health_ns"),
             lat_sessions: reg.histogram("serve_latency_sessions_ns"),
             lat_profile: reg.histogram("serve_latency_profile_ns"),
@@ -164,8 +169,10 @@ impl QueryServer {
             Some(dir) => Some(AnalysisCache::open(dir)?),
             None => None,
         };
+        let mut sealed = SealedCrcs::new();
+        let (catalog, _) = scan_catalog(&config.dir, &mut sealed);
         let state = Arc::new(QueryState {
-            catalog: RwLock::new(scan_catalog(&config.dir)),
+            catalog: RwLock::new(catalog),
             profiles: RwLock::new(BTreeMap::new()),
             metrics: ServeMetrics::resolve(),
             served: AtomicU64::new(0),
@@ -199,7 +206,7 @@ impl QueryServer {
             Some(
                 std::thread::Builder::new()
                     .name("tempest-serve-rescan".to_string())
-                    .spawn(move || rescan_loop(&state, &stop))?,
+                    .spawn(move || rescan_loop(&state, &stop, sealed))?,
             )
         } else {
             None
@@ -239,11 +246,15 @@ impl QueryServer {
     /// Ask the daemon to stop; pair with [`QueryServer::join`].
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        // The flag is set first, so the woken thread sees it.
+        if let Some(t) = &self.rescan {
+            t.thread().unpark();
+        }
     }
 
     /// Wait for every serving thread to exit (after [`QueryServer::stop`]).
     pub fn join(self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop();
         self.http.join();
         if let Some(t) = self.rescan {
             let _ = t.join();
@@ -251,11 +262,40 @@ impl QueryServer {
     }
 }
 
+/// Per session directory, the CRC state after each sealed segment hashed
+/// so far, in cursor order: what a re-scan can resume from.
+type SealedCrcs = BTreeMap<PathBuf, Vec<SealedStep>>;
+
+/// One sealed segment's file, as its name, length and modification time
+/// identify it, and the session's running CRC and byte count after it.
+struct SealedStep {
+    name: OsString,
+    len: u64,
+    modified: Option<SystemTime>,
+    crc: Crc32,
+    bytes: u64,
+}
+
+impl SealedStep {
+    /// Is `path` still the file this step hashed? A sealed file replaced
+    /// by another of the same name and length differs in its mtime.
+    fn covers(&self, path: &Path) -> bool {
+        let meta = std::fs::metadata(path);
+        path.file_name() == Some(self.name.as_os_str())
+            && meta.is_ok_and(|m| m.len() == self.len && m.modified().ok() == self.modified)
+    }
+}
+
 /// Scan the collected directory into a fresh catalog: one entry per
 /// member spool, hashed over its segment bytes in cursor order through
-/// [`Crc32::update_from`]'s fixed buffer.
-fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
+/// [`Crc32::update_from`]'s fixed buffer. Each session resumes from the
+/// longest prefix of its segments that `sealed` still covers, and
+/// `sealed` is left holding this scan's steps. Returns the catalog and
+/// the bytes hashed.
+fn scan_catalog(dir: &Path, sealed: &mut SealedCrcs) -> (BTreeMap<String, SessionEntry>, u64) {
     let mut catalog = BTreeMap::new();
+    let mut hashed = 0;
+    let mut known = std::mem::take(sealed);
     for member in fleet::member_dirs(dir) {
         let id = member
             .file_name()
@@ -265,17 +305,39 @@ fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
         let Ok(segments) = spool::list_segment_files(&member) else {
             continue;
         };
-        let mut crc = Crc32::new();
-        let mut len = 0u64;
-        for (_, path) in &segments {
+        let mut steps = known.remove(&member).unwrap_or_default();
+        let reused = steps
+            .iter()
+            .zip(&segments)
+            .take_while(|(step, (_, path))| step.covers(path))
+            .count();
+        steps.truncate(reused);
+        let (mut crc, mut len) = steps.last().map_or((Crc32::new(), 0), |s| (s.crc, s.bytes));
+        for (i, (_, path)) in segments.iter().enumerate().skip(reused) {
             // A segment that fails to read adds nothing, not a part.
             let mut next = crc;
-            if let Ok(n) =
-                spool::open_segment(path).and_then(|(mut file, _)| next.update_from(&mut file))
-            {
-                (crc, len) = (next, len + n);
+            let Ok((mut file, opened)) = spool::open_segment(path) else {
+                continue;
+            };
+            let Ok(n) = next.update_from(&mut file) else {
+                continue;
+            };
+            (crc, len, hashed) = (next, len + n, hashed + n);
+            // Step `i` is segment `i`: no step follows a segment that was
+            // skipped or is still open.
+            let keep = opened.extension() == Some("seg".as_ref()) && steps.len() == i;
+            if let Some(name) = opened.file_name().filter(|_| keep) {
+                let meta = file.get_ref().metadata().ok();
+                steps.push(SealedStep {
+                    name: name.to_os_string(),
+                    len: n,
+                    modified: meta.and_then(|m| m.modified().ok()),
+                    crc,
+                    bytes: len,
+                });
             }
         }
+        sealed.insert(member.clone(), steps);
         let crc = crc.finish();
         catalog.insert(
             id,
@@ -288,21 +350,25 @@ fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
             },
         );
     }
-    catalog
+    (catalog, hashed)
 }
 
 /// Debounced background catalog refresh; also drops profile memos whose
-/// session content changed so memory stays bounded by live sessions.
-fn rescan_loop(state: &QueryState, stop: &AtomicBool) {
+/// session content changed so memory stays bounded by live sessions. The
+/// thread sleeps until its next deadline; [`QueryServer::stop`] wakes it.
+fn rescan_loop(state: &QueryState, stop: &AtomicBool, mut sealed: SealedCrcs) {
     let interval = Duration::from_millis(state.config.rescan_ms.max(1));
-    let mut last = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(20));
-        if last.elapsed() < interval {
-            continue;
+    let mut next = Instant::now() + interval;
+    loop {
+        // A park may end early or spuriously: re-check both conditions.
+        while !stop.load(Ordering::Relaxed) && Instant::now() < next {
+            std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
         }
-        last = Instant::now();
-        let fresh = scan_catalog(&state.config.dir);
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let (fresh, hashed) = scan_catalog(&state.config.dir, &mut sealed);
+        next = Instant::now() + interval;
         let live: Vec<String> = fresh
             .iter()
             .map(|(id, e)| format!("{id} {}", e.etag))
@@ -314,6 +380,7 @@ fn rescan_loop(state: &QueryState, stop: &AtomicBool) {
             .unwrap_or_else(|e| e.into_inner())
             .retain(|k, _| live.iter().any(|l| l == k));
         state.metrics.rescan.inc();
+        state.metrics.rescan_bytes.add(hashed);
     }
 }
 
@@ -574,6 +641,137 @@ mod tests {
         server.join();
         assert_eq!(memos, 0, "a limited profile is never memoized");
         assert_eq!(AnalysisCache::audit(&cache_dir).unwrap().entries, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Append one batch of 100 calls starting at call `b * 100`.
+    fn append(w: &mut SpoolWriter, b: u64) {
+        let batch: Vec<Event> = (0..100u64)
+            .flat_map(|i| {
+                let t = (b * 100 + i) * 1_000;
+                [
+                    Event::enter(t, ThreadId(0), FunctionId(0)),
+                    Event::exit(t + 900, ThreadId(0), FunctionId(0)),
+                ]
+            })
+            .collect();
+        w.append_batch(&batch).unwrap();
+    }
+
+    fn etags(catalog: &BTreeMap<String, SessionEntry>) -> Vec<(String, String)> {
+        let etag = |(id, e): (&String, &SessionEntry)| (id.clone(), e.etag.clone());
+        catalog.iter().map(etag).collect()
+    }
+
+    /// The catalog as a scan with nothing to reuse sees it.
+    fn from_scratch(dir: &Path) -> Vec<(String, String)> {
+        etags(&scan_catalog(dir, &mut SealedCrcs::new()).0)
+    }
+
+    #[test]
+    fn a_rescan_hashes_only_what_changed() {
+        let root =
+            std::env::temp_dir().join(format!("tempest-query-rescan-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let config = SpoolConfig::new(root.join("alpha")).telemetry_interval(None);
+        let mut w = SpoolWriter::create(&config, NodeMeta::anonymous()).unwrap();
+        append(&mut w, 0);
+        w.rotate(&[]).unwrap();
+        append(&mut w, 1);
+
+        // The first scan hashes everything; one sealed segment and the
+        // open tail.
+        let mut sealed = SealedCrcs::new();
+        let (catalog, first) = scan_catalog(&root, &mut sealed);
+        assert_eq!(first, catalog["alpha"].bytes);
+        let sealed_0 = std::fs::metadata(root.join("alpha/seg-000000.seg"))
+            .unwrap()
+            .len();
+
+        // A session that gains a segment: only what follows the sealed
+        // prefix is hashed again, and the ETag is a fresh scan's.
+        w.rotate(&[]).unwrap();
+        append(&mut w, 2);
+        let (catalog, hashed) = scan_catalog(&root, &mut sealed);
+        assert_eq!(hashed, catalog["alpha"].bytes - sealed_0);
+        assert_eq!(etags(&catalog), from_scratch(&root));
+
+        // Finished and unchanged: a rescan hashes nothing and keeps
+        // every ETag.
+        w.finish(&[], 0, 0).unwrap();
+        let (finished, _) = scan_catalog(&root, &mut sealed);
+        assert_eq!(etags(&finished), from_scratch(&root));
+        let (again, hashed) = scan_catalog(&root, &mut sealed);
+        assert_eq!(hashed, 0);
+        assert_eq!(etags(&again), etags(&finished));
+
+        // A sealed segment replaced by other bytes of the same length
+        // (a later mtime) is hashed again and changes the ETag.
+        let first_seg = root.join("alpha/seg-000000.seg");
+        let mut bytes = std::fs::read(&first_seg).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        let modified = std::fs::metadata(&first_seg).unwrap().modified().unwrap();
+        std::fs::write(&first_seg, &bytes).unwrap();
+        let file = std::fs::File::options()
+            .write(true)
+            .open(&first_seg)
+            .unwrap();
+        file.set_modified(modified + Duration::from_secs(1))
+            .unwrap();
+        let (replaced, hashed) = scan_catalog(&root, &mut sealed);
+        assert_eq!(hashed, replaced["alpha"].bytes);
+        assert_ne!(etags(&replaced), etags(&finished));
+        assert_eq!(etags(&replaced), from_scratch(&root));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn an_idle_rescan_thread_sleeps_until_its_deadline() {
+        use std::collections::HashSet;
+        let task = |tid: &str, file: &str| {
+            std::fs::read_to_string(format!("/proc/self/task/{tid}/{file}")).unwrap_or_default()
+        };
+        let tasks = || -> HashSet<String> {
+            let dir = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+            dir.map(|t| t.file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        let root = std::env::temp_dir().join(format!("tempest-query-idle-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let before = tasks();
+        let server = QueryServer::start(QueryConfig {
+            dir: root.clone(),
+            rescan_ms: 2000,
+            ..QueryConfig::default()
+        })
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let rescan = tasks()
+            .difference(&before)
+            .find(|tid| task(tid, "comm").starts_with("tempest-serve-r"))
+            .cloned()
+            .expect("the rescan thread");
+        let switches = || {
+            let status = task(&rescan, "status");
+            let line = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+            line.expect("a live thread").trim().parse::<u64>().unwrap()
+        };
+        let was = switches();
+        std::thread::sleep(Duration::from_millis(500));
+        let woke = switches() - was;
+        assert!(woke < 5, "the rescan thread woke {woke} times in 0.5 s");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            server.join();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("join returns within 1 s");
+        waiter.join().unwrap();
         std::fs::remove_dir_all(&root).ok();
     }
 }

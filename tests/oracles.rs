@@ -511,7 +511,7 @@ proptest! {
     }
 
     #[test]
-    fn checked_replay_matches_the_reference_walk(trace in arb_trace()) {
+    fn checked_replay_matches_the_reference_walk(trace in arb_trace(), cut in 0.0f64..1.0) {
         for recover in [false, true] {
             let got = AnalysisRequest::new().recover(recover).analyze_trace(&trace);
             match reference_walk(&trace, recover) {
@@ -521,6 +521,25 @@ proptest! {
                     assert_profiles_match(&got, &reference_profile(&trace, &walk), &walk)?;
                 }
             }
+        }
+        // The trace's bytes cut short, salvaged and analyzed in recover
+        // mode: the reference over what was salvaged, and the salvage
+        // losses counted as the report counted them.
+        let bytes = trace.to_bytes();
+        let at = (bytes.len() as f64 * cut) as usize;
+        if let Ok((salvaged, report)) = Trace::decode_salvage(&bytes[..at]) {
+            let got = AnalysisRequest::new()
+                .recover(true)
+                .analyze_salvaged(&salvaged, Some(&report))
+                .map_err(|e| e.to_string())?;
+            let walk = reference_walk(&salvaged, true).map_err(|e| e.to_string())?;
+            assert_profiles_match(&got, &reference_profile(&salvaged, &walk), &walk)?;
+            let q = &got.quality;
+            prop_assert_eq!(
+                (q.events_lost_in_salvage, q.samples_lost_in_salvage),
+                (report.events_lost(), report.samples_lost())
+            );
+            prop_assert_eq!(q.nonfinite_samples_skipped, report.nonfinite_samples_skipped);
         }
     }
 
