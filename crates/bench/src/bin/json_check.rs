@@ -1,4 +1,5 @@
-//! `json_check` — schema gate for the JSON artefacts ci.sh produces.
+//! `json_check` — schema gate for the JSON artefacts ci.sh produces, and
+//! its performance gate.
 //!
 //! Modes:
 //!
@@ -7,12 +8,13 @@
 //!   required fields on every event, monotonically non-decreasing `ts`
 //!   within each thread's duration track, and at least one counter
 //!   (temperature) event.
-//! * `json_check bench <file>` — validates `BENCH_parse.json`: the
-//!   pipeline speedup is a number, or null with a `reason`, the
-//!   `self_overhead` section is present with its timing fields, the
-//!   per-stage breakdown is complete, the correlate/cache sections
-//!   carry their throughput numbers, and a warm `serve` request is
-//!   faster than the cold one.
+//! * `json_check bench <BENCHMARK.json> <baseline> <run>...` — the
+//!   performance gate over perfbench runs, each `run` one run's stdout.
+//!   It grades the untraced runs' median of each end-to-end metric
+//!   against the baseline's median and quartiles, and checks one traced
+//!   run's correlate throughput and warm serve answer. It writes the
+//!   fresh medians and quartiles on stdout in the baseline's format, and
+//!   exits 1 on any CRITICAL row (see [`gate`]).
 //! * `json_check limits <file>` — validates the obs snapshot written by
 //!   `fuzz_decode --metrics-out`: the `limit_hits_total` and
 //!   `cancellations_total` counters exist, are numeric, and fired at
@@ -28,9 +30,6 @@
 //!   from `tempest serve`. The document kind (health, sessions,
 //!   profile, hotspots, fleet) is detected from its key set; every kind
 //!   must carry schema version `v: 1` and its pinned required fields.
-//! * `json_check floor <file> <baseline>` — throughput regression gate:
-//!   fails when the fresh run's `correlate.samples_per_sec` has dropped
-//!   more than 30% below the committed baseline's.
 //!
 //! Exits nonzero with a message on the first violation, so ci.sh can
 //! gate on it directly.
@@ -38,7 +37,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use tempest_obs::Json;
+use tempest_obs::{Json, JsonWriter};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("json_check: FAIL: {msg}");
@@ -112,95 +111,6 @@ fn check_chrome(doc: &Json) -> Result<(), String> {
         "json_check: chrome OK — {} events ({durations} durations, {counters} counters, {} threads)",
         events.len(),
         last_ts.len()
-    );
-    Ok(())
-}
-
-fn check_bench(doc: &Json) -> Result<(), String> {
-    let pipeline = doc.get("pipeline").ok_or("missing pipeline section")?;
-    let speedup = pipeline
-        .get("speedup_jobs4_vs_jobs1")
-        .ok_or("missing pipeline.speedup_jobs4_vs_jobs1")?;
-    if speedup.is_null() {
-        let reason = pipeline
-            .get("reason")
-            .and_then(|r| r.as_str())
-            .ok_or("null speedup without a pipeline.reason string")?;
-        eprintln!("json_check: pipeline speedup is null ({reason}) — accepted");
-    } else if speedup.as_f64().is_none() {
-        return Err("pipeline.speedup_jobs4_vs_jobs1 is neither number nor null".into());
-    }
-
-    let overhead = doc
-        .get("self_overhead")
-        .ok_or("missing self_overhead section")?;
-    for field in [
-        "seconds_metrics_on",
-        "seconds_metrics_off",
-        "slowdown_pct",
-        "seconds_shipping_metrics_on",
-        "seconds_shipping_metrics_off",
-        "shipping_slowdown_pct",
-    ] {
-        if overhead.get(field).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("self_overhead.{field} missing or non-numeric"));
-        }
-    }
-    let on = overhead
-        .get("seconds_metrics_on")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let off = overhead
-        .get("seconds_metrics_off")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    if on <= 0.0 || off <= 0.0 {
-        return Err("self_overhead timings must be positive".into());
-    }
-    let stages = doc.get("stages").ok_or("missing stages section")?;
-    for field in [
-        "timeline_seconds",
-        "correlate_seconds",
-        "profile_seconds",
-        "render_seconds",
-    ] {
-        if stages.get(field).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("stages.{field} missing or non-numeric"));
-        }
-    }
-    let correlate = doc.get("correlate").ok_or("missing correlate section")?;
-    for field in ["seconds", "seconds_sharded_auto", "samples_per_sec"] {
-        if correlate.get(field).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("correlate.{field} missing or non-numeric"));
-        }
-    }
-    let cache = doc.get("cache").ok_or("missing cache section")?;
-    for field in ["seconds_cold", "seconds_warm", "warm_speedup"] {
-        if cache.get(field).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("cache.{field} missing or non-numeric"));
-        }
-    }
-    let serve = doc.get("serve").ok_or("missing serve section")?;
-    for field in ["request_cold_secs", "request_warm_secs", "warm_speedup"] {
-        if serve.get(field).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("serve.{field} missing or non-numeric"));
-        }
-    }
-    // A cache hit skips recover + analyze + render; a warm request that
-    // is not faster than the cold one is paying for something else.
-    let serve_secs = |field| serve.get(field).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let (cold, warm) = (
-        serve_secs("request_cold_secs"),
-        serve_secs("request_warm_secs"),
-    );
-    if warm >= cold {
-        return Err(format!(
-            "serve.request_warm_secs ({warm}) is not below serve.request_cold_secs ({cold})"
-        ));
-    }
-
-    eprintln!(
-        "json_check: bench OK — stages/correlate/cache/serve/self_overhead present, speedup well-formed"
     );
     Ok(())
 }
@@ -438,84 +348,737 @@ fn check_api(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Allowed drop in correlate throughput before the gate fails: a fresh
-/// run may be 30% slower than the committed baseline (noisy CI hosts),
-/// but not more.
-const FLOOR_TOLERANCE: f64 = 0.30;
+// ---------- the performance gate -------------------------------------------
 
-fn samples_per_sec(doc: &Json, which: &str) -> Result<f64, String> {
-    doc.get("correlate")
-        .and_then(|c| c.get("samples_per_sec"))
-        .and_then(|v| v.as_f64())
-        .filter(|v| *v > 0.0)
-        .ok_or_else(|| format!("{which}: correlate.samples_per_sec missing or non-positive"))
+/// Largest fall of `correlate.samples_per_s` below the baseline median
+/// that is not CRITICAL.
+const CORRELATE_TOLERANCE: f64 = 0.30;
+
+/// The per-layer figures the gate reads from the traced runs.
+const LAYERS: [&str; 3] = [
+    "correlate.samples_per_s",
+    "http.profile_p50_us",
+    "query.first_touch_s",
+];
+
+/// The context fields a baseline records; the first two name the
+/// machine.
+const CONTEXT: [&str; 4] = ["nproc", "llc", "rustc", "seconds"];
+
+/// How far a fresh figure moved in its bad direction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Grade {
+    Ok,
+    Moderate,
+    High,
+    Critical,
 }
 
-fn check_floor(fresh: &Json, baseline: &Json) -> Result<(), String> {
-    let now = samples_per_sec(fresh, "fresh run")?;
-    let base = samples_per_sec(baseline, "baseline")?;
-    let floor = base * (1.0 - FLOOR_TOLERANCE);
-    if now < floor {
-        return Err(format!(
-            "correlate throughput regressed: {now:.0} samples/s is below the floor \
-             {floor:.0} ({}% under baseline {base:.0})",
-            ((1.0 - now / base) * 100.0).round()
-        ));
+impl Grade {
+    /// Grade a relative change `worse` (positive when worse) against a
+    /// `bound` and a relative `spread`: CRITICAL beyond the bound and
+    /// twice the spread, HIGH beyond half the bound and the spread,
+    /// MODERATE beyond the spread.
+    fn of(worse: f64, bound: f64, spread: f64) -> Grade {
+        if worse > bound && worse > 2.0 * spread {
+            Grade::Critical
+        } else if worse > bound / 2.0 && worse > spread {
+            Grade::High
+        } else if worse > spread {
+            Grade::Moderate
+        } else {
+            Grade::Ok
+        }
     }
-    eprintln!(
-        "json_check: floor OK — correlate {now:.0} samples/s vs baseline {base:.0} (floor {floor:.0})"
-    );
-    Ok(())
+
+    /// Like [`Grade::of`], but CRITICAL beyond the bound whatever the
+    /// spread.
+    fn floor(worse: f64, bound: f64, spread: f64) -> Grade {
+        match Grade::of(worse, bound, spread) {
+            _ if worse > bound => Grade::Critical,
+            grade => grade.min(Grade::High),
+        }
+    }
 }
+
+/// One line of the gate's report.
+struct Row {
+    grade: Grade,
+    what: String,
+    detail: String,
+}
+
+/// The median, the quartiles and the number of a figure's runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Stats {
+    median: f64,
+    q1: f64,
+    q3: f64,
+    runs: usize,
+}
+
+impl Stats {
+    /// The quartiles by the rule of Python's `statistics.quantiles(n=4)`,
+    /// as perfbench computes its spreads; one value is its own
+    /// quartiles. `None` when empty.
+    fn of(values: &[f64]) -> Option<Stats> {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        let quartile = |i: i64| {
+            let m = n as i64 + 1;
+            let j = (i * m / 4).clamp(1, n as i64 - 1);
+            // Negative when the clamp moved `j` up: Python extrapolates.
+            let delta = (i * m - j * 4) as f64;
+            let j = j as usize;
+            (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+        };
+        let median = (*v.get((n.max(1) - 1) / 2)? + v[n / 2]) / 2.0;
+        let (q1, q3) = if n == 1 {
+            (median, median)
+        } else {
+            (quartile(1), quartile(3))
+        };
+        Some(Stats {
+            median,
+            q1,
+            q3,
+            runs: n,
+        })
+    }
+
+    /// Read what [`Stats::write`] wrote; `None` unless the median is
+    /// positive, as every gated figure's is.
+    fn read(doc: Option<&Json>) -> Option<Stats> {
+        let field = |k| doc?.get(k)?.as_f64();
+        let stats = Stats {
+            median: field("median")?,
+            q1: field("q1")?,
+            q3: field("q3")?,
+            runs: field("runs")? as usize,
+        };
+        (stats.median > 0.0).then_some(stats)
+    }
+
+    fn write(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("median").float(self.median);
+        w.key("q1").float(self.q1);
+        w.key("q3").float(self.q3);
+        w.key("runs").int(self.runs as u64);
+        w.end_object();
+    }
+
+    /// Interquartile distance as a share of the median.
+    fn spread(&self) -> f64 {
+        (self.q3 - self.q1) / self.median
+    }
+}
+
+/// One perfbench run: its `context` line and its last line.
+struct Run {
+    name: String,
+    context: Json,
+    last: Json,
+}
+
+impl Run {
+    fn parse(name: &str, text: &str) -> Result<Run, String> {
+        let context = text
+            .lines()
+            .filter(|l| l.starts_with("{\"context\""))
+            .find_map(|l| Json::parse(l).ok()?.get("context").cloned())
+            .ok_or_else(|| format!("{name}: no context line"))?;
+        let last = text.lines().rev().find(|l| !l.trim().is_empty());
+        let last = Json::parse(last.unwrap_or(""))
+            .map_err(|e| format!("{name}: last line is not a result: {e}"))?;
+        Ok(Run {
+            name: name.to_string(),
+            context,
+            last,
+        })
+    }
+
+    fn workload(&self) -> &str {
+        let workload = self.context.get("workload").and_then(Json::as_str);
+        workload.unwrap_or("")
+    }
+
+    fn traced(&self) -> bool {
+        self.context.get("trace").and_then(Json::as_bool) == Some(true)
+    }
+
+    fn metric(&self, name: &str) -> Option<f64> {
+        self.last.get("metrics")?.get(name)?.get("value")?.as_f64()
+    }
+
+    /// Why the run's own checks failed, if they did.
+    fn failure(&self) -> Option<String> {
+        let correct = self.last.get("correct").and_then(Json::as_bool);
+        let failed = self.last.get("failed").and_then(Json::as_f64);
+        match (correct, failed) {
+            (Some(true), Some(0.0)) => None,
+            _ => Some(format!("correct {correct:?}, failed {failed:?}")),
+        }
+    }
+}
+
+/// The gate's rows and the fresh figures in the baseline's format.
+struct Verdict {
+    rows: Vec<Row>,
+    fresh: String,
+}
+
+/// The gate at work: the baseline, the rows so far, and the fresh
+/// figures, each keyed by its row's name as in the baseline.
+struct Gate<'a> {
+    baseline: &'a Json,
+    rows: Vec<Row>,
+    fresh: Vec<(String, Stats)>,
+}
+
+impl Gate<'_> {
+    fn flag(&mut self, what: &str, why: &str) {
+        self.rows.push(Row {
+            grade: Grade::Critical,
+            what: what.to_string(),
+            detail: why.to_string(),
+        });
+    }
+
+    /// The median and quartiles of `metric` over `runs`, kept as the
+    /// fresh figure `what`.
+    fn measure(&mut self, what: &str, runs: &[&Run], metric: &str) -> Option<Stats> {
+        let values: Option<Vec<f64>> = runs.iter().map(|r| r.metric(metric)).collect();
+        let now = values.as_deref().and_then(Stats::of);
+        match now {
+            Some(stats) => self.fresh.push((what.to_string(), stats)),
+            None => self.flag(what, "no run reports it"),
+        }
+        now
+    }
+
+    /// Grade `now` against the baseline's figure `what` by `grade` of its
+    /// relative change in the bad direction, `bound`, and the larger of
+    /// the baseline's and the fresh runs' spreads: a host that is noisy
+    /// while the gate runs widens the fresh quartiles, not the median's
+    /// distance from the baseline alone.
+    fn compare(&mut self, what: &str, now: Stats, higher: bool, bound: f64, grade: GradeFn) {
+        let base = self.baseline.get("figures").and_then(|f| f.get(what));
+        let Some(base) = Stats::read(base) else {
+            return self.flag(what, "not in the baseline");
+        };
+        let change = (now.median - base.median) / base.median;
+        let worse = if higher { -change } else { change };
+        let spread = base.spread().max(now.spread());
+        self.rows.push(Row {
+            grade: grade(worse, bound, spread),
+            what: what.to_string(),
+            detail: format!(
+                "baseline {} fresh {} worse {:+.1} % bound {:.0} % spread {:.1} % / {:.1} %",
+                num(base.median),
+                num(now.median),
+                worse * 100.0,
+                bound * 100.0,
+                base.spread() * 100.0,
+                now.spread() * 100.0
+            ),
+        });
+    }
+
+    /// The fresh figures, and the context of the first untraced run, as
+    /// a baseline document.
+    fn document(&self, runs: &[Run]) -> String {
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.key("context").begin_object();
+        let first = runs.iter().find(|r| !r.traced()).or(runs.first());
+        for key in CONTEXT {
+            w.key(key);
+            match first.and_then(|r| r.context.get(key)) {
+                Some(Json::Num(n)) => w.float(*n),
+                Some(Json::Str(s)) => w.str(s),
+                _ => w.null(),
+            };
+        }
+        w.end_object();
+        w.key("figures").begin_object();
+        for (what, stats) in &self.fresh {
+            w.key(what);
+            stats.write(&mut w);
+        }
+        w.end_object();
+        w.end_object();
+        w.finish()
+    }
+}
+
+type GradeFn = fn(f64, f64, f64) -> Grade;
+
+/// Grade `runs` against `baseline`, with the bounds `benchmark`
+/// (BENCHMARK.json) declares.
+///
+/// * A run with `correct: false` or `failed > 0` is CRITICAL.
+/// * Per workload and end-to-end metric, the untraced runs' median is
+///   graded by [`Grade::of`] against the metric's bound and the larger
+///   of the baseline's and the fresh runs' spreads.
+/// * Over the traced runs, `correlate.samples_per_s` more than
+///   [`CORRELATE_TOLERANCE`] below the baseline is CRITICAL, and so is a
+///   warm profile answer (`http.profile_p50_us`) not faster than the
+///   first, uncached answers (`query.first_touch_s`).
+/// * A figure missing from the runs or the baseline is CRITICAL, so the
+///   gate never passes on nothing.
+fn gate(benchmark: &Json, baseline: &Json, runs: &[Run]) -> Result<Verdict, String> {
+    fn text<'a>(m: &'a Json, k: &str) -> &'a str {
+        m.get(k).and_then(Json::as_str).unwrap_or_default()
+    }
+    let list = |key| {
+        let list = benchmark.get(key).and_then(Json::as_arr);
+        list.ok_or(format!("BENCHMARK.json has no {key} list"))
+    };
+    let mut g = Gate {
+        baseline,
+        rows: Vec::new(),
+        fresh: Vec::new(),
+    };
+    for run in runs {
+        if let Some(why) = run.failure() {
+            let what = format!("run {} ({})", run.name, run.workload());
+            g.flag(&what, &format!("its checks failed: {why}"));
+        }
+    }
+    for workload in list("workloads")?.iter().map(|w| text(w, "name")) {
+        let untraced: Vec<&Run> = runs
+            .iter()
+            .filter(|r| r.workload() == workload && !r.traced())
+            .collect();
+        for m in list("end_to_end")? {
+            let (name, higher) = (text(m, "name"), text(m, "better") == "higher");
+            let bound = m.get("bound").and_then(Json::as_f64);
+            let bound = bound.ok_or(format!("BENCHMARK.json: {name} has no bound"))?;
+            let what = format!("{workload} {name}");
+            if let Some(now) = g.measure(&what, &untraced, name) {
+                g.compare(&what, now, higher, bound, Grade::of);
+            }
+        }
+    }
+    let traced: Vec<&Run> = runs.iter().filter(|r| r.traced()).collect();
+    let [correlate, warm_us, cold_s] =
+        LAYERS.map(|l| g.measure(&format!("traced {l}"), &traced, l));
+    if let Some(now) = correlate {
+        let what = format!("traced {}", LAYERS[0]);
+        g.compare(&what, now, true, CORRELATE_TOLERANCE, Grade::floor);
+    }
+    if let (Some(warm_us), Some(cold_s)) = (warm_us, cold_s) {
+        let (warm, cold) = (warm_us.median / 1e6, cold_s.median);
+        g.rows.push(Row {
+            grade: if warm < cold {
+                Grade::Ok
+            } else {
+                Grade::Critical
+            },
+            what: "traced warm answer vs cold".to_string(),
+            detail: format!(
+                "http.profile_p50_us {} s against query.first_touch_s {} s",
+                num(warm),
+                num(cold)
+            ),
+        });
+    }
+    Ok(Verdict {
+        fresh: g.document(runs),
+        rows: g.rows,
+    })
+}
+
+/// A document's context on one line, for telling machines apart.
+fn context_line(doc: &Json) -> String {
+    let field = |k| match doc.get("context").and_then(|c| c.get(k)) {
+        Some(Json::Num(n)) => n.to_string(),
+        Some(Json::Str(s)) => s.clone(),
+        _ => "?".to_string(),
+    };
+    CONTEXT.map(|k| format!("{k}: {}", field(k))).join("; ")
+}
+
+/// Four significant digits, in exponent form outside [0.01, 10^5).
+fn num(x: f64) -> String {
+    if (0.01..1e5).contains(&x.abs()) {
+        format!("{x:.4}")
+    } else {
+        format!("{x:.3e}")
+    }
+}
+
+/// `json_check bench`: grade, print the rows on stderr and the fresh
+/// document on stdout; `Ok(false)` on a CRITICAL row. A baseline that
+/// cannot be read leaves its rows CRITICAL, but the fresh document is
+/// still written: that is how a first baseline is recorded.
+fn bench(benchmark: &str, baseline: &str, runs: &[String]) -> Result<bool, String> {
+    let baseline = load(baseline).unwrap_or_else(|e| {
+        eprintln!("json_check: bench: {e}");
+        Json::Null
+    });
+    let runs = runs
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path);
+            Run::parse(path, &text.map_err(|e| format!("cannot read {path}: {e}"))?)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let verdict = gate(&load(benchmark)?, &baseline, &runs)?;
+    print!("{}", verdict.fresh);
+    let fresh = Json::parse(&verdict.fresh).map_err(|e| e.to_string())?;
+    let machine = |doc: &Json| {
+        CONTEXT[..2]
+            .iter()
+            .map(|k| doc.get("context")?.get(k).cloned())
+            .collect::<Vec<_>>()
+    };
+    if machine(&baseline) != machine(&fresh) {
+        eprintln!("json_check: bench: the baseline comes from another machine");
+        eprintln!("  baseline: {}", context_line(&baseline));
+        eprintln!("  fresh:    {}", context_line(&fresh));
+    }
+    for row in &verdict.rows {
+        eprintln!(
+            "{:<9} {:<42} {}",
+            format!("{:?}", row.grade).to_uppercase(),
+            row.what,
+            row.detail
+        );
+    }
+    Ok(verdict.rows.iter().all(|r| r.grade != Grade::Critical))
+}
+
+const USAGE: &str = "usage: json_check <chrome|limits|prom|api> <file> | \
+                     fleet <file.json> [expected_nodes] | \
+                     bench <BENCHMARK.json> <baseline.json> <run>...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path, extra) = match args.as_slice() {
-        [mode, path] => (mode.as_str(), path.as_str(), None),
-        [mode, path, extra] if mode == "floor" || mode == "fleet" => {
-            (mode.as_str(), path.as_str(), Some(extra.as_str()))
-        }
-        _ => {
-            return fail(
-                "usage: json_check <chrome|bench|limits|prom|api> <file> | \
-                 fleet <file.json> [expected_nodes] | floor <file> <baseline>",
-            )
-        }
+    let read = |path: &String| {
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
     };
-    // Prometheus expositions are text, not JSON — lint them directly.
-    if mode == "prom" {
-        let result = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| check_prom(&text));
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        };
-    }
-    let doc = match load(path) {
-        Ok(doc) => doc,
-        Err(e) => return fail(&e),
-    };
-    let result = match mode {
-        "chrome" => check_chrome(&doc),
-        "bench" => check_bench(&doc),
-        "limits" => check_limits(&doc),
-        "api" => check_api(&doc),
-        "fleet" => match extra.map(str::parse::<usize>) {
-            None => check_fleet(&doc, None),
-            Some(Ok(n)) => check_fleet(&doc, Some(n)),
-            Some(Err(_)) => Err("fleet: expected_nodes must be an integer".into()),
+    let result = match args.as_slice() {
+        [mode, benchmark, baseline, runs @ ..] if mode == "bench" && !runs.is_empty() => {
+            match bench(benchmark, baseline, runs) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err("bench: a CRITICAL regression".to_string()),
+                Err(e) => Err(e),
+            }
+        }
+        // Prometheus expositions are text, not JSON — lint them directly.
+        [mode, path] if mode == "prom" => read(path).and_then(|text| check_prom(&text)),
+        [mode, path, n] if mode == "fleet" => match n.parse::<usize>() {
+            Ok(n) => load(path).and_then(|doc| check_fleet(&doc, Some(n))),
+            Err(_) => Err("fleet: expected_nodes must be an integer".into()),
         },
-        "floor" => match extra {
-            Some(b) => load(b).and_then(|base| check_floor(&doc, &base)),
-            None => Err("floor mode needs a baseline file".into()),
-        },
-        other => Err(format!(
-            "unknown mode {other:?} (expected chrome, bench, limits, fleet, prom, api, or floor)"
-        )),
+        [mode, path] => load(path).and_then(|doc| match mode.as_str() {
+            "chrome" => check_chrome(&doc),
+            "limits" => check_limits(&doc),
+            "api" => check_api(&doc),
+            "fleet" => check_fleet(&doc, None),
+            other => Err(format!(
+                "unknown mode {other:?} (expected chrome, bench, limits, fleet, prom or api)"
+            )),
+        }),
+        _ => Err(USAGE.to_string()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn benchmark() -> Json {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        load(path).expect("BENCHMARK.json at the repository root")
+    }
+
+    /// One perfbench run's stdout, reduced to what the gate reads: a
+    /// named line, the context line and the result line.
+    fn run(workload: &str, traced: bool, verdict: (bool, u64), metrics: &[(&str, f64)]) -> Run {
+        let values: Vec<String> = metrics
+            .iter()
+            .map(|(n, v)| format!("\"{n}\": {{\"value\": {v}, \"unit\": \"s\"}}"))
+            .collect();
+        let text = format!(
+            "metric {workload} untraced x = 1 s (how)\n\
+             {{\"context\": {{\"workload\": \"{workload}\", \"seconds\": 4, \"trace\": {traced}, \
+             \"nproc\": 2, \"llc\": \"L3 32768K\", \"rustc\": \"rustc 1.95.0\"}}}}\n\
+             note: a line after the context\n\
+             {{\"correct\": {}, \"attempted\": 100, \"failed\": {}, \"metrics\": {{{}}}}}\n",
+            verdict.0,
+            verdict.1,
+            values.join(", ")
+        );
+        Run::parse(workload, &text).expect("a well-formed run")
+    }
+
+    const OK: (bool, u64) = (true, 0);
+
+    /// Every end-to-end metric at `value`, for one untraced run.
+    fn untraced(workload: &str, value: f64) -> Run {
+        let names = [
+            "setup_s",
+            "throughput_per_s",
+            "answer_p50_ms",
+            "peak_heap_mb",
+        ];
+        let metrics: Vec<(&str, f64)> = names.iter().map(|n| (*n, value)).collect();
+        run(workload, false, OK, &metrics)
+    }
+
+    /// A traced run with correlate throughput, warm profile answer (µs)
+    /// and first touch (s).
+    fn traced(correlate: f64, warm_us: f64, cold_s: f64) -> Run {
+        let layers = [
+            ("correlate.samples_per_s", correlate),
+            ("http.profile_p50_us", warm_us),
+            ("query.first_touch_s", cold_s),
+        ];
+        run("analyze", true, OK, &layers)
+    }
+
+    /// A baseline with every end-to-end figure at median 100 and the
+    /// given quartiles, and correlate at 10 M samples/s.
+    fn baseline(q1: f64, q3: f64) -> Json {
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("context").begin_object();
+        w.key("nproc").int(2);
+        w.key("llc").str("L3 32768K");
+        w.end_object();
+        w.key("figures").begin_object();
+        for workload in ["capture", "analyze", "serve"] {
+            for m in [
+                "setup_s",
+                "throughput_per_s",
+                "answer_p50_ms",
+                "peak_heap_mb",
+            ] {
+                w.key(&format!("{workload} {m}"));
+                let (median, runs) = (100.0, 10);
+                Stats {
+                    median,
+                    q1,
+                    q3,
+                    runs,
+                }
+                .write(&mut w);
+            }
+        }
+        w.key("traced correlate.samples_per_s");
+        let (q1, q3) = (9.9e6, 10.1e6);
+        Stats {
+            median: 10e6,
+            q1,
+            q3,
+            runs: 5,
+        }
+        .write(&mut w);
+        w.end_object();
+        w.end_object();
+        Json::parse(&w.finish()).unwrap()
+    }
+
+    /// Healthy runs of every workload, with `changed` swapped in.
+    fn runs_with(changed: Vec<Run>) -> Vec<Run> {
+        let mut runs: Vec<Run> = ["capture", "analyze", "serve"]
+            .iter()
+            .filter(|w| !changed.iter().any(|r| r.workload() == **w && !r.traced()))
+            .map(|w| untraced(w, 100.0))
+            .collect();
+        if !changed.iter().any(Run::traced) {
+            runs.push(traced(10e6, 60.0, 0.03));
+        }
+        runs.extend(changed);
+        runs
+    }
+
+    fn grade_of(verdict: &Verdict, what: &str) -> Grade {
+        let row = verdict.rows.iter().find(|r| r.what == what);
+        row.unwrap_or_else(|| panic!("no row {what}")).grade
+    }
+
+    fn verdict(baseline: &Json, runs: &[Run]) -> Verdict {
+        gate(&benchmark(), baseline, runs).expect("the gate runs")
+    }
+
+    #[test]
+    fn unchanged_runs_pass_every_row() {
+        let v = verdict(&baseline(99.0, 101.0), &runs_with(vec![]));
+        assert_eq!(v.rows.len(), 3 * 4 + 2);
+        assert!(v.rows.iter().all(|r| r.grade == Grade::Ok));
+    }
+
+    #[test]
+    fn each_grade_band_against_bound_and_spread() {
+        // answer_p50_ms: lower is better, bound 24 %; spread 2 %.
+        let base = baseline(99.0, 101.0);
+        for (fresh, want) in [
+            (101.5, Grade::Ok),
+            (103.0, Grade::Moderate),
+            (115.0, Grade::High),
+            (130.0, Grade::Critical),
+        ] {
+            let metrics = [
+                ("setup_s", 100.0),
+                ("throughput_per_s", 100.0),
+                ("answer_p50_ms", fresh),
+                ("peak_heap_mb", 100.0),
+            ];
+            let r = run("serve", false, OK, &metrics);
+            let v = verdict(&base, &runs_with(vec![r]));
+            assert_eq!(grade_of(&v, "serve answer_p50_ms"), want, "at {fresh}");
+        }
+    }
+
+    #[test]
+    fn a_spread_wider_than_the_bound_is_not_critical_within_twice_the_spread() {
+        // peak_heap_mb's bound is 10 %; a 30 % spread lets 50 % through
+        // as HIGH, and only beyond 60 % is it CRITICAL.
+        let base = baseline(85.0, 115.0);
+        let at = |value| verdict(&base, &runs_with(vec![untraced("capture", value)]));
+        assert_eq!(grade_of(&at(150.0), "capture peak_heap_mb"), Grade::High);
+        assert_eq!(
+            grade_of(&at(170.0), "capture peak_heap_mb"),
+            Grade::Critical
+        );
+    }
+
+    #[test]
+    fn scattered_fresh_runs_widen_the_spread() {
+        // Throughput 35 % under the baseline: CRITICAL when the five runs
+        // agree, HIGH when they scatter as on a host busy with other work.
+        let base = baseline(99.0, 101.0);
+        let at = |values: [f64; 5]| {
+            let runs = values.iter().map(|v| untraced("capture", *v)).collect();
+            grade_of(
+                &verdict(&base, &runs_with(runs)),
+                "capture throughput_per_s",
+            )
+        };
+        assert_eq!(at([64.0, 65.0, 65.0, 66.0, 65.0]), Grade::Critical);
+        assert_eq!(at([55.0, 60.0, 65.0, 75.0, 80.0]), Grade::High);
+    }
+
+    #[test]
+    fn the_bad_direction_follows_better() {
+        let base = baseline(99.0, 101.0);
+        let lower = verdict(&base, &runs_with(vec![untraced("analyze", 70.0)]));
+        assert_eq!(
+            grade_of(&lower, "analyze throughput_per_s"),
+            Grade::Critical
+        );
+        assert_eq!(grade_of(&lower, "analyze setup_s"), Grade::Ok);
+        let higher = verdict(&base, &runs_with(vec![untraced("analyze", 130.0)]));
+        assert_eq!(grade_of(&higher, "analyze throughput_per_s"), Grade::Ok);
+        assert_eq!(grade_of(&higher, "analyze setup_s"), Grade::Critical);
+    }
+
+    #[test]
+    fn medians_not_single_runs_are_graded() {
+        // One slow run in five leaves the median where it was.
+        let base = baseline(99.0, 101.0);
+        let runs: Vec<Run> = [100.0, 101.0, 99.0, 100.0, 200.0]
+            .iter()
+            .map(|v| untraced("analyze", *v))
+            .collect();
+        let v = verdict(&base, &runs_with(runs));
+        assert_eq!(grade_of(&v, "analyze answer_p50_ms"), Grade::Ok);
+    }
+
+    #[test]
+    fn a_run_whose_own_checks_failed_is_critical() {
+        let base = baseline(99.0, 101.0);
+        for verdict_line in [(false, 0), (true, 3)] {
+            let metrics = [("setup_s", 100.0)];
+            let bad = run("capture", false, verdict_line, &metrics);
+            let v = verdict(&base, &runs_with(vec![bad]));
+            assert_eq!(grade_of(&v, "run capture (capture)"), Grade::Critical);
+        }
+    }
+
+    #[test]
+    fn a_warm_answer_not_faster_than_the_cold_one_is_critical() {
+        let base = baseline(99.0, 101.0);
+        let what = "traced warm answer vs cold";
+        let fast = verdict(&base, &runs_with(vec![traced(10e6, 60.0, 0.03)]));
+        assert_eq!(grade_of(&fast, what), Grade::Ok);
+        let slow = verdict(&base, &runs_with(vec![traced(10e6, 40_000.0, 0.03)]));
+        assert_eq!(grade_of(&slow, what), Grade::Critical);
+    }
+
+    #[test]
+    fn correlate_is_critical_more_than_30_percent_under_the_baseline() {
+        let base = baseline(99.0, 101.0);
+        let what = "traced correlate.samples_per_s";
+        let at = |c| verdict(&base, &runs_with(vec![traced(c, 60.0, 0.03)]));
+        assert_eq!(grade_of(&at(7.1e6), what), Grade::High);
+        assert_eq!(grade_of(&at(6.9e6), what), Grade::Critical);
+        assert_eq!(grade_of(&at(5e6), what), Grade::Critical);
+        assert_eq!(grade_of(&at(12e6), what), Grade::Ok);
+    }
+
+    #[test]
+    fn missing_figures_are_critical() {
+        // Without a baseline only the warm-against-cold check, which
+        // reads the fresh run alone, can pass.
+        let none = verdict(&Json::Null, &runs_with(vec![]));
+        let critical = none.rows.iter().filter(|r| r.grade == Grade::Critical);
+        assert_eq!(critical.count(), none.rows.len() - 1);
+        let untraced_only: Vec<Run> = runs_with(vec![])
+            .into_iter()
+            .filter(|r| !r.traced())
+            .collect();
+        let v = verdict(&baseline(99.0, 101.0), &untraced_only);
+        let what = "traced correlate.samples_per_s";
+        assert_eq!(grade_of(&v, what), Grade::Critical);
+    }
+
+    #[test]
+    fn the_fresh_document_parses_back_as_a_baseline() {
+        let runs: Vec<Run> = (0..5)
+            .flat_map(|i| {
+                let v = 90.0 + 5.0 * i as f64;
+                ["capture", "analyze", "serve"].map(|w| untraced(w, v))
+            })
+            .chain([traced(9e6, 60.0, 0.03), traced(11e6, 70.0, 0.04)])
+            .collect();
+        let first = verdict(&Json::Null, &runs);
+        let recorded = Json::parse(&first.fresh).expect("the fresh document is JSON");
+        let again = verdict(&recorded, &runs);
+        assert!(again.rows.iter().all(|r| r.grade == Grade::Ok));
+        assert_eq!(again.fresh, first.fresh);
+        let ctx = recorded.get("context").unwrap();
+        assert_eq!(ctx.get("nproc").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(ctx.get("seconds").and_then(Json::as_f64), Some(4.0));
+        let figure = |what| Stats::read(recorded.get("figures").and_then(|f| f.get(what)));
+        // Python: statistics.quantiles([90, 95, 100, 105, 110], n=4).
+        let want = Stats {
+            median: 100.0,
+            q1: 92.5,
+            q3: 107.5,
+            runs: 5,
+        };
+        assert_eq!(figure("serve peak_heap_mb"), Some(want));
+        let correlate = figure("traced correlate.samples_per_s");
+        assert_eq!(correlate.map(|s| (s.median, s.runs)), Some((10e6, 2)));
+    }
+
+    #[test]
+    fn quartiles_follow_python() {
+        let q = |v: &[f64]| Stats::of(v).map(|s| (s.q1, s.median, s.q3));
+        assert_eq!(q(&[1.0, 2.0]), Some((0.75, 1.5, 2.25)));
+        let ten = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0];
+        assert_eq!(q(&ten), Some((1.75, 3.5, 5.25)));
+        assert_eq!(q(&[7.0]), Some((7.0, 7.0, 7.0)));
+        assert_eq!(q(&[]), None);
     }
 }
