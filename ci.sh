@@ -42,6 +42,7 @@ if [ "${TEMPEST_BENCH_RECORD:-0}" = "1" ]; then
     cargo run --release -q -p tempest-bench --bin json_check -- \
         bench BENCHMARK.json BENCH_baseline.json "$RECORD_TMP"/*.out \
         > "$RECORD_TMP/baseline.json" || true
+    [ -s "$RECORD_TMP/baseline.json" ] || { echo "json_check wrote no baseline" >&2; exit 1; }
     mv "$RECORD_TMP/baseline.json" BENCH_baseline.json
     echo "BENCH_baseline.json recorded"
     exit 0
@@ -106,7 +107,7 @@ echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run -p tempest-bench
 
 # The one performance gate: 5 untraced perfbench runs per workload of
-# 4 s each and one traced analyze run (about 90 s on 2 vCPUs), graded
+# 4 s each and one traced analyze run (about 80 s on 2 vCPUs), graded
 # against BENCH_baseline.json. Per (workload, end-to-end metric), the
 # runs' median is CRITICAL when it is worse than the baseline median by
 # more than both the metric's BENCHMARK.json bound and twice the larger

@@ -518,7 +518,11 @@ impl Run {
         let failed = self.last.get("failed").and_then(Json::as_f64);
         match (correct, failed) {
             (Some(true), Some(0.0)) => None,
-            _ => Some(format!("correct {correct:?}, failed {failed:?}")),
+            _ => Some(format!(
+                "correct {}, failed {}",
+                correct.map_or("missing".into(), |c| c.to_string()),
+                failed.map_or("missing".into(), |f| f.to_string())
+            )),
         }
     }
 }
@@ -528,6 +532,8 @@ struct Verdict {
     rows: Vec<Row>,
     fresh: String,
 }
+
+type GradeFn = fn(f64, f64, f64) -> Grade;
 
 /// The gate at work: the baseline, the rows so far, and the fresh
 /// figures, each keyed by its row's name as in the baseline.
@@ -560,9 +566,8 @@ impl Gate<'_> {
 
     /// Grade `now` against the baseline's figure `what` by `grade` of its
     /// relative change in the bad direction, `bound`, and the larger of
-    /// the baseline's and the fresh runs' spreads: a host that is noisy
-    /// while the gate runs widens the fresh quartiles, not the median's
-    /// distance from the baseline alone.
+    /// the baseline's and the fresh runs' spreads: runs scattered by
+    /// other work on the host widen the margin instead of failing.
     fn compare(&mut self, what: &str, now: Stats, higher: bool, bound: f64, grade: GradeFn) {
         let base = self.baseline.get("figures").and_then(|f| f.get(what));
         let Some(base) = Stats::read(base) else {
@@ -612,8 +617,6 @@ impl Gate<'_> {
         w.finish()
     }
 }
-
-type GradeFn = fn(f64, f64, f64) -> Grade;
 
 /// Grade `runs` against `baseline`, with the bounds `benchmark`
 /// (BENCHMARK.json) declares.
