@@ -567,7 +567,9 @@ impl Gate<'_> {
     /// Grade `now` against the baseline's figure `what` by `grade` of its
     /// relative change in the bad direction, `bound`, and the larger of
     /// the baseline's and the fresh runs' spreads: runs scattered by
-    /// other work on the host widen the margin instead of failing.
+    /// other work on the host widen the margin instead of failing. Both
+    /// spreads are shares of the baseline median, so a fresh median near
+    /// zero cannot make the margin unbounded.
     fn compare(&mut self, what: &str, now: Stats, higher: bool, bound: f64, grade: GradeFn) {
         let base = self.baseline.get("figures").and_then(|f| f.get(what));
         let Some(base) = Stats::read(base) else {
@@ -575,7 +577,8 @@ impl Gate<'_> {
         };
         let change = (now.median - base.median) / base.median;
         let worse = if higher { -change } else { change };
-        let spread = base.spread().max(now.spread());
+        let now_spread = (now.q3 - now.q1) / base.median;
+        let spread = base.spread().max(now_spread);
         self.rows.push(Row {
             grade: grade(worse, bound, spread),
             what: what.to_string(),
@@ -586,7 +589,7 @@ impl Gate<'_> {
                 worse * 100.0,
                 bound * 100.0,
                 base.spread() * 100.0,
-                now.spread() * 100.0
+                now_spread * 100.0
             ),
         });
     }
