@@ -50,8 +50,8 @@ use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 use crate::limits::{CancelToken, DecodeLimits, LimitExceeded, ResourceBudget};
 use crate::trace::{
-    decode_functions, decode_node, encode_functions, encode_node, Cursor, NodeMeta, SalvageReport,
-    Trace, TraceError, TraceSection,
+    decode_functions, decode_node, encode_functions, encode_node, Cursor, MixedStreams, NodeMeta,
+    SalvageReport, Trace, TraceError, TraceSection,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -1017,9 +1017,9 @@ impl std::fmt::Display for FrameFail {
 
 /// One frame's payload, decoded by [`decode_frame`].
 #[derive(Debug)]
-pub enum Decoded {
+pub enum Decoded<'a> {
     /// A [`FRAME_EVENTS`] batch, scope events and samples interleaved.
-    Events(Vec<Event>),
+    Events(EventRecords<'a>),
     /// A [`FRAME_SYMBOLS`] snapshot.
     Symbols(Vec<FunctionDef>),
     /// A [`FRAME_NODE`] record.
@@ -1034,13 +1034,17 @@ pub enum Decoded {
 /// The one frame-kind rule: decode an unwrapped frame's payload by its
 /// kind under `limits`. Every reader of spool frames decides what a
 /// frame holds here, so recovery and fsck cannot disagree about one.
-pub fn decode_frame(kind: u8, payload: &[u8], limits: &DecodeLimits) -> Result<Decoded, FrameFail> {
+pub fn decode_frame<'a>(
+    kind: u8,
+    payload: &'a [u8],
+    limits: &DecodeLimits,
+) -> Result<Decoded<'a>, FrameFail> {
     // Node and symbol frames decode through the trace file's decoders,
     // without its byte budget or deadline: recovery meters events only.
     let cur = &mut Cursor::new(payload);
     let (budget, cancel) = (ResourceBudget::unlimited(), CancelToken::default());
     match kind {
-        FRAME_EVENTS => decode_events(payload)
+        FRAME_EVENTS => EventRecords::check(payload)
             .map(Decoded::Events)
             .ok_or(FrameFail::Corrupt),
         FRAME_SYMBOLS => {
@@ -1068,40 +1072,59 @@ pub fn decode_frame(kind: u8, payload: &[u8], limits: &DecodeLimits) -> Result<D
     }
 }
 
-fn decode_events(payload: &[u8]) -> Option<Vec<Event>> {
-    if !payload.len().is_multiple_of(EVENT_RECORD_LEN) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(payload.len() / EVENT_RECORD_LEN);
-    for rec in payload.chunks_exact(EVENT_RECORD_LEN) {
-        let tag = rec[0];
-        let thread = ThreadId(u32::from_le_bytes(rec[1..5].try_into().unwrap()));
-        let payload = u32::from_le_bytes(rec[5..9].try_into().unwrap());
-        let aux = i32::from_le_bytes(rec[9..13].try_into().unwrap());
-        let ts = u64::from_le_bytes(rec[13..21].try_into().unwrap());
-        let kind = match tag {
-            1 => EventKind::Enter {
-                func: FunctionId(payload),
-            },
-            2 => EventKind::Exit {
-                func: FunctionId(payload),
-            },
-            3 => EventKind::Gap {
-                sensor: SensorId(payload as u16),
-            },
-            4 => EventKind::Sample {
-                sensor: SensorId(payload as u16),
-                millicelsius: aux,
-            },
-            _ => return None,
+/// A checked view of a [`FRAME_EVENTS`] payload, read in place: a whole
+/// number of 21-byte records, every tag one of the four event kinds. A
+/// frame with one bad record fails the check whole, so nothing of it is
+/// ever decoded.
+#[derive(Debug, Clone, Copy)]
+pub struct EventRecords<'a>(&'a [u8]);
+
+impl<'a> EventRecords<'a> {
+    fn check(payload: &'a [u8]) -> Option<EventRecords<'a>> {
+        let whole = payload.len().is_multiple_of(EVENT_RECORD_LEN);
+        let known = || {
+            payload
+                .chunks_exact(EVENT_RECORD_LEN)
+                .all(|rec| (1..=4).contains(&rec[0]))
         };
-        out.push(Event {
-            timestamp_ns: ts,
-            thread,
-            kind,
-        });
+        (whole && known()).then_some(EventRecords(payload))
     }
-    Some(out)
+
+    /// Records in the frame.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len() / EVENT_RECORD_LEN
+    }
+
+    /// The records as events, in frame order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Event> + 'a {
+        self.0.chunks_exact(EVENT_RECORD_LEN).map(|rec| {
+            let thread = ThreadId(u32::from_le_bytes(rec[1..5].try_into().unwrap()));
+            let payload = u32::from_le_bytes(rec[5..9].try_into().unwrap());
+            let aux = i32::from_le_bytes(rec[9..13].try_into().unwrap());
+            let ts = u64::from_le_bytes(rec[13..21].try_into().unwrap());
+            // `check` admitted tags 1 to 4 only.
+            let kind = match rec[0] {
+                1 => EventKind::Enter {
+                    func: FunctionId(payload),
+                },
+                2 => EventKind::Exit {
+                    func: FunctionId(payload),
+                },
+                3 => EventKind::Gap {
+                    sensor: SensorId(payload as u16),
+                },
+                _ => EventKind::Sample {
+                    sensor: SensorId(payload as u16),
+                    millicelsius: aux,
+                },
+            };
+            Event {
+                timestamp_ns: ts,
+                thread,
+                kind,
+            }
+        })
+    }
 }
 
 // ---- recovery --------------------------------------------------------------
@@ -1552,8 +1575,24 @@ pub fn recover_with(
         return Err(TraceError::Corrupt("no spool segments found"));
     }
 
+    // One reservation for the scope events: every record takes at least
+    // 21 bytes of the listed segments, and the count is clamped like any
+    // declared one, so no spool can reserve past the caps or the budget.
+    let listed = segments
+        .iter()
+        .filter_map(|(_, path)| std::fs::metadata(path).ok())
+        .fold(0u64, |sum, m| sum.saturating_add(m.len()));
+    let listed = usize::try_from(listed).unwrap_or(usize::MAX);
+    let fit = usize::try_from(limits.budget_bytes / std::mem::size_of::<Event>() as u64)
+        .unwrap_or(usize::MAX);
+    let reserve = limits.clamp_prealloc(
+        (listed / EVENT_RECORD_LEN).min(fit),
+        listed,
+        EVENT_RECORD_LEN,
+    );
+
     let mut report = SpoolReport::default();
-    let mut mixed: Vec<Event> = Vec::new();
+    let mut streams = MixedStreams::with_event_capacity(reserve);
     let mut functions: Vec<FunctionDef> = Vec::new();
     let mut node: Option<NodeMeta> = None;
     let mut footer: Option<[u64; 4]> = None;
@@ -1584,18 +1623,21 @@ pub fn recover_with(
                 report.frame_traces.push(shipped);
             }
             match decode_frame(inner.kind, inner.payload, limits) {
-                Ok(Decoded::Events(events)) => {
-                    // The accumulated mixed stream is the one spot a
+                Ok(Decoded::Events(records)) => {
+                    // The recovered streams are the one spot a
                     // many-segment spool can grow without bound — meter
-                    // it against the byte budget.
+                    // each frame against the byte budget before keeping
+                    // any of it.
                     if let Err(e) = budget.charge(
                         "spool events",
-                        (events.len() * std::mem::size_of::<Event>()) as u64,
+                        (records.len() * std::mem::size_of::<Event>()) as u64,
                     ) {
                         limit_hit = Some(e);
                         break 'scan;
                     }
-                    mixed.extend_from_slice(&events);
+                    for e in records.iter() {
+                        streams.push(e);
+                    }
                 }
                 // Later snapshots supersede earlier ones: the registry
                 // only grows, so the newest is a superset.
@@ -1640,8 +1682,10 @@ pub fn recover_with(
             .dump_to(&dir.join(FLIGHT_DUMP_NAME), "recover limit exceeded");
     }
 
+    let events_recovered = streams.events().len() as u64;
+    let samples_recovered = streams.samples_len() as u64;
     if node.is_none()
-        && mixed.is_empty()
+        && events_recovered + samples_recovered == 0
         && functions.is_empty()
         && footer.is_none()
         && limit_hit.is_none()
@@ -1652,14 +1696,9 @@ pub fn recover_with(
     }
 
     if functions.is_empty() {
-        functions = synthesize_functions(&mixed);
+        functions = synthesize_functions(streams.events());
     }
 
-    let events_recovered = mixed
-        .iter()
-        .filter(|e| !matches!(e.kind, EventKind::Sample { .. }))
-        .count() as u64;
-    let samples_recovered = mixed.len() as u64 - events_recovered;
     report.events_recovered = events_recovered;
     report.samples_recovered = samples_recovered;
     report.clean_shutdown = footer.is_some();
@@ -1685,8 +1724,7 @@ pub fn recover_with(
         limit: limit_hit,
     };
 
-    let trace =
-        Trace::from_mixed_events(node.unwrap_or_else(NodeMeta::anonymous), functions, mixed);
+    let trace = streams.into_trace(node.unwrap_or_else(NodeMeta::anonymous), functions);
     Ok((trace, report))
 }
 
@@ -1741,8 +1779,9 @@ impl SegmentFsck {
 /// Deep-verify every segment in a spool directory: re-decode every
 /// checksum-valid frame under `limits` and report, per segment, what
 /// failed and why. Unlike [`recover_with`] this never stops early — the
-/// point is a complete damage survey, and each frame decodes into a
-/// bounded amount of memory that is dropped before the next one.
+/// point is a complete damage survey. An events frame is only checked in
+/// place, and any other frame decodes into a bounded amount of memory
+/// that is dropped before the next one.
 pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck>> {
     let mut out = Vec::new();
     for (_, path) in list_segment_files(dir)? {

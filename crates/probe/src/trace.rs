@@ -191,6 +191,88 @@ impl SalvageReport {
     }
 }
 
+/// A mixed stream split as it arrives: scope events to one vector,
+/// samples to the other, each remembering whether it arrived in timestamp
+/// order. The one assembly behind [`Trace::from_mixed_events`] and spool
+/// recovery, which pushes records straight from its frames.
+#[derive(Debug)]
+pub(crate) struct MixedStreams {
+    events: Vec<Event>,
+    samples: Vec<SensorReading>,
+    last_event_ns: u64,
+    last_sample_ns: u64,
+    events_in_order: bool,
+    samples_in_order: bool,
+}
+
+impl MixedStreams {
+    /// Empty streams with room for `events` scope events.
+    pub(crate) fn with_event_capacity(events: usize) -> Self {
+        MixedStreams {
+            events: Vec::with_capacity(events),
+            samples: Vec::new(),
+            last_event_ns: 0,
+            last_sample_ns: 0,
+            events_in_order: true,
+            samples_in_order: true,
+        }
+    }
+
+    /// Send one record to its stream.
+    #[inline]
+    pub(crate) fn push(&mut self, e: Event) {
+        match e.kind {
+            EventKind::Sample {
+                sensor,
+                millicelsius,
+            } => {
+                self.samples_in_order &= e.timestamp_ns >= self.last_sample_ns;
+                self.last_sample_ns = e.timestamp_ns;
+                self.samples.push(SensorReading::new(
+                    sensor,
+                    e.timestamp_ns,
+                    Temperature::from_millicelsius(millicelsius as i64),
+                ));
+            }
+            _ => {
+                self.events_in_order &= e.timestamp_ns >= self.last_event_ns;
+                self.last_event_ns = e.timestamp_ns;
+                self.events.push(e);
+            }
+        }
+    }
+
+    /// The scope events (enter, exit and gap markers) so far.
+    pub(crate) fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// How many samples so far.
+    pub(crate) fn samples_len(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// The trace, both streams in timestamp order. The sorts are stable,
+    /// so same-timestamp records keep their arrival order, and each runs
+    /// only when some record of its stream arrived behind its
+    /// predecessor: a stable sort of a sorted vector would change nothing.
+    pub(crate) fn into_trace(self, node: NodeMeta, functions: Vec<FunctionDef>) -> Trace {
+        let (mut events, mut samples) = (self.events, self.samples);
+        if !self.events_in_order {
+            events.sort_by_key(|e| e.timestamp_ns);
+        }
+        if !self.samples_in_order {
+            samples.sort_by_key(|s| s.timestamp_ns);
+        }
+        Trace {
+            node,
+            functions,
+            events,
+            samples,
+        }
+    }
+}
+
 impl Trace {
     /// Assemble a trace from a mixed event stream (as drained from a
     /// sink): scope events and samples are separated, both sorted by
@@ -200,29 +282,11 @@ impl Trace {
         functions: Vec<FunctionDef>,
         mixed: Vec<Event>,
     ) -> Self {
-        let mut events = Vec::new();
-        let mut samples = Vec::new();
+        let mut streams = MixedStreams::with_event_capacity(0);
         for e in mixed {
-            match e.kind {
-                EventKind::Sample {
-                    sensor,
-                    millicelsius,
-                } => samples.push(SensorReading::new(
-                    sensor,
-                    e.timestamp_ns,
-                    Temperature::from_millicelsius(millicelsius as i64),
-                )),
-                _ => events.push(e),
-            }
+            streams.push(e);
         }
-        events.sort_by_key(|e| e.timestamp_ns);
-        samples.sort_by_key(|s| s.timestamp_ns);
-        Trace {
-            node,
-            functions,
-            events,
-            samples,
-        }
+        streams.into_trace(node, functions)
     }
 
     /// Duration from first to last recorded instant, in nanoseconds.
