@@ -32,6 +32,7 @@ use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use tempest_core::correlate::{correlate_with, Correlation, FunctionSamples};
 use tempest_core::profile::build_profiles;
 use tempest_core::stats::StreamingStats;
@@ -39,8 +40,12 @@ use tempest_core::timeline::{FunctionTimes, Interval, Timeline, TimelineWarning}
 use tempest_core::{AnalysisRequest, FunctionProfile, NodeProfile, ParseError};
 use tempest_probe::event::{Event, EventKind, ThreadId};
 use tempest_probe::func::{FunctionDef, FunctionId, ScopeKind};
-use tempest_probe::trace::{NodeMeta, Trace};
-use tempest_sensors::{SensorId, SensorReading, Temperature};
+use tempest_probe::limits::{CancelToken, DecodeLimits, LimitExceeded, LimitKind};
+use tempest_probe::spool::{
+    self, Decoded, FrameFail, FsyncPolicy, SegmentReader, SpoolConfig, SpoolReport, SpoolWriter,
+};
+use tempest_probe::trace::{NodeMeta, SalvageReport, SensorMeta, Trace, TraceSection};
+use tempest_sensors::{SensorId, SensorKind, SensorReading, Temperature};
 
 /// Thread ids the generator draws from: dense, sparse and near the top.
 const THREADS: [ThreadId; 4] = [
@@ -556,6 +561,76 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // `spool::recover_with` against the reference over a seeded session
+    // and one kind of damage: none, the last segment cut at a drawn
+    // offset, a checksum-valid events frame whose last record is bad, a
+    // collector copy with re-sent envelopes, or a byte budget that runs
+    // out mid-scan.
+    #[test]
+    fn spool_recovery_matches_the_per_frame_reference(seed in 0u64..u64::MAX, damage in 0u8..5) {
+        let d = &mut Draw(seed);
+        let root = std::env::temp_dir().join(format!("tempest-oracle-spool-{}-{seed}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let mut dir = root.join("local");
+        let written = write_seeded_spool(&dir, d);
+        let mut limits = DecodeLimits::default();
+        match damage {
+            0 => {}
+            1 => {
+                let last = last_segment(&dir);
+                let len = std::fs::metadata(&last).unwrap().len();
+                let file = std::fs::OpenOptions::new().write(true).open(&last).unwrap();
+                file.set_len(d.below(len + 1)).unwrap();
+            }
+            2 => {
+                let mut bad: Vec<u8> = (0..d.below(4))
+                    .flat_map(|k| record(1 + (k % 4) as u8, 0, 1, 5 + k))
+                    .collect();
+                bad.extend(record(9, 0, 1, 9));
+                let good = [record(1, 2, 3, 7), record(2, 2, 3, 8)].concat();
+                let mut frames = Vec::new();
+                spool::encode_frame_into(&mut frames, spool::FRAME_EVENTS, &bad);
+                spool::encode_frame_into(&mut frames, spool::FRAME_EVENTS, &good);
+                let last = last_segment(&dir);
+                let mut file = std::fs::OpenOptions::new().append(true).open(&last).unwrap();
+                std::io::Write::write_all(&mut file, &frames).unwrap();
+            }
+            3 => {
+                let copy = root.join("collected");
+                collector_copy(&dir, &copy, d);
+                dir = copy;
+            }
+            _ => {
+                let bytes = written * std::mem::size_of::<Event>() as u64;
+                limits.budget_bytes = d.below(bytes);
+            }
+        }
+
+        let want = reference_recover(&dir, &limits);
+        let got = spool::recover_with(&dir, &limits, &CancelToken::default()).ok();
+        std::fs::remove_dir_all(&root).ok();
+        match (got, want) {
+            (Some((trace, report)), Some((want_trace, want_report))) => {
+                prop_assert_eq!(&trace.node, &want_trace.node);
+                prop_assert_eq!(&trace.functions, &want_trace.functions);
+                prop_assert_eq!(&trace.events, &want_trace.events);
+                prop_assert_eq!(&trace.samples, &want_trace.samples);
+                prop_assert_eq!(&report, &want_report);
+            }
+            (None, None) => {}
+            (got, want) => prop_assert!(
+                false,
+                "recovered: {}, reference: {} (damage {damage})",
+                got.is_some(),
+                want.is_some()
+            ),
+        }
+    }
+}
+
 #[test]
 fn references_agree_with_hand_computed_micro_benchmark_d() {
     // Table 1's `main { foo1 { foo2 } foo2 }`, checked by hand.
@@ -587,6 +662,324 @@ fn references_agree_with_hand_computed_micro_benchmark_d() {
     assert_eq!(per_function.len(), 3, "t=25 is inside main, foo1 and foo2");
     assert_eq!(per_function[&foo2][1][&SensorId(0)].count(), 1);
     assert!(per_function[&foo1][1].is_empty(), "foo1 is not innermost");
+}
+
+// ---------- spool recovery --------------------------------------------------
+
+/// What the recovery reference keeps of a spool: the trace and the report.
+type Recovered = (Trace, SpoolReport);
+
+/// The reference's own decode of an events frame: 21-byte records of
+/// tag, thread, payload, aux and timestamp, or `None` for the whole frame
+/// when its length is ragged or any tag is unknown.
+fn reference_records(payload: &[u8]) -> Option<Vec<Event>> {
+    if !payload.len().is_multiple_of(21) {
+        return None;
+    }
+    let mut out = Vec::new();
+    for rec in payload.chunks(21) {
+        let word = |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        let mut ts = [0u8; 8];
+        ts.copy_from_slice(&rec[13..21]);
+        let (thread, payload, aux) = (ThreadId(word(1)), word(5), word(9) as i32);
+        let kind = match rec[0] {
+            1 => EventKind::Enter {
+                func: FunctionId(payload),
+            },
+            2 => EventKind::Exit {
+                func: FunctionId(payload),
+            },
+            3 => EventKind::Gap {
+                sensor: SensorId(payload as u16),
+            },
+            4 => EventKind::Sample {
+                sensor: SensorId(payload as u16),
+                millicelsius: aux,
+            },
+            _ => return None,
+        };
+        out.push(Event {
+            timestamp_ns: u64::from_le_bytes(ts),
+            thread,
+            kind,
+        });
+    }
+    Some(out)
+}
+
+/// Spool recovery the slow way: every events frame decoded into a
+/// vector of its own by [`reference_records`], the vectors concatenated
+/// into one mixed stream, which is then split and stable-sorted. Frames
+/// are read through the spool's one segment reader and envelope rule,
+/// and frames of other kinds through its frame-kind rule; the report is
+/// counted here, frame by frame.
+fn reference_recover(dir: &Path, limits: &DecodeLimits) -> Option<Recovered> {
+    let segments = spool::list_segment_files(dir).ok()?;
+    if segments.is_empty() {
+        return None;
+    }
+    let mut report = SpoolReport::default();
+    let mut frames: Vec<Vec<Event>> = Vec::new();
+    let (mut functions, mut node, mut footer) = (Vec::new(), None, None);
+    let (mut spent, mut limit) = (0u64, None);
+    'scan: for (_, path) in &segments {
+        let mut segment = SegmentReader::open(path).ok()?;
+        report.segments_scanned += 1;
+        while let Some(frame) = segment.next_frame().ok()? {
+            let Some(inner) = spool::unwrap_frame(&frame) else {
+                report.frames_discarded += 1;
+                continue;
+            };
+            if let Some(shipped) = inner.shipped {
+                let cursor = (shipped.seg, shipped.off);
+                if report.shipped_through.is_some_and(|c| cursor <= c) {
+                    report.frames_deduped += 1;
+                    continue;
+                }
+                report.shipped_through = Some(cursor);
+                report.frame_traces.push(shipped);
+            }
+            if inner.kind == spool::FRAME_EVENTS {
+                let Some(events) = reference_records(inner.payload) else {
+                    report.frames_discarded += 1;
+                    continue;
+                };
+                spent += (events.len() * std::mem::size_of::<Event>()) as u64;
+                if spent > limits.budget_bytes {
+                    limit = Some(LimitExceeded {
+                        kind: LimitKind::ByteBudget,
+                        what: "spool events",
+                        observed: spent,
+                        limit: limits.budget_bytes,
+                    });
+                    break 'scan;
+                }
+                frames.push(events);
+            } else {
+                match spool::decode_frame(inner.kind, inner.payload, limits) {
+                    Ok(Decoded::Symbols(syms)) => functions = syms,
+                    Ok(Decoded::Node(n)) => {
+                        node.get_or_insert(n);
+                    }
+                    Ok(Decoded::Footer(vals)) => footer = Some(vals),
+                    Ok(Decoded::Telemetry(_)) => report.telemetry_frames += 1,
+                    Ok(Decoded::Events(_)) => unreachable!("decoded above"),
+                    Err(FrameFail::Limit(e)) => {
+                        limit = Some(e);
+                        break 'scan;
+                    }
+                    Err(_) => {
+                        report.frames_discarded += 1;
+                        continue;
+                    }
+                }
+            }
+            report.frames_recovered += 1;
+        }
+        report.frames_discarded += segment.torn();
+    }
+
+    let mixed = frames.concat();
+    let nothing = node.is_none() && mixed.is_empty() && functions.is_empty() && footer.is_none();
+    if nothing && limit.is_none() {
+        return None;
+    }
+    let (mut events, mut samples) = (Vec::new(), Vec::new());
+    for e in mixed {
+        match e.kind {
+            EventKind::Sample {
+                sensor,
+                millicelsius,
+            } => samples.push(SensorReading::new(
+                sensor,
+                e.timestamp_ns,
+                Temperature::from_millicelsius(i64::from(millicelsius)),
+            )),
+            _ => events.push(e),
+        }
+    }
+    events.sort_by_key(|e| e.timestamp_ns);
+    samples.sort_by_key(|s| s.timestamp_ns);
+    if functions.is_empty() {
+        // A crash before any symbol frame: placeholder names by id.
+        let mut ids: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Enter { func } | EventKind::Exit { func } => Some(func.0),
+                _ => None,
+            })
+            .collect();
+        ids.sort();
+        ids.dedup();
+        functions = ids
+            .into_iter()
+            .map(|id| FunctionDef {
+                id: FunctionId(id),
+                name: format!("fn#{id}"),
+                address: 0x400000 + 16 * u64::from(id),
+                kind: ScopeKind::Function,
+            })
+            .collect();
+    }
+
+    let (scope, sampled) = (events.len() as u64, samples.len() as u64);
+    report.events_recovered = scope;
+    report.samples_recovered = sampled;
+    report.clean_shutdown = footer.is_some();
+    let [events_declared, samples_declared, events_dropped, samples_dropped] =
+        footer.unwrap_or([scope, sampled, 0, 0]);
+    let intact = report.clean_shutdown && report.frames_discarded == 0 && limit.is_none();
+    report.salvage = SalvageReport {
+        truncated_in: (!intact).then_some(TraceSection::Events),
+        events_declared,
+        events_salvaged: scope,
+        samples_declared,
+        samples_salvaged: sampled,
+        nonfinite_samples_skipped: 0,
+        events_dropped_backpressure: events_dropped,
+        samples_dropped_backpressure: samples_dropped,
+        limit,
+    };
+    let trace = Trace {
+        node: node.unwrap_or_else(NodeMeta::anonymous),
+        functions,
+        events,
+        samples,
+    };
+    Some((trace, report))
+}
+
+/// SplitMix64: the spool cases draw everything from one seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n.max(1)
+    }
+}
+
+/// One spooled record in the wire layout, for frames the writer would
+/// never write.
+fn record(tag: u8, thread: u32, payload: u32, ts: u64) -> Vec<u8> {
+    let mut rec = vec![tag];
+    rec.extend_from_slice(&thread.to_le_bytes());
+    rec.extend_from_slice(&payload.to_le_bytes());
+    rec.extend_from_slice(&0i32.to_le_bytes());
+    rec.extend_from_slice(&ts.to_le_bytes());
+    rec
+}
+
+/// Write a seeded session through `SpoolWriter` into `dir`: batches from
+/// one to four threads, each on a clock of its own, interleaved so the
+/// spooled stream runs back in time across batches, with samples, gap
+/// markers and equal timestamps; small segments, so the session
+/// rotates; finished with a footer, or left as a crash leaves it.
+/// Returns the records written.
+fn write_seeded_spool(dir: &Path, d: &mut Draw) -> u64 {
+    let threads = 1 + d.below(4) as usize;
+    let config = SpoolConfig::new(dir)
+        .fsync(FsyncPolicy::Never)
+        .segment_bytes(128 + d.below(1024));
+    let node = NodeMeta {
+        node_id: 3,
+        hostname: "oracle".into(),
+        sensors: vec![SensorMeta {
+            id: SensorId(0),
+            label: "die".into(),
+            kind: SensorKind::CpuCore,
+        }],
+    };
+    let functions: Vec<FunctionDef> = (0..4)
+        .map(|id| FunctionDef {
+            id: FunctionId(id),
+            name: format!("f{id}"),
+            address: 0x1000 + u64::from(id),
+            kind: ScopeKind::Function,
+        })
+        .collect();
+    let mut w = SpoolWriter::create(&config, node).unwrap();
+    let mut clocks: Vec<u64> = (0..threads).map(|_| d.below(200)).collect();
+    let mut stacks = vec![Vec::new(); threads];
+    let mut written = 0;
+    for _ in 0..1 + d.below(40) {
+        let th = d.below(threads as u64) as usize;
+        let mut batch = Vec::new();
+        for _ in 0..1 + d.below(10) {
+            clocks[th] += d.below(30);
+            let (t, thread, f) = (
+                clocks[th],
+                ThreadId(th as u32),
+                FunctionId(d.below(4) as u32),
+            );
+            batch.push(match d.below(10) {
+                0..=3 => {
+                    stacks[th].push(f);
+                    Event::enter(t, thread, f)
+                }
+                4..=6 => Event::exit(t, thread, stacks[th].pop().unwrap_or(f)),
+                7 | 8 => Event::sample(t, SensorId(0), 30.0 + d.below(64) as f64 * 0.125),
+                _ => Event::gap(t, SensorId(0)),
+            });
+        }
+        written += batch.len() as u64;
+        w.append_batch(&batch).unwrap();
+        if w.should_rotate() {
+            w.rotate(&functions).unwrap();
+        }
+    }
+    if d.below(4) > 0 {
+        w.finish(&functions, d.below(3), d.below(3)).unwrap();
+    }
+    written
+}
+
+/// The last segment file of the spool in `dir`.
+fn last_segment(dir: &Path) -> PathBuf {
+    let segments = spool::list_segment_files(dir).unwrap();
+    segments.last().expect("a segment").1.clone()
+}
+
+/// Copy the spool in `src` as a collector writes it: every frame in a
+/// `FRAME_SHIPPED2` envelope carrying its source cursor, segments of a
+/// few frames each, and now and then an earlier frame sent again, as a
+/// reconnecting shipper does.
+fn collector_copy(src: &Path, dst: &Path, d: &mut Draw) {
+    std::fs::create_dir_all(dst).unwrap();
+    let mut sent: Vec<(u64, u64, u8, Vec<u8>)> = Vec::new();
+    for (seq, path) in spool::list_segment_files(src).unwrap() {
+        let mut segment = SegmentReader::open(&path).unwrap();
+        while let Some(f) = segment.next_frame().unwrap() {
+            sent.push((seq, f.offset, f.kind, f.payload.to_vec()));
+        }
+    }
+    let (mut seq, mut bytes) = (0u64, spool::segment_header_bytes(0).to_vec());
+    for i in 0..sent.len() {
+        let mut order = vec![i];
+        if d.below(4) == 0 {
+            order.push(d.below(i as u64 + 1) as usize);
+        }
+        for k in order {
+            let (seg, off, kind, payload) = &sent[k];
+            let envelope = spool::shipped2_payload(
+                *seg,
+                *off,
+                1_000 + k as u64,
+                2_000 + i as u64,
+                *kind,
+                payload,
+            );
+            spool::encode_frame_into(&mut bytes, spool::FRAME_SHIPPED2, &envelope);
+        }
+        if d.below(5) == 0 || i + 1 == sent.len() {
+            std::fs::write(dst.join(spool::segment_file_name(seq, true)), &bytes).unwrap();
+            seq += 1;
+            bytes = spool::segment_header_bytes(seq).to_vec();
+        }
+    }
 }
 
 // ---------- memory --------------------------------------------------------------
