@@ -407,7 +407,9 @@ pub struct ShipConfig {
     pub io_timeout: Duration,
     /// Idle keepalive interval in follow mode.
     pub heartbeat: Duration,
-    /// Follow-mode rescan interval while caught up.
+    /// Follow mode's shortest wait between rescans: the wait after a
+    /// pass that shipped. Each pass that ships nothing doubles it, up to
+    /// the next heartbeat.
     pub poll: Duration,
     /// Send [`MSG_METRICS`] snapshots (after the handshake, on the
     /// heartbeat cadence in follow mode, and once more right before BYE
@@ -674,6 +676,7 @@ fn connect_and_drain(
     // appended since.
     let mut scanned: HashMap<u64, u64> = HashMap::new();
     let mut last_activity = Instant::now();
+    let mut wait = config.poll;
     loop {
         let (shipped_any, footer_shipped) = ship_available(
             config,
@@ -707,7 +710,8 @@ fn connect_and_drain(
         }
         // Follow mode, caught up: when idle long enough, refresh the
         // fleet view (an acked METRICS doubles as the keepalive) or fall
-        // back to a plain heartbeat, then wait for more data.
+        // back to a plain heartbeat, then wait for more data, twice as
+        // long after each idle pass but never past the next heartbeat.
         if last_activity.elapsed() >= config.heartbeat {
             if config.telemetry {
                 send_telemetry(config, &mut stream, report, metrics, node_id, &hostname)?;
@@ -720,7 +724,13 @@ fn connect_and_drain(
             }
             last_activity = Instant::now();
         }
-        std::thread::sleep(config.poll);
+        wait = if shipped_any {
+            config.poll
+        } else {
+            wait.saturating_mul(2).min(config.heartbeat)
+        };
+        let heartbeat_in = config.heartbeat.saturating_sub(last_activity.elapsed());
+        std::thread::sleep(wait.min(heartbeat_in));
     }
 }
 

@@ -408,6 +408,91 @@ fn an_idle_follow_shipper_reads_only_what_was_appended() {
 }
 
 #[test]
+fn an_idle_follow_shipper_backs_off_to_its_heartbeat() {
+    // Caught up with nothing appended, a follow shipper doubles its wait
+    // after each idle pass, up to the next heartbeat: a 25-ms poll would
+    // wake it about 80 times in 2 s. It still sees a batch appended while
+    // it waits within one heartbeat.
+    let task = |tid: &str, file: &str| {
+        std::fs::read_to_string(format!("/proc/self/task/{tid}/{file}")).unwrap_or_default()
+    };
+    let src = temp_dir("backoff-src");
+    let out = temp_dir("backoff-out");
+    let (handle, server) = start_collector(&out);
+    let addr = handle.addr();
+    let config = SpoolConfig::new(&src).fsync(FsyncPolicy::PerBatch);
+    let mut w = SpoolWriter::create(&config, node(9)).unwrap();
+    for i in 0..5 {
+        w.append_batch(&batch(i)).unwrap();
+    }
+    let mut on_disk = 0;
+    spool::scan_frames(&src, |_| {
+        on_disk += 1;
+        ControlFlow::<()>::Continue(())
+    });
+
+    let registry = Arc::new(Registry::new());
+    let acked = registry.counter("ship_frames_acked_total");
+    let (dir, reg) = (src.clone(), Arc::clone(&registry));
+    let shipper = std::thread::Builder::new()
+        .name("idle-backoff".into())
+        .spawn(move || {
+            let mut config = ShipConfig::new(&dir, addr.to_string());
+            config.session = "backoff".into();
+            config.follow = true;
+            config.retry = quick_retries();
+            config.registry = Some(reg);
+            ship::ship(&config).unwrap()
+        })
+        .unwrap();
+    let heartbeat = ShipConfig::new(&src, "").heartbeat;
+    while acked.get() < on_disk {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+    let tid = tasks
+        .map(|t| t.file_name().to_string_lossy().into_owned())
+        .find(|tid| task(tid, "comm").trim() == "idle-backoff")
+        .expect("the shipper thread");
+    let switches = || {
+        let status = task(&tid, "status");
+        let line = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        line.expect("a live thread").trim().parse::<u64>().unwrap()
+    };
+    std::thread::sleep(Duration::from_secs(1));
+    let was = switches();
+    std::thread::sleep(Duration::from_secs(2));
+    let woke = switches() - was;
+    assert!(woke < 10, "the idle shipper woke {woke} times in 2 s");
+
+    let (before, appended) = (acked.get(), std::time::Instant::now());
+    w.append_batch(&batch(5)).unwrap();
+    while acked.get() == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let took = appended.elapsed();
+    // One heartbeat, and a little for the pass itself on a busy host.
+    assert!(
+        took < heartbeat + Duration::from_millis(250),
+        "a batch appended to an idle spool shipped after {took:?}"
+    );
+    w.finish(&functions(), 0, 0).unwrap();
+
+    let report = shipper.join().unwrap();
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(report.complete, "{report:?}");
+    let (src_trace, _) = analysis_of(&src);
+    let (dst_trace, _) = analysis_of(&out.join("backoff-node9"));
+    assert_eq!(src_trace, dst_trace);
+
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
 fn collector_enforces_frame_size_limit() {
     let src = temp_dir("limit-src");
     let out = temp_dir("limit-out");
