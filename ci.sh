@@ -10,10 +10,13 @@ cd "$(dirname "$0")"
 # times untraced for PERF_SECONDS, the workloads alternating so that
 # drift on the host reaches all three alike; then analyze runs $3 times
 # traced, which also measures serve's layers in a short borrowed pass.
-# Each run's stdout goes to its own file in $1.
+# Each run's stdout goes to its own file in $1. A traced run also writes
+# its spans to the file its `context` line names under "spans"; the gate
+# reads only stdout, so that file is removed, and `.bench_out` with it
+# once empty.
 PERF_SECONDS=4
 perf_runs() {
-    local out=$1 runs=$2 traced=$3 i w
+    local out=$1 runs=$2 traced=$3 i w spans
     local perfbench=(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --)
     # Build once first, so no run's wall time includes the build.
     cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
@@ -26,7 +29,12 @@ perf_runs() {
     for i in $(seq 1 "$traced"); do
         "${perfbench[@]}" --workload analyze --seconds "$PERF_SECONDS" --trace 1 \
             > "$out/analyze-traced-$i.out"
+        spans=$(sed -n 's/^{"context": .*"spans": "\([^"]*\)".*/\1/p' "$out/analyze-traced-$i.out")
+        if [ -n "$spans" ]; then
+            rm -f -- "$spans"
+        fi
     done
+    rmdir .bench_out 2>/dev/null || true
 }
 
 # `TEMPEST_BENCH_RECORD=1 ./ci.sh` re-records BENCH_baseline.json on this
