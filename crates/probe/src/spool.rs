@@ -1575,21 +1575,20 @@ pub fn recover_with(
         return Err(TraceError::Corrupt("no spool segments found"));
     }
 
-    // One reservation for the scope events: every record takes at least
-    // 21 bytes of the listed segments, and the count is clamped like any
-    // declared one, so no spool can reserve past the caps or the budget.
+    // One reservation for the scope events: as many as the byte budget
+    // lets recovery keep, clamped like any declared count to what the
+    // listed segments can hold (a record takes 21 bytes there and an
+    // `Event` in memory) and to the allocation cap, so no spool can
+    // reserve past its caps.
     let listed = segments
         .iter()
         .filter_map(|(_, path)| std::fs::metadata(path).ok())
         .fold(0u64, |sum, m| sum.saturating_add(m.len()));
-    let listed = usize::try_from(listed).unwrap_or(usize::MAX);
-    let fit = usize::try_from(limits.budget_bytes / std::mem::size_of::<Event>() as u64)
-        .unwrap_or(usize::MAX);
-    let reserve = limits.clamp_prealloc(
-        (listed / EVENT_RECORD_LEN).min(fit),
-        listed,
-        EVENT_RECORD_LEN,
-    );
+    let event = std::mem::size_of::<Event>();
+    let in_memory =
+        (usize::try_from(listed).unwrap_or(usize::MAX) / EVENT_RECORD_LEN).saturating_mul(event);
+    let budgeted = usize::try_from(limits.budget_bytes).unwrap_or(usize::MAX) / event;
+    let reserve = limits.clamp_prealloc(budgeted, in_memory, event);
 
     let mut report = SpoolReport::default();
     let mut streams = MixedStreams::with_event_capacity(reserve);
