@@ -1082,12 +1082,9 @@ pub struct EventRecords<'a>(&'a [u8]);
 impl<'a> EventRecords<'a> {
     fn check(payload: &'a [u8]) -> Option<EventRecords<'a>> {
         let whole = payload.len().is_multiple_of(EVENT_RECORD_LEN);
-        let known = || {
-            payload
-                .chunks_exact(EVENT_RECORD_LEN)
-                .all(|rec| (1..=4).contains(&rec[0]))
-        };
-        (whole && known()).then_some(EventRecords(payload))
+        let known = |rec: &[u8]| (1..=4).contains(&rec[0]);
+        (whole && payload.chunks_exact(EVENT_RECORD_LEN).all(known))
+            .then_some(EventRecords(payload))
     }
 
     /// Records in the frame.

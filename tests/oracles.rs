@@ -1,4 +1,5 @@
-//! Slow, obviously-correct references for the analysis front end.
+//! Slow, obviously-correct references for the analysis front end and
+//! for spool recovery.
 //!
 //! `Timeline::build` replays every thread's call stack in one pass over
 //! the interleaved event stream, and `correlate_with` sweeps the samples
@@ -27,6 +28,15 @@
 //! the last event; the generated traces add symbol tables out of id
 //! order or missing ids, and events moved back in time. One case replays
 //! 100k threads and measures the replay's peak heap.
+//!
+//! `spool::recover_with` decodes each events frame in place, straight
+//! into the trace, and sorts a stream only when it arrived out of order.
+//! The **recovery reference** reads the same frames but decodes each
+//! events frame into a vector of its own with byte-level code, then
+//! concatenates the vectors and splits and stable-sorts the result, and
+//! counts the report frame by frame. Seeded spools from one to four
+//! interleaved threads, with one drawn kind of damage, must recover to
+//! the same trace and report.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -666,9 +676,6 @@ fn references_agree_with_hand_computed_micro_benchmark_d() {
 
 // ---------- spool recovery --------------------------------------------------
 
-/// What the recovery reference keeps of a spool: the trace and the report.
-type Recovered = (Trace, SpoolReport);
-
 /// The reference's own decode of an events frame: 21-byte records of
 /// tag, thread, payload, aux and timestamp, or `None` for the whole frame
 /// when its length is ragged or any tag is unknown.
@@ -713,7 +720,7 @@ fn reference_records(payload: &[u8]) -> Option<Vec<Event>> {
 /// are read through the spool's one segment reader and envelope rule,
 /// and frames of other kinds through its frame-kind rule; the report is
 /// counted here, frame by frame.
-fn reference_recover(dir: &Path, limits: &DecodeLimits) -> Option<Recovered> {
+fn reference_recover(dir: &Path, limits: &DecodeLimits) -> Option<(Trace, SpoolReport)> {
     let segments = spool::list_segment_files(dir).ok()?;
     if segments.is_empty() {
         return None;
