@@ -153,7 +153,9 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
 echo "    report --formt csv refused with exit 2"
 
 echo "==> network collection smoke (collect serve --once --fsync + ship, loopback)"
-cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/spool" >/dev/null
+# 400 batches rotate the source spool through several 4 KiB segments, so
+# recovery crosses segment boundaries on both sides.
+cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/spool" 400 >/dev/null
 # Ephemeral port; the daemon publishes the bound address atomically via
 # --port-file, so the shipper never guesses a port or sleeps blindly.
 # --fsync runs the collector's durability path: a data sync per frame.
@@ -169,12 +171,15 @@ done
 cargo run --release -q -p tempest-tools --bin tempest -- \
     ship "$OBS_TMP/spool" --to "$(cat "$OBS_TMP/collector.addr")" --session smoke >/dev/null
 wait "$COLLECT_PID"
-# Byte-identity gate: analyzing the collected copy must render exactly
-# the same report as analyzing the source spool locally.
+# Byte-identity gate: the collected copy must recover to exactly the
+# source spool's trace, and analyzing it must render exactly the same
+# report as analyzing the source spool locally.
 cargo run --release -q -p tempest-tools --bin tempest -- \
     spool recover "$OBS_TMP/spool" --out "$OBS_TMP/local.trace" >/dev/null
 cargo run --release -q -p tempest-tools --bin tempest -- \
     spool recover "$OBS_TMP/collected/smoke-node0" --out "$OBS_TMP/collected.trace" >/dev/null
+cmp "$OBS_TMP/local.trace" "$OBS_TMP/collected.trace"
+echo "    collected trace byte-identical to the source spool's"
 cargo run --release -q -p tempest-tools --bin tempest -- \
     report "$OBS_TMP/local.trace" > "$OBS_TMP/local.report"
 cargo run --release -q -p tempest-tools --bin tempest -- \

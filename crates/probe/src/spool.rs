@@ -37,6 +37,8 @@
 //! segment opens by [`open_segment`]'s rule (a listed `.open` segment
 //! sealed since is read under its `.seg` name) and yields one frame at a
 //! time from a reused buffer, never past the length it had when opened.
+//! [`recover_with`] runs it on a thread of its own, a few frames ahead
+//! of the caller that decodes them.
 //! [`parse_segment_frames`] cuts a segment already in memory by the same
 //! frame rule. Two more rules live only here: [`unwrap_frame`] takes a
 //! frame out of its shipped envelope, and [`decode_frame`] turns a kind
@@ -60,6 +62,7 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use tempest_sensors::SensorId;
 
@@ -1077,50 +1080,77 @@ pub fn decode_frame<'a>(
 /// frame with one bad record fails the check whole, so nothing of it is
 /// ever decoded.
 #[derive(Debug, Clone, Copy)]
-pub struct EventRecords<'a>(&'a [u8]);
+pub struct EventRecords<'a> {
+    records: &'a [u8],
+    /// Whether any record is a sample: a sampler's batch, not a probe's.
+    samples: bool,
+}
 
 impl<'a> EventRecords<'a> {
     fn check(payload: &'a [u8]) -> Option<EventRecords<'a>> {
         let whole = payload.len().is_multiple_of(EVENT_RECORD_LEN);
-        let known = |rec: &[u8]| (1..=4).contains(&rec[0]);
-        (whole && payload.chunks_exact(EVENT_RECORD_LEN).all(known))
-            .then_some(EventRecords(payload))
+        let mut samples = false;
+        let known = |rec: &[u8]| {
+            samples |= rec[0] == 4;
+            (1..=4).contains(&rec[0])
+        };
+        (whole && payload.chunks_exact(EVENT_RECORD_LEN).all(known)).then_some(EventRecords {
+            records: payload,
+            samples,
+        })
     }
 
     /// Records in the frame.
     pub(crate) fn len(&self) -> usize {
-        self.0.len() / EVENT_RECORD_LEN
+        self.records.len() / EVENT_RECORD_LEN
     }
 
-    /// The records as events, in frame order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Event> + 'a {
-        self.0.chunks_exact(EVENT_RECORD_LEN).map(|rec| {
-            let thread = ThreadId(u32::from_le_bytes(rec[1..5].try_into().unwrap()));
-            let payload = u32::from_le_bytes(rec[5..9].try_into().unwrap());
-            let aux = i32::from_le_bytes(rec[9..13].try_into().unwrap());
-            let ts = u64::from_le_bytes(rec[13..21].try_into().unwrap());
-            // `check` admitted tags 1 to 4 only.
-            let kind = match rec[0] {
-                1 => EventKind::Enter {
-                    func: FunctionId(payload),
-                },
-                2 => EventKind::Exit {
-                    func: FunctionId(payload),
-                },
-                3 => EventKind::Gap {
-                    sensor: SensorId(payload as u16),
-                },
-                _ => EventKind::Sample {
-                    sensor: SensorId(payload as u16),
-                    millicelsius: aux,
-                },
-            };
-            Event {
-                timestamp_ns: ts,
-                thread,
-                kind,
+    /// Send the records, in frame order, straight to their streams by
+    /// tag. A probe's batch goes to the events stream in one run; in a
+    /// sampler's batch each sample goes to the samples stream without
+    /// becoming an [`Event`].
+    pub(crate) fn send_to(self, streams: &mut MixedStreams) {
+        let records = self.records.chunks_exact(EVENT_RECORD_LEN);
+        if !self.samples {
+            streams.extend_events(records.map(scope_event));
+            return;
+        }
+        for rec in records {
+            if rec[0] == 4 {
+                let sensor = SensorId(u32::from_le_bytes(rec[5..9].try_into().unwrap()) as u16);
+                let millicelsius = i32::from_le_bytes(rec[9..13].try_into().unwrap());
+                let ts = u64::from_le_bytes(rec[13..21].try_into().unwrap());
+                streams.push_sample(sensor, ts, millicelsius);
+            } else {
+                streams.extend_events(std::iter::once(scope_event(rec)));
             }
-        })
+        }
+    }
+}
+
+/// A checked record with tag 1, 2 or 3: an enter, exit or gap marker.
+#[inline]
+fn scope_event(rec: &[u8]) -> Event {
+    let thread = ThreadId(u32::from_le_bytes(rec[1..5].try_into().unwrap()));
+    let payload = u32::from_le_bytes(rec[5..9].try_into().unwrap());
+    let ts = u64::from_le_bytes(rec[13..21].try_into().unwrap());
+    let kind = match rec[0] {
+        3 => EventKind::Gap {
+            sensor: SensorId(payload as u16),
+        },
+        // Enter and exit differ in the tag alone. Their order follows the
+        // call tree, which no branch predictor can follow, so a select
+        // picks one.
+        tag => {
+            let func = FunctionId(payload);
+            let (enter, exit) = (EventKind::Enter { func }, EventKind::Exit { func });
+            std::hint::select_unpredictable(tag == 1, enter, exit)
+        }
+    };
+    Event {
+        timestamp_ns: ts,
+        thread,
+        kind,
     }
 }
 
@@ -1562,6 +1592,11 @@ pub fn recover(dir: &Path) -> Result<(Trace, SpoolReport), TraceError> {
 /// point: everything recovered before it is still assembled and returned,
 /// with the overrun recorded in `report.salvage.limit` — the spool
 /// analogue of [`Trace::decode_salvage_with`]'s bounded partial results.
+///
+/// Recovery runs on two threads. A reader scoped to the call reads and
+/// checksums the segments ahead of the calling thread, which takes each
+/// frame in the order read and decides everything the result depends on.
+/// The reader is joined before this returns, whatever stopped the scan.
 pub fn recover_with(
     dir: &Path,
     limits: &DecodeLimits,
@@ -1587,82 +1622,43 @@ pub fn recover_with(
     let budgeted = usize::try_from(limits.budget_bytes).unwrap_or(usize::MAX) / event;
     let reserve = limits.clamp_prealloc(budgeted, in_memory, event);
 
-    let mut report = SpoolReport::default();
-    let mut streams = MixedStreams::with_event_capacity(reserve);
-    let mut functions: Vec<FunctionDef> = Vec::new();
-    let mut node: Option<NodeMeta> = None;
-    let mut footer: Option<[u64; 4]> = None;
-    let budget = limits.budget();
-    let mut limit_hit: Option<LimitExceeded> = None;
-
-    'scan: for (_, path) in &segments {
-        if let Err(e) = cancel.check("spool recover") {
-            limit_hit = Some(e);
-            break;
+    let mut rec = Recovery {
+        limits,
+        budget: limits.budget(),
+        report: SpoolReport::default(),
+        streams: MixedStreams::with_event_capacity(reserve),
+        functions: Vec::new(),
+        node: None,
+        footer: None,
+    };
+    let limit_hit = std::thread::scope(|scope| {
+        let (handoff, handed) = mpsc::sync_channel(HANDOFF_FRAMES);
+        let (give_back, given_back) = mpsc::channel();
+        let segments = &segments;
+        let reader = std::thread::Builder::new()
+            .name("tempest-recover".into())
+            .spawn_scoped(scope, move || {
+                if let Err(e) = read_ahead(segments, &handoff, given_back) {
+                    let _ = handoff.send(Handed::Failed(e));
+                }
+            })?;
+        // `take_handed` owns the caller's ends of both channels, so every
+        // way out of it stops the reader at its next hand-off.
+        let taken = take_handed(segments.len(), handed, give_back, cancel, &mut rec);
+        if let Err(panic) = reader.join() {
+            std::panic::resume_unwind(panic);
         }
-        let mut segment = SegmentReader::open(path)?;
-        report.segments_scanned += 1;
-        while let Some(frame) = segment.next_frame()? {
-            let Some(inner) = unwrap_frame(&frame) else {
-                report.frames_discarded += 1;
-                continue;
-            };
-            // A collector-written frame whose cursor does not advance is
-            // a re-send after a reconnect: drop it.
-            if let Some(shipped) = inner.shipped {
-                let cursor = (shipped.seg, shipped.off);
-                if report.shipped_through.is_some_and(|c| cursor <= c) {
-                    report.frames_deduped += 1;
-                    continue;
-                }
-                report.shipped_through = Some(cursor);
-                report.frame_traces.push(shipped);
-            }
-            match decode_frame(inner.kind, inner.payload, limits) {
-                Ok(Decoded::Events(records)) => {
-                    // The recovered streams are the one spot a
-                    // many-segment spool can grow without bound — meter
-                    // each frame against the byte budget before keeping
-                    // any of it.
-                    if let Err(e) = budget.charge(
-                        "spool events",
-                        (records.len() * std::mem::size_of::<Event>()) as u64,
-                    ) {
-                        limit_hit = Some(e);
-                        break 'scan;
-                    }
-                    for e in records.iter() {
-                        streams.push(e);
-                    }
-                }
-                // Later snapshots supersede earlier ones: the registry
-                // only grows, so the newest is a superset.
-                Ok(Decoded::Symbols(syms)) => functions = syms,
-                Ok(Decoded::Node(n)) => {
-                    if node.is_none() {
-                        node = Some(n);
-                    }
-                }
-                Ok(Decoded::Footer(vals)) => footer = Some(vals),
-                // Self-telemetry snapshots are verified and counted but
-                // not folded into the trace; `tempest fleet` reads them.
-                Ok(Decoded::Telemetry(_)) => report.telemetry_frames += 1,
-                Err(FrameFail::Limit(e)) => {
-                    limit_hit = Some(e);
-                    break 'scan;
-                }
-                // Damaged, or a kind this reader does not know: skip it
-                // rather than distrust the rest.
-                Err(FrameFail::Corrupt | FrameFail::UnknownKind) => {
-                    report.frames_discarded += 1;
-                    continue;
-                }
-            }
-            report.frames_recovered += 1;
-        }
-        report.frames_discarded += segment.torn();
-    }
+        taken
+    })?;
 
+    let Recovery {
+        mut report,
+        streams,
+        mut functions,
+        node,
+        footer,
+        ..
+    } = rec;
     if let Some(limit) = &limit_hit {
         // A tripped decode limit is exactly the kind of event the flight
         // recorder exists for: note it and leave the black box beside the
@@ -1722,6 +1718,189 @@ pub fn recover_with(
 
     let trace = streams.into_trace(node.unwrap_or_else(NodeMeta::anonymous), functions);
     Ok((trace, report))
+}
+
+/// Frames the recovery reader may queue for the caller.
+const HANDOFF_FRAMES: usize = 4;
+/// Payload bytes the recovery reader may lend the caller at once, queued
+/// or being taken; a larger frame is lent alone.
+const HANDOFF_BYTES: usize = 4 * READ_AHEAD;
+
+/// What the recovery reader hands the caller, in the order it read it.
+enum Handed {
+    /// A checksum-verified frame, its payload copied into a buffer the
+    /// caller gives back.
+    Frame {
+        offset: u64,
+        kind: u8,
+        payload: Vec<u8>,
+    },
+    /// A segment's end: 1 if a torn or checksum-failed frame ended it.
+    End(u64),
+    /// The segment could not be opened or read; nothing follows.
+    Failed(io::Error),
+}
+
+/// The recovery reader: read the listed segments in order through
+/// [`SegmentReader`] and hand over each verified frame and each segment's
+/// end. A frame is copied only once it fits beside the copies the caller
+/// still holds, under [`HANDOFF_BYTES`] or alone, into a buffer the
+/// caller gave back when there is one. Returns at its next hand-off once
+/// the caller has hung up, and with the first I/O error, which its
+/// spawner hands over.
+fn read_ahead(
+    segments: &[(u64, PathBuf)],
+    handoff: &SyncSender<Handed>,
+    given_back: Receiver<Vec<u8>>,
+) -> io::Result<()> {
+    let mut spare: Vec<Vec<u8>> = Vec::new();
+    let mut lent = 0;
+    for (_, path) in segments {
+        let mut segment = SegmentReader::open(path)?;
+        while let Some(frame) = segment.next_frame()? {
+            spare.extend(given_back.try_iter().inspect(|b| lent -= b.len()));
+            while lent > 0 && lent + frame.payload.len() > HANDOFF_BYTES {
+                let Ok(buf) = given_back.recv() else {
+                    return Ok(());
+                };
+                lent -= buf.len();
+                spare.push(buf);
+            }
+            let mut payload = spare.pop().unwrap_or_default();
+            payload.clear();
+            payload.extend_from_slice(frame.payload);
+            lent += payload.len();
+            debug_assert!(lent <= HANDOFF_BYTES || lent == payload.len());
+            let (offset, kind) = (frame.offset, frame.kind);
+            let handed = Handed::Frame {
+                offset,
+                kind,
+                payload,
+            };
+            if handoff.send(handed).is_err() {
+                return Ok(());
+            }
+        }
+        if handoff.send(Handed::End(segment.torn())).is_err() {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
+/// Take what the reader hands over, one listed segment at a time: check
+/// the deadline before the segment, take its frames in the order read,
+/// and add its torn count at its end. Returns the limit that stopped the
+/// scan, if one did. The reader's I/O error fails recovery, and so does
+/// its silence before the last segment ends: that is never the end of
+/// the spool.
+fn take_handed(
+    segments: usize,
+    handed: Receiver<Handed>,
+    give_back: Sender<Vec<u8>>,
+    cancel: &CancelToken,
+    rec: &mut Recovery<'_>,
+) -> Result<Option<LimitExceeded>, TraceError> {
+    for _ in 0..segments {
+        if let Err(e) = cancel.check("spool recover") {
+            return Ok(Some(e));
+        }
+        rec.report.segments_scanned += 1;
+        loop {
+            let Ok(next) = handed.recv() else {
+                return Err(io::Error::other("spool reader stopped early").into());
+            };
+            match next {
+                Handed::Frame {
+                    offset,
+                    kind,
+                    payload,
+                } => {
+                    let taken = rec.take(&RawFrame {
+                        offset,
+                        kind,
+                        payload: &payload,
+                    });
+                    // The reader may have finished and gone.
+                    let _ = give_back.send(payload);
+                    if let Err(limit) = taken {
+                        return Ok(Some(limit));
+                    }
+                }
+                Handed::End(torn) => {
+                    rec.report.frames_discarded += torn;
+                    break;
+                }
+                Handed::Failed(e) => return Err(e.into()),
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// What recovery has kept of the frames taken so far.
+struct Recovery<'l> {
+    limits: &'l DecodeLimits,
+    budget: ResourceBudget,
+    report: SpoolReport,
+    streams: MixedStreams,
+    functions: Vec<FunctionDef>,
+    node: Option<NodeMeta>,
+    footer: Option<[u64; 4]>,
+}
+
+impl Recovery<'_> {
+    /// Take one frame: unwrap it, drop it if it is a re-send, decode it by
+    /// [`decode_frame`] and keep what it holds. An events frame is charged
+    /// against the byte budget before any of its records is kept. `Err` is
+    /// the limit that stops the scan.
+    fn take(&mut self, frame: &RawFrame<'_>) -> Result<(), LimitExceeded> {
+        let report = &mut self.report;
+        let Some(inner) = unwrap_frame(frame) else {
+            report.frames_discarded += 1;
+            return Ok(());
+        };
+        // A collector-written frame whose cursor does not advance is a
+        // re-send after a reconnect: drop it.
+        if let Some(shipped) = inner.shipped {
+            let cursor = (shipped.seg, shipped.off);
+            if report.shipped_through.is_some_and(|c| cursor <= c) {
+                report.frames_deduped += 1;
+                return Ok(());
+            }
+            report.shipped_through = Some(cursor);
+            report.frame_traces.push(shipped);
+        }
+        match decode_frame(inner.kind, inner.payload, self.limits) {
+            Ok(Decoded::Events(records)) => {
+                // The recovered streams are the one spot a many-segment
+                // spool can grow without bound — meter each frame against
+                // the byte budget before keeping any of it.
+                let bytes = records.len() * std::mem::size_of::<Event>();
+                self.budget.charge("spool events", bytes as u64)?;
+                records.send_to(&mut self.streams);
+            }
+            // Later snapshots supersede earlier ones: the registry only
+            // grows, so the newest is a superset.
+            Ok(Decoded::Symbols(syms)) => self.functions = syms,
+            Ok(Decoded::Node(n)) => {
+                self.node.get_or_insert(n);
+            }
+            Ok(Decoded::Footer(vals)) => self.footer = Some(vals),
+            // Self-telemetry snapshots are verified and counted but not
+            // folded into the trace; `tempest fleet` reads them.
+            Ok(Decoded::Telemetry(_)) => report.telemetry_frames += 1,
+            Err(FrameFail::Limit(e)) => return Err(e),
+            // Damaged, or a kind this reader does not know: skip it rather
+            // than distrust the rest.
+            Err(FrameFail::Corrupt | FrameFail::UnknownKind) => {
+                report.frames_discarded += 1;
+                return Ok(());
+            }
+        }
+        report.frames_recovered += 1;
+        Ok(())
+    }
 }
 
 /// Build a placeholder symbol table (ids only) for an event stream whose
@@ -2943,6 +3122,87 @@ mod tests {
             let named = format!("kind {kind}: unknown frame kind");
             assert!(violations.iter().any(|v| v.contains(&named)), "{fsck:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unreadable_segment_fails_recovery_wherever_it_lies() {
+        // Many segments, so that the reader has later ones in hand when
+        // recovery reaches the bad one, wherever it lies.
+        let dir = temp_spool_dir("unreadable");
+        let config = SpoolConfig::new(&dir)
+            .fsync(FsyncPolicy::Never)
+            .segment_bytes(512);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        for i in 0..40 {
+            let batch: Vec<Event> = (0..100).flat_map(|j| demo_batch(400 * i + 4 * j)).collect();
+            w.append_batch(&batch).unwrap();
+            if w.should_rotate() {
+                w.rotate(&demo_functions()).unwrap();
+            }
+        }
+        w.finish(&demo_functions(), 0, 0).unwrap();
+        let segments = list_segment_files(&dir).unwrap();
+        let n = segments.len();
+        assert!(n > 20, "{n} segments");
+        assert!(recover(&dir).is_ok());
+
+        for nth in [0, n / 2, n - 1] {
+            let path = &segments[nth].1;
+            let bytes = std::fs::read(path).unwrap();
+            std::fs::remove_file(path).unwrap();
+            std::fs::create_dir(path).unwrap();
+            let got = recover(&dir);
+            assert!(
+                matches!(&got, Err(TraceError::Io(e)) if e.kind() == io::ErrorKind::IsADirectory),
+                "segment {nth} of {n} as a directory: {:?}",
+                got.map(|(_, report)| report)
+            );
+            std::fs::remove_dir(path).unwrap();
+            std::fs::write(path, bytes).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frames_larger_than_the_hand_off_bound_are_recovered_whole() {
+        // 20,000 records a frame, about 420 KB: each is lent alone. Probe
+        // batches (scope events only) alternate with sampler-like ones.
+        let dir = temp_spool_dir("large-frames");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        let batches: Vec<Vec<Event>> = (0..6u64)
+            .map(|i| {
+                let ts = |j: u64| 4 * (i * 5_000 + j);
+                (0..5_000)
+                    .flat_map(|j| match i % 2 {
+                        0 => vec![
+                            Event::enter(ts(j), ThreadId(0), FunctionId(0)),
+                            Event::enter(ts(j) + 1, ThreadId(1), FunctionId(0)),
+                            Event::exit(ts(j) + 2, ThreadId(1), FunctionId(0)),
+                            Event::exit(ts(j) + 3, ThreadId(0), FunctionId(0)),
+                        ],
+                        _ => demo_batch(ts(j)),
+                    })
+                    .collect()
+            })
+            .collect();
+        for batch in &batches {
+            assert!(batch.len() * EVENT_RECORD_LEN > HANDOFF_BYTES);
+            w.append_batch(batch).unwrap();
+        }
+        w.finish(&demo_functions(), 0, 0).unwrap();
+
+        let (trace, report) = recover(&dir).unwrap();
+        let want = Trace::from_mixed_events(demo_node(), demo_functions(), batches.concat());
+        assert_eq!(trace, want);
+        let written: usize = list_segment_files(&dir)
+            .unwrap()
+            .iter()
+            .map(|(_, path)| parse_segment_frames(&std::fs::read(path).unwrap()).0.len())
+            .sum();
+        assert_eq!(report.frames_recovered, written as u64);
+        assert!(report.salvage.is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -194,7 +194,7 @@ impl SalvageReport {
 /// A mixed stream split as it arrives: scope events to one vector,
 /// samples to the other, each remembering whether it arrived in timestamp
 /// order. The one assembly behind [`Trace::from_mixed_events`] and spool
-/// recovery, which pushes records straight from its frames.
+/// recovery, which sends each frame's records straight to their streams.
 #[derive(Debug)]
 pub(crate) struct MixedStreams {
     events: Vec<Event>,
@@ -219,27 +219,45 @@ impl MixedStreams {
     }
 
     /// Send one record to its stream.
-    #[inline]
     pub(crate) fn push(&mut self, e: Event) {
         match e.kind {
             EventKind::Sample {
                 sensor,
                 millicelsius,
-            } => {
-                self.samples_in_order &= e.timestamp_ns >= self.last_sample_ns;
-                self.last_sample_ns = e.timestamp_ns;
-                self.samples.push(SensorReading::new(
-                    sensor,
-                    e.timestamp_ns,
-                    Temperature::from_millicelsius(millicelsius as i64),
-                ));
-            }
-            _ => {
-                self.events_in_order &= e.timestamp_ns >= self.last_event_ns;
-                self.last_event_ns = e.timestamp_ns;
-                self.events.push(e);
-            }
+            } => self.push_sample(sensor, e.timestamp_ns, millicelsius),
+            _ => self.extend_events(std::iter::once(e)),
         }
+    }
+
+    /// Send a run of scope events (enter, exit and gap markers, never a
+    /// sample) to the events stream in one extend.
+    #[inline]
+    pub(crate) fn extend_events(&mut self, run: impl Iterator<Item = Event>) {
+        let (mut last, mut in_order) = (self.last_event_ns, self.events_in_order);
+        // `map`, not `inspect`: only `map` keeps the run's exact length
+        // known to `extend`, which then writes with no capacity check per
+        // event.
+        #[allow(clippy::manual_inspect)]
+        self.events.extend(run.map(|e| {
+            debug_assert!(!matches!(e.kind, EventKind::Sample { .. }));
+            in_order &= e.timestamp_ns >= last;
+            last = e.timestamp_ns;
+            e
+        }));
+        self.last_event_ns = last;
+        self.events_in_order = in_order;
+    }
+
+    /// Send a sample to the samples stream.
+    #[inline]
+    pub(crate) fn push_sample(&mut self, sensor: SensorId, timestamp_ns: u64, millicelsius: i32) {
+        self.samples_in_order &= timestamp_ns >= self.last_sample_ns;
+        self.last_sample_ns = timestamp_ns;
+        self.samples.push(SensorReading::new(
+            sensor,
+            timestamp_ns,
+            Temperature::from_millicelsius(i64::from(millicelsius)),
+        ));
     }
 
     /// The scope events (enter, exit and gap markers) so far.
