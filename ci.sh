@@ -194,6 +194,19 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
 head -n 1 "$OBS_TMP/collected.doctor" | grep -q ': ok$' \
     || { cat "$OBS_TMP/collected.doctor" >&2; echo "collected spool failed doctor --fsck" >&2; exit 1; }
 echo "    collected spool passes doctor --fsck (verdict ok)"
+# Frame-trace gate: the collector stamps every frame it appends, so the
+# collected copy holds one frame trace per recovered frame and its median
+# ship→collect is not 0 ns (an unstamped frame has no transit, and a
+# session without any reads as 0 ns).
+RECOVERED="$(sed -n 's/^  spool: .* \([0-9][0-9]*\) frame(s) recovered,.*/\1/p' "$OBS_TMP/collected.doctor")"
+TRACES="$(grep '^  frame traces: ' "$OBS_TMP/collected.doctor" || true)"
+TRACED="$(printf '%s\n' "$TRACES" | sed -n 's/^  frame traces: \([0-9][0-9]*\) frame(s),.*/\1/p')"
+if [ -z "$TRACED" ] || [ "$TRACED" != "$RECOVERED" ] || printf '%s\n' "$TRACES" | grep -q ' 0 ns$'; then
+    cat "$OBS_TMP/collected.doctor" >&2
+    echo "collected spool: frame traces do not cover its $RECOVERED recovered frame(s) with real stamps" >&2
+    exit 1
+fi
+echo "    collected spool ${TRACES#  }"
 # The source spool, written locally, goes through the same segment
 # reader and must deep-verify clean too.
 cargo run --release -q -p tempest-tools --bin tempest -- \

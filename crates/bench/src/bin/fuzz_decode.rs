@@ -37,8 +37,8 @@ use tempest_probe::ship::{
     decode_err, decode_hello, encode_err, encode_hello, Hello, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    self, decode_shipped2, parse_segment_frames, shipped2_payload, SpoolConfig, SpoolWriter,
-    FRAME_EVENTS, FRAME_SHIPPED2,
+    self, parse_segment_frames, shipped2_payload, RawFrame, SpoolConfig, SpoolWriter, FRAME_EVENTS,
+    FRAME_SHIPPED2,
 };
 use tempest_probe::synth::{TraceGenerator, TraceSpec};
 use tempest_probe::trace::Trace;
@@ -204,11 +204,12 @@ fn build_corpus() -> Corpus {
         session: "fuzz-session".into(),
         hostname: "fuzzbox".into(),
     });
+    // A DATA payload as a shipper sends it: receive time zero.
     let shipped = shipped2_payload(
         1,
         64,
         2,
-        3,
+        0,
         FRAME_EVENTS,
         &trace_bytes[..256.min(trace_bytes.len())],
     );
@@ -269,9 +270,17 @@ fn run_iteration(corpus: &Corpus, seed: u64, iter: u64) -> Result<(), String> {
                 let mut bytes = corpus.ship_msgs[rng.below(corpus.ship_msgs.len())].clone();
                 mutate(&mut rng, &mut bytes);
                 let _ = decode_hello(&bytes);
-                let _ = decode_shipped2(&bytes);
                 let _ = decode_err(&bytes);
                 let _ = parse_segment_frames(&bytes);
+                // The collector's DATA intake: unwrap, then stamp.
+                let envelope = RawFrame {
+                    offset: 0,
+                    kind: FRAME_SHIPPED2,
+                    payload: &bytes,
+                };
+                if spool::unwrap_frame(&envelope).is_some() {
+                    spool::stamp_collect_time(&mut bytes, 3);
+                }
                 Ok(())
             }
             // Cancellation: an already-expired deadline on pristine input

@@ -5,10 +5,10 @@
 //! protocol (the client half lives in [`tempest_probe::ship`]).
 //!
 //! Profiled nodes spool locally and a shipper streams those spool frames
-//! here over TCP. The collector writes every received frame back out as
-//! a **standard spool segment** — each frame wrapped with its source
-//! cursor and transit stamps as a
-//! [`tempest_probe::spool::FRAME_SHIPPED2`] frame — so a
+//! here over TCP, each wrapped with its source cursor and send time as a
+//! [`tempest_probe::spool::FRAME_SHIPPED2`] payload. The collector stamps
+//! the receive time into that envelope and appends it as received to a
+//! **standard spool segment**, so a
 //! collected session directory is recoverable and analyzable by the
 //! exact same `spool::recover` → analyze pipeline as a local spool, and
 //! the resume cursor it owes a reconnecting shipper is derivable by

@@ -1,8 +1,9 @@
 //! The collector daemon: accepts shipper connections and persists their
 //! frames as standard spool directories, written through the spool's own
 //! [`SegmentLog`] (every seal syncs the segment, then its directory).
-//! What is left here is the resume cursor, the [`FRAME_SHIPPED2`]
-//! envelope, the optional per-frame fsync and footer tracking.
+//! What is left here is the resume cursor, stamping each received
+//! [`FRAME_SHIPPED2`] envelope with its receive time, the optional
+//! per-frame fsync and footer tracking.
 
 use std::collections::HashSet;
 use std::io::{self, Read};
@@ -19,14 +20,15 @@ use crate::http::{wake_accept, RateLimiter};
 use parking_lot::Mutex;
 use tempest_probe::limits::DecodeLimits;
 use tempest_probe::ship::{
-    decode_data, decode_hello, encode_err, read_msg, write_msg, Cursor, ReadError, DATA_PREFIX_LEN,
-    ERR_CORRUPT, ERR_DEADLINE, ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED,
-    ERR_TOO_BIG, MAX_WIRE_LEN, MSG_ACK, MSG_BYE, MSG_BYE_ACK, MSG_DATA, MSG_ERR, MSG_HELLO,
-    MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
+    decode_hello, encode_err, read_msg, write_msg, Cursor, ReadError, ERR_CORRUPT, ERR_DEADLINE,
+    ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED, ERR_TOO_BIG, MAX_WIRE_LEN, MSG_ACK,
+    MSG_BYE, MSG_BYE_ACK, MSG_DATA, MSG_ERR, MSG_HELLO, MSG_METRICS, MSG_PING, MSG_PONG,
+    MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    decode_frame, scan_frames, shipped2_payload, Decoded, SegmentLog, FRAME_FOOTER,
-    FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SEGMENT_HEADER_LEN, SHIPPED2_PREFIX_LEN,
+    decode_frame, scan_frames, stamp_collect_time, unwrap_frame, Decoded, RawFrame, SegmentLog,
+    Unwrapped, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SEGMENT_HEADER_LEN,
+    SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -401,7 +403,7 @@ fn handle_connection(
     // The size limit is checked against the header, before allocating.
     let max_msg = config
         .max_frame_bytes
-        .saturating_add(DATA_PREFIX_LEN as u32)
+        .saturating_add(SHIPPED2_PREFIX_LEN as u32)
         .min(MAX_WIRE_LEN);
 
     let session_start = Instant::now();
@@ -421,7 +423,7 @@ fn handle_connection(
                 break;
             }
         }
-        let (kind, payload) = match read_msg(&mut stream, max_msg) {
+        let (kind, mut payload) = match read_msg(&mut stream, max_msg) {
             Ok(msg) => msg,
             Err(ReadError::TooBig(len)) => {
                 send_err(
@@ -445,20 +447,26 @@ fn handle_connection(
                     send_err(&mut stream, ERR_RATE_LIMITED, "frame rate limit exceeded");
                     break;
                 }
-                let Some((cur, origin_ns, inner_kind, inner_payload)) = decode_data(&payload)
+                // The payload is a FRAME_SHIPPED2 envelope; runt and
+                // nested ones are refused by the same rule recovery uses.
+                let envelope = RawFrame {
+                    offset: 0,
+                    kind: FRAME_SHIPPED2,
+                    payload: &payload,
+                };
+                let Some(Unwrapped {
+                    kind: inner_kind,
+                    payload: inner_payload,
+                    shipped: Some(shipped),
+                }) = unwrap_frame(&envelope)
                 else {
                     quarantine(&dir, &payload, shared, metrics);
-                    send_err(&mut stream, ERR_CORRUPT, "undecodable DATA frame");
+                    send_err(&mut stream, ERR_CORRUPT, "undecodable DATA envelope");
                     break;
                 };
-                if inner_kind == FRAME_SHIPPED2 {
-                    quarantine(&dir, &payload, shared, metrics);
-                    send_err(&mut stream, ERR_CORRUPT, "nested shipped frame");
-                    break;
-                }
                 let cur = Cursor {
-                    seg: cur.0,
-                    off: cur.1,
+                    seg: shipped.seg,
+                    off: shipped.off,
                 };
                 let next_after = Cursor {
                     seg: cur.seg,
@@ -499,11 +507,9 @@ fn handle_connection(
                 let collect_ns = tempest_obs::unix_now_ns();
                 metrics
                     .frame_latency
-                    .record(collect_ns.saturating_sub(origin_ns));
-                // What lands on disk is the FRAME_SHIPPED2 envelope: source
-                // cursor plus both trace stamps ahead of the original frame.
-                let frame_bytes =
-                    (FRAME_HEADER_LEN + SHIPPED2_PREFIX_LEN + inner_payload.len()) as u64;
+                    .record(collect_ns.saturating_sub(shipped.origin_unix_ns));
+                // What lands on disk is the received envelope, stamped.
+                let frame_bytes = (FRAME_HEADER_LEN + payload.len()) as u64;
                 if let Some(budget) = config.disk_budget_bytes {
                     if shared.disk_used.load(Ordering::Relaxed) + frame_bytes > budget {
                         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -522,10 +528,8 @@ fn handle_connection(
                         shared.fleet.update(&key, &hello.session, t);
                     }
                 }
-                if writer
-                    .append_shipped2(cur, origin_ns, collect_ns, inner_kind, inner_payload)
-                    .is_err()
-                {
+                stamp_collect_time(&mut payload, collect_ns);
+                if writer.append(&payload).is_err() {
                     send_err(&mut stream, ERR_FULL, "collector write failed");
                     break;
                 }
@@ -607,8 +611,8 @@ fn quarantine(dir: &Path, bytes: &[u8], shared: &Arc<Shared>, metrics: &CollectM
 // ---- session writer --------------------------------------------------------
 
 /// Writes one shipped session as a standard spool directory. Every
-/// received frame is appended wrapped as a [`FRAME_SHIPPED2`] envelope, so
-/// the directory is self-describing: the resume cursor is recomputed at
+/// received frame is appended in its stamped [`FRAME_SHIPPED2`] envelope,
+/// so the directory is self-describing: the resume cursor is recomputed at
 /// open by scanning the segments, and a torn tail atomically loses the
 /// data and the cursor that covered it — there is no window where one
 /// survives without the other.
@@ -665,27 +669,11 @@ impl SessionWriter {
         })
     }
 
-    /// Append one received frame as a [`FRAME_SHIPPED2`] envelope —
-    /// source cursor plus both frame-trace stamps ahead of the original
-    /// frame — rotating the collector-side segment when it fills. Every
-    /// seal is durable: the segment's data is synced first.
-    fn append_shipped2(
-        &mut self,
-        cur: Cursor,
-        origin_ns: u64,
-        collect_ns: u64,
-        inner_kind: u8,
-        inner_payload: &[u8],
-    ) -> io::Result<()> {
-        let wrapped = shipped2_payload(
-            cur.seg,
-            cur.off,
-            origin_ns,
-            collect_ns,
-            inner_kind,
-            inner_payload,
-        );
-        self.log.append(FRAME_SHIPPED2, &wrapped)?;
+    /// Append one received [`FRAME_SHIPPED2`] envelope as it is,
+    /// rotating the collector-side segment when it fills. Every seal is
+    /// durable: the segment's data is synced first.
+    fn append(&mut self, envelope: &[u8]) -> io::Result<()> {
+        self.log.append(FRAME_SHIPPED2, envelope)?;
         if self.fsync_per_frame {
             self.log.sync()?;
         }
@@ -725,10 +713,34 @@ mod tests {
         assert!(session_dir_name(&"x".repeat(200), 1).len() < 100);
     }
 
+    /// Connect to `addr` and introduce node 1's `session` with a HELLO
+    /// of protocol `version`.
+    fn hello(addr: SocketAddr, session: &str, version: u32) -> TcpStream {
+        use std::io::Write;
+        use tempest_probe::ship::{encode_hello, Hello};
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(SHIP_MAGIC).unwrap();
+        let hello = Hello {
+            version,
+            node_id: 1,
+            session: session.into(),
+            hostname: "test".into(),
+        };
+        write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+        stream
+    }
+
+    /// The next message on `stream`, which must be an ERR; its code.
+    fn err_code(stream: &mut TcpStream) -> u8 {
+        let (kind, payload) = read_msg(stream, MAX_WIRE_LEN).unwrap();
+        assert_eq!(kind, MSG_ERR);
+        tempest_probe::ship::decode_err(&payload).0
+    }
+
     #[test]
     fn expired_session_deadline_sends_err_deadline() {
-        use std::io::Write;
-        use tempest_probe::ship::{decode_err, encode_hello, Hello};
+        use tempest_probe::ship::decode_err;
 
         let out =
             std::env::temp_dir().join(format!("tempest-collect-deadline-{}", std::process::id()));
@@ -740,15 +752,7 @@ mod tests {
         let handle = collector.handle().unwrap();
         let t = std::thread::spawn(move || collector.serve_connections(1));
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(SHIP_MAGIC).unwrap();
-        let hello = Hello {
-            version: SHIP_VERSION,
-            node_id: 1,
-            session: "deadline-test".into(),
-            hostname: "test".into(),
-        };
-        write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+        let mut stream = hello(addr, "deadline-test", SHIP_VERSION);
         let (kind, _) = read_msg(&mut stream, MAX_WIRE_LEN).unwrap();
         assert_eq!(kind, MSG_WELCOME);
         // A zero deadline has already elapsed: the very next exchange is
@@ -829,9 +833,7 @@ mod tests {
 
     #[test]
     fn data_frames_past_the_burst_get_err_rate_limited() {
-        use std::io::Write;
-        use tempest_probe::ship::{decode_err, encode_hello, Hello};
-        use tempest_probe::spool::FRAME_EVENTS;
+        use tempest_probe::spool::{shipped2_payload, FRAME_EVENTS};
 
         let out = std::env::temp_dir().join(format!("tempest-collect-rate-{}", std::process::id()));
         std::fs::remove_dir_all(&out).ok();
@@ -841,15 +843,7 @@ mod tests {
         let addr = collector.local_addr().unwrap();
         let t = std::thread::spawn(move || collector.serve_connections(1));
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(SHIP_MAGIC).unwrap();
-        let hello = Hello {
-            version: SHIP_VERSION,
-            node_id: 1,
-            session: "rate-test".into(),
-            hostname: "test".into(),
-        };
-        write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+        let mut stream = hello(addr, "rate-test", SHIP_VERSION);
         assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_WELCOME);
         // DATA frames back to back, each the next in source order: the
         // burst of twice the rate is acknowledged, then the limit refuses.
@@ -857,15 +851,16 @@ mod tests {
         let mut acked = 0;
         let refused = (0..10u64).any(|i| {
             let off = i * (FRAME_HEADER_LEN + inner.len()) as u64;
-            let mut data = [0u64.to_le_bytes(), off.to_le_bytes(), 0u64.to_le_bytes()].concat();
-            data.push(FRAME_EVENTS);
-            data.extend_from_slice(&inner);
+            let data = shipped2_payload(0, off, 0, 0, FRAME_EVENTS, &inner);
             write_msg(&mut stream, MSG_DATA, &data).unwrap();
             match read_msg(&mut stream, MAX_WIRE_LEN).unwrap() {
                 (MSG_ACK, _) => acked += 1,
                 (kind, payload) => {
                     assert_eq!(kind, MSG_ERR);
-                    assert_eq!(decode_err(&payload).0, ERR_RATE_LIMITED);
+                    assert_eq!(
+                        tempest_probe::ship::decode_err(&payload).0,
+                        ERR_RATE_LIMITED
+                    );
                     return true;
                 }
             }
@@ -874,6 +869,100 @@ mod tests {
         assert!(refused, "10 frames at once never hit a 2/s limit");
         assert!(acked >= 4, "the burst of 4 was cut to {acked}");
         t.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn the_collector_stamps_the_envelope_and_changes_nothing_else() {
+        use tempest_probe::spool::{recover, shipped2_payload, SegmentReader};
+
+        let out =
+            std::env::temp_dir().join(format!("tempest-collect-stamp-{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(&out)).unwrap();
+        let addr = collector.local_addr().unwrap();
+        let t = std::thread::spawn(move || collector.serve_connections(1));
+
+        let mut stream = hello(addr, "stamp-test", SHIP_VERSION);
+        assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_WELCOME);
+        // One footer frame (four zero counters), as a shipper sends it.
+        let sent_ns = tempest_obs::unix_now_ns();
+        let data = shipped2_payload(
+            0,
+            SEGMENT_HEADER_LEN as u64,
+            sent_ns,
+            0,
+            FRAME_FOOTER,
+            &[0; 32],
+        );
+        write_msg(&mut stream, MSG_DATA, &data).unwrap();
+        assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_ACK);
+        let acked_ns = tempest_obs::unix_now_ns();
+        write_msg(&mut stream, MSG_BYE, &[]).unwrap();
+        assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_BYE_ACK);
+        t.join().unwrap().unwrap();
+
+        let dir = out.join("stamp-test-node1");
+        let mut segment = SegmentReader::open(&dir.join("seg-000000.seg")).unwrap();
+        let frame = segment.next_frame().unwrap().unwrap();
+        assert_eq!(frame.kind, FRAME_SHIPPED2);
+        assert_eq!(frame.payload.len(), data.len());
+        assert_eq!(frame.payload[..24], data[..24]);
+        assert_eq!(frame.payload[32..], data[32..]);
+        let stamp = u64::from_le_bytes(frame.payload[24..32].try_into().unwrap());
+        assert!(
+            (sent_ns..=acked_ns).contains(&stamp),
+            "{sent_ns} {stamp} {acked_ns}"
+        );
+        assert!(segment.next_frame().unwrap().is_none());
+
+        let (_, report) = recover(&dir).unwrap();
+        assert_eq!(report.frame_traces.len(), 1);
+        assert!(report.frame_traces[0].transit_ns().is_some());
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn old_versions_runts_and_nested_envelopes_are_refused() {
+        use tempest_probe::spool::{list_segment_files, shipped2_payload};
+
+        let out =
+            std::env::temp_dir().join(format!("tempest-collect-refuse-{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(&out)).unwrap();
+        let addr = collector.local_addr().unwrap();
+        let handle = collector.handle().unwrap();
+        let t = std::thread::spawn(move || collector.serve_connections(3));
+
+        // A v2 shipper is refused at HELLO.
+        let mut stream = hello(addr, "v2", 2);
+        assert_eq!(err_code(&mut stream), ERR_PROTOCOL);
+
+        // A runt and a nested envelope are each quarantined whole.
+        let good = shipped2_payload(0, 16, 1, 0, FRAME_FOOTER, &[0; 32]);
+        let runt = good[..SHIPPED2_PREFIX_LEN - 1].to_vec();
+        let nested = shipped2_payload(0, 16, 1, 0, FRAME_SHIPPED2, &good);
+        for (session, data) in [("runt", runt), ("nested", nested)] {
+            let mut stream = hello(addr, session, SHIP_VERSION);
+            assert_eq!(read_msg(&mut stream, MAX_WIRE_LEN).unwrap().0, MSG_WELCOME);
+            write_msg(&mut stream, MSG_DATA, &data).unwrap();
+            assert_eq!(err_code(&mut stream), ERR_CORRUPT, "{session}");
+            let dir = out.join(format!("{session}-node1"));
+            let quarantined: Vec<_> = std::fs::read_dir(dir.join("quarantine"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(quarantined.len(), 1, "{session}: {quarantined:?}");
+            assert_eq!(std::fs::read(&quarantined[0]).unwrap(), data, "{session}");
+        }
+        // Every connection has been served: neither session kept a frame.
+        t.join().unwrap().unwrap();
+        for session in ["runt", "nested"] {
+            let segments = list_segment_files(&out.join(format!("{session}-node1"))).unwrap();
+            assert!(segments.is_empty(), "{session}: {segments:?}");
+        }
+        assert_eq!(handle.stats().frames.load(Ordering::Relaxed), 0);
+        assert_eq!(handle.stats().quarantined.load(Ordering::Relaxed), 2);
         std::fs::remove_dir_all(&out).ok();
     }
 }

@@ -18,10 +18,12 @@
 //!   ([`spool::FRAME_SHIPPED2`]), is what makes resume idempotent — an
 //!   ACK lost to a reset can only cause a re-send, which recovery
 //!   discards by cursor.
-//! * `DATA` carries one spool frame tagged with its source cursor; the
-//!   server answers `ACK` (next expected cursor) or `ERR`. `PING`/`PONG`
-//!   keep an idle follow-mode connection alive; `BYE`/`BYE_ACK` end a
-//!   session after its footer frame shipped.
+//! * `DATA` carries one spool frame as its [`spool::FRAME_SHIPPED2`]
+//!   payload ([`spool::shipped2_payload`]: source cursor, send time, a
+//!   zero receive time, the frame), which the collector stamps and
+//!   appends as received; the server answers `ACK` (next expected
+//!   cursor) or `ERR`. `PING`/`PONG` keep an idle follow-mode connection
+//!   alive; `BYE`/`BYE_ACK` end a session after its footer frame shipped.
 //!
 //! Failure policy: every connection gets read/write deadlines; any
 //! error — refused connect, timeout, reset, a server `ERR` — tears the
@@ -35,10 +37,11 @@
 
 use crate::limits::DecodeLimits;
 use crate::spool::{
-    self, frame_crc, frame_header, list_segment_files, split_frame_header, Decoded, SegmentReader,
-    FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
+    self, frame_crc, frame_header, list_segment_files, shipped2_payload, split_frame_header,
+    Decoded, SegmentReader, FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE,
+    SHIP_CURSOR_NAME,
 };
-use crate::trace::encode_str;
+use crate::trace::{self, encode_str};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -53,15 +56,17 @@ use std::time::{Duration, Instant};
 pub const SHIP_MAGIC: &[u8; 8] = b"TMPSHIP1";
 /// Protocol version carried in HELLO. v2 added the origin timestamp to
 /// DATA payloads (end-to-end frame tracing) and the METRICS message
-/// (shipped self-telemetry); the collector requires an exact match, so
-/// v1 shippers are refused rather than silently mis-parsed.
-pub const SHIP_VERSION: u32 = 2;
+/// (shipped self-telemetry); v3 made the DATA payload the spool's
+/// [`spool::FRAME_SHIPPED2`] payload. The collector requires an exact
+/// match, so older shippers are refused rather than silently mis-parsed.
+pub const SHIP_VERSION: u32 = 3;
 
 /// Client → server: node identity and session name.
 pub const MSG_HELLO: u8 = 1;
 /// Server → client: resume cursor (next expected `(segment, offset)`).
 pub const MSG_WELCOME: u8 = 2;
-/// Client → server: one spool frame wrapped with its source cursor.
+/// Client → server: one spool frame in its [`spool::FRAME_SHIPPED2`]
+/// envelope, receive time zero.
 pub const MSG_DATA: u8 = 3;
 /// Server → client: durable through the carried next-expected cursor.
 pub const MSG_ACK: u8 = 4;
@@ -80,46 +85,6 @@ pub const MSG_ERR: u8 = 9;
 /// carrying the unchanged cursor — telemetry rides the session but never
 /// moves the data cursor.
 pub const MSG_METRICS: u8 = 10;
-
-/// Length of the v2 DATA prefix: source cursor (two u64), origin
-/// timestamp (u64, wall-clock Unix nanoseconds at send time), inner
-/// frame kind.
-pub const DATA_PREFIX_LEN: usize = 8 + 8 + 8 + 1;
-
-/// Build a v2 DATA payload: `seg | off | origin_ns | kind | payload`.
-/// The origin stamp is what the collector pairs with its own receive
-/// time to measure per-frame transit latency.
-pub fn data_payload(
-    seg: u64,
-    off: u64,
-    origin_unix_ns: u64,
-    inner_kind: u8,
-    inner_payload: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(DATA_PREFIX_LEN + inner_payload.len());
-    out.extend_from_slice(&seg.to_le_bytes());
-    out.extend_from_slice(&off.to_le_bytes());
-    out.extend_from_slice(&origin_unix_ns.to_le_bytes());
-    out.push(inner_kind);
-    out.extend_from_slice(inner_payload);
-    out
-}
-
-/// Decoded v2 DATA payload: source cursor `(seg, off)`, origin
-/// timestamp, inner frame kind, inner payload.
-pub type DecodedData<'a> = ((u64, u64), u64, u8, &'a [u8]);
-
-/// Split a v2 DATA payload back into
-/// `((seg, off), origin_unix_ns, kind, payload)`; `None` if too short.
-pub fn decode_data(payload: &[u8]) -> Option<DecodedData<'_>> {
-    if payload.len() < DATA_PREFIX_LEN {
-        return None;
-    }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let origin = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-    Some(((seg, off), origin, payload[24], &payload[DATA_PREFIX_LEN..]))
-}
 
 /// ERR code: frame exceeds the collector's size limit.
 pub const ERR_TOO_BIG: u8 = 1;
@@ -217,12 +182,10 @@ impl Cursor {
 
     /// Decode the wire encoding; `None` if the buffer is short.
     pub fn decode(b: &[u8]) -> Option<Cursor> {
-        if b.len() < 16 {
-            return None;
-        }
+        let r = &mut trace::Cursor::new(b);
         Some(Cursor {
-            seg: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            off: u64::from_le_bytes(b[8..16].try_into().unwrap()),
+            seg: r.u64().ok()?,
+            off: r.u64().ok()?,
         })
     }
 
@@ -274,26 +237,13 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
 
 /// Decode a HELLO payload; `None` on any truncation or bad UTF-8.
 pub fn decode_hello(p: &[u8]) -> Option<Hello> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = p.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
-    };
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let node_id = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let mut strs = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        strs.push(String::from_utf8(take(&mut pos, len)?.to_vec()).ok()?);
-    }
-    let hostname = strs.pop()?;
-    let session = strs.pop()?;
+    let r = &mut trace::Cursor::new(p);
+    let limits = DecodeLimits::default();
     Some(Hello {
-        version,
-        node_id,
-        session,
-        hostname,
+        version: r.u32().ok()?,
+        node_id: r.u32().ok()?,
+        session: r.str(&limits, "session").ok()?,
+        hostname: r.str(&limits, "hostname").ok()?,
     })
 }
 
@@ -822,7 +772,7 @@ fn ship_available(
                 continue;
             }
             let sent_ns = tempest_obs::unix_now_ns();
-            let msg = data_payload(seq, f.offset, sent_ns, f.kind, f.payload);
+            let msg = shipped2_payload(seq, f.offset, sent_ns, 0, f.kind, f.payload);
             write_msg(stream, MSG_DATA, &msg)?;
             report.frames_sent += 1;
             metrics.frames_sent.inc();

@@ -41,9 +41,10 @@
 //! of the caller that decodes them.
 //! [`parse_segment_frames`] cuts a segment already in memory by the same
 //! frame rule. Two more rules live only here: [`unwrap_frame`] takes a
-//! frame out of its shipped envelope, and [`decode_frame`] turns a kind
-//! and payload into a typed [`Decoded`] value or a [`FrameFail`], through
-//! the trace file's own node and symbol decoders.
+//! frame out of its shipped envelope (the layout [`shipped2_payload`]
+//! writes and [`stamp_collect_time`] stamps), and [`decode_frame`] turns
+//! a kind and payload into a typed [`Decoded`] value or a [`FrameFail`],
+//! through the trace file's own node and symbol decoders.
 
 use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
 pub use crate::crc::crc32;
@@ -106,15 +107,19 @@ pub const FRAME_METRICS: u8 = 6;
 /// is the source-spool cursor (`seg: u64 | off: u64`), the shipper's send
 /// time and the collector's receive time (both wall-clock Unix
 /// nanoseconds), then the original frame's kind byte and payload. The
-/// collector daemon writes every received frame wrapped this way so its
-/// spool is self-describing: recovery unwraps the inner frame, uses the
-/// cursor to discard duplicates a reconnecting shipper may have re-sent
-/// (which is what makes resume idempotent), and turns the two stamps
-/// into per-frame spool→ship→collect latency.
+/// shipper sends each frame wrapped this way, receive time zero, as its
+/// `DATA` message; the collector stamps the receive time in place and
+/// appends the payload as received, so its spool is self-describing:
+/// recovery unwraps the inner frame, uses the cursor to discard
+/// duplicates a reconnecting shipper may have re-sent (which is what
+/// makes resume idempotent), and turns the two stamps into per-frame
+/// spool→ship→collect latency.
 pub const FRAME_SHIPPED2: u8 = 7;
 /// The [`FRAME_SHIPPED2`] prefix: cursor (two u64), origin and collect
 /// timestamps (two u64), inner kind.
 pub const SHIPPED2_PREFIX_LEN: usize = 8 + 8 + 8 + 8 + 1;
+/// Where the collect timestamp sits in a [`FRAME_SHIPPED2`] payload.
+const COLLECT_STAMP_AT: usize = 8 + 8 + 8;
 /// Flight-recorder dump file name beside a spool's segments.
 pub const FLIGHT_DUMP_NAME: &str = "flight.json";
 
@@ -1486,11 +1491,12 @@ pub fn scan_frames<B>(
 
 /// Build a [`FRAME_SHIPPED2`] payload: the source cursor, the shipper's
 /// send timestamp, the collector's receive timestamp (both wall-clock
-/// Unix nanoseconds), then the wrapped frame. The collector writes these
-/// instead of the inner frame directly so its spool is self-describing —
-/// the resume cursor survives any crash because it is part of the same
-/// checksummed frame as the data it covers, and the two stamps are what
-/// recovery turns into per-frame transit latency.
+/// Unix nanoseconds), then the wrapped frame. The shipper builds one per
+/// frame with a zero receive time and sends it as is; the collector
+/// fills the receive time in with [`stamp_collect_time`] and appends it,
+/// so the resume cursor survives any crash because it is part of the
+/// same checksummed frame as the data it covers, and the two stamps are
+/// what recovery turns into per-frame transit latency.
 pub fn shipped2_payload(
     seg: u64,
     off: u64,
@@ -1509,27 +1515,16 @@ pub fn shipped2_payload(
     out
 }
 
-/// Decoded [`FRAME_SHIPPED2`] payload: source cursor `(seg, off)`,
-/// `(origin_ns, collect_ns)`, inner frame kind, inner payload.
-pub type DecodedShipped2<'a> = ((u64, u64), (u64, u64), u8, &'a [u8]);
-
-/// Split a [`FRAME_SHIPPED2`] payload back into
-/// `((seg, off), (origin_ns, collect_ns), kind, payload)`. `None` if the
-/// payload cannot hold the prefix.
-pub fn decode_shipped2(payload: &[u8]) -> Option<DecodedShipped2<'_>> {
-    if payload.len() < SHIPPED2_PREFIX_LEN {
-        return None;
-    }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let origin = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-    let collect = u64::from_le_bytes(payload[24..32].try_into().unwrap());
-    Some((
-        (seg, off),
-        (origin, collect),
-        payload[32],
-        &payload[SHIPPED2_PREFIX_LEN..],
-    ))
+/// Write the collector's receive time into a [`FRAME_SHIPPED2`] payload
+/// that [`unwrap_frame`] accepted, leaving every other byte as it is.
+///
+/// # Panics
+///
+/// If `envelope` is shorter than [`SHIPPED2_PREFIX_LEN`]: such a runt is
+/// refused by [`unwrap_frame`] before anything stamps it.
+pub fn stamp_collect_time(envelope: &mut [u8], collect_unix_ns: u64) {
+    envelope[COLLECT_STAMP_AT..COLLECT_STAMP_AT + 8]
+        .copy_from_slice(&collect_unix_ns.to_le_bytes());
 }
 
 /// A frame with its envelope, if it had one, taken off.
@@ -1548,6 +1543,7 @@ pub struct Unwrapped<'a> {
 /// [`FRAME_SHIPPED2`] envelope, or pass any other kind through as it is.
 /// `None` for a runt envelope (too short for its prefix) or a nested one
 /// (nothing writes an envelope inside an envelope, so it is damage).
+/// Spool readers and the collector's `DATA` intake both go through it.
 pub fn unwrap_frame<'a>(frame: &RawFrame<'a>) -> Option<Unwrapped<'a>> {
     if frame.kind != FRAME_SHIPPED2 {
         return Some(Unwrapped {
@@ -1556,20 +1552,21 @@ pub fn unwrap_frame<'a>(frame: &RawFrame<'a>) -> Option<Unwrapped<'a>> {
             shipped: None,
         });
     }
-    let ((seg, off), (origin_unix_ns, collect_unix_ns), kind, payload) =
-        decode_shipped2(frame.payload)?;
+    let mut cur = Cursor::new(frame.payload);
+    let shipped = FrameTrace {
+        seg: cur.u64().ok()?,
+        off: cur.u64().ok()?,
+        origin_unix_ns: cur.u64().ok()?,
+        collect_unix_ns: cur.u64().ok()?,
+    };
+    let kind = cur.u8().ok()?;
     if kind == FRAME_SHIPPED2 {
         return None;
     }
     Some(Unwrapped {
         kind,
-        payload,
-        shipped: Some(FrameTrace {
-            seg,
-            off,
-            origin_unix_ns,
-            collect_unix_ns,
-        }),
+        payload: cur.rest(),
+        shipped: Some(shipped),
     })
 }
 

@@ -163,8 +163,8 @@ struct SensorHealth {
     quarantined: bool,
 }
 
-/// The resilient sampling round engine shared by the daemon thread and by
-/// callers that schedule rounds themselves (simulators, tests).
+/// The resilient sampling round engine shared by the daemon thread,
+/// [`sample_round`] and callers that schedule rounds themselves (tests).
 ///
 /// One instance tracks per-sensor health across rounds; feed it the same
 /// source every round.
@@ -443,27 +443,18 @@ impl Drop for Tempd {
     }
 }
 
-/// Synchronously take one sampling round — used by the cluster simulator,
-/// which schedules sampling on virtual time instead of running a thread.
-///
-/// Stateless (no retry/quarantine history across calls), but degradation-
-/// aware within the round: non-finite temperatures are dropped and every
-/// inventory sensor with no surviving reading gets an [`Event::gap`]
-/// marker. Use [`ResilientSampler`] to also get retries and quarantine.
+/// Synchronously take one sampling round: [`ResilientSampler::round`] on a
+/// fresh sampler with retries and quarantine off. Non-finite temperatures
+/// are dropped and every inventory sensor with no surviving reading gets
+/// an [`Event::gap`] marker; no health carries over between calls. Keep a
+/// [`ResilientSampler`] across rounds to also get retries and quarantine.
 pub fn sample_round(source: &mut dyn SensorSource, timestamp_ns: u64, sink: &dyn EventSink) {
-    let mut readings = Vec::with_capacity(source.sensor_count());
-    source.sample_into(timestamp_ns, &mut readings);
-    drop_nonfinite(&mut readings);
-    let mut batch: Vec<Event> = readings
-        .iter()
-        .map(|r| Event::sample(r.timestamp_ns, r.sensor, r.temperature.celsius()))
-        .collect();
-    for info in source.sensors() {
-        if !readings.iter().any(|r| r.sensor == info.id) {
-            batch.push(Event::gap(timestamp_ns, info.id));
-        }
-    }
-    sink.submit(&batch);
+    ResilientSampler::new(TempdConfig {
+        max_retries: 0,
+        quarantine_after: 0,
+        ..TempdConfig::default()
+    })
+    .round(source, timestamp_ns, sink);
 }
 
 #[cfg(test)]

@@ -807,7 +807,7 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, TraceError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, TraceError> {
         Ok(self.bytes(1)?[0])
     }
 
@@ -815,23 +815,32 @@ impl<'a> Cursor<'a> {
         Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, TraceError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, TraceError> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, TraceError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, TraceError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Decode a length-prefixed string, rejecting claims over the
     /// configured cap *before* materialising anything.
-    fn str(&mut self, limits: &DecodeLimits, what: &'static str) -> Result<String, TraceError> {
+    pub(crate) fn str(
+        &mut self,
+        limits: &DecodeLimits,
+        what: &'static str,
+    ) -> Result<String, TraceError> {
         let len = self.u16()? as usize;
         limits.check_string(what, len)?;
         let bytes = self.bytes(len)?;
         std::str::from_utf8(bytes)
             .map(str::to_owned)
             .map_err(|_| TraceError::Corrupt("invalid UTF-8 string"))
+    }
+
+    /// Everything not read yet.
+    pub(crate) fn rest(self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 }
 
