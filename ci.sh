@@ -260,7 +260,31 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
     report "$OBS_TMP/traces/micro-d-node0.trace" --cache "$OBS_TMP/cache" --metrics \
     | grep -q "cache_hits_total" \
     || { echo "cache hit counter missing from --metrics output" >&2; exit 1; }
-echo "    cached report byte-identical, hit counter present"
+# A trace overwritten in place must miss and be analysed afresh: cache a
+# copy of the micro-d trace, overwrite it with local.trace's bytes, and
+# the next report must miss and store what an uncached report of
+# local.trace prints.
+cp "$OBS_TMP/traces/micro-d-node0.trace" "$OBS_TMP/replaced.trace"
+for _ in 1 2; do
+    cargo run --release -q -p tempest-tools --bin tempest -- \
+        report "$OBS_TMP/replaced.trace" --cache "$OBS_TMP/cache" >/dev/null
+done
+cat "$OBS_TMP/local.trace" > "$OBS_TMP/replaced.trace"
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    report "$OBS_TMP/replaced.trace" --cache "$OBS_TMP/cache" --metrics \
+    > "$OBS_TMP/replaced-metrics.report"
+grep -q "cache_misses_total" "$OBS_TMP/replaced-metrics.report" \
+    || { echo "replaced trace: cache miss counter missing from --metrics output" >&2; exit 1; }
+if grep -q "cache_hits_total" "$OBS_TMP/replaced-metrics.report"; then
+    echo "replaced trace was served from the cache" >&2
+    exit 1
+fi
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    report "$OBS_TMP/replaced.trace" --cache "$OBS_TMP/cache" > "$OBS_TMP/replaced.report"
+cargo run --release -q -p tempest-tools --bin tempest -- \
+    report "$OBS_TMP/local.trace" --no-cache > "$OBS_TMP/local-uncached.report"
+diff "$OBS_TMP/replaced.report" "$OBS_TMP/local-uncached.report"
+echo "    cached report byte-identical, hit counter present; a replaced trace misses"
 
 echo "==> query API smoke (tempest serve --once + curl, loopback)"
 # Serve the sessions collected by the network smoke above; --once-ready

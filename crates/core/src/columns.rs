@@ -11,14 +11,23 @@
 //! `SampleColumns` additionally *dictionary-encodes* the temperature
 //! values: sensors report quantised readings (a 1 °C or 0.25 °C grid), so
 //! a multi-hour trace holds only a handful of distinct values per sensor.
-//! Each sample stores a dense `(sensor, value)` slot pair instead of an
-//! `f64`, which lets the sweep accumulate plain `u64` counts in a flat
-//! grid and materialise exact [`StreamingStats`](crate::stats::StreamingStats)
-//! histograms afterwards. A sensor's consecutive readings mostly repeat,
-//! so the dictionaries are built from the readings that differ from the
-//! sensor's previous one, and a sample that repeats it reuses its rank.
+//! Each sample stores a dense value slot instead of an `f64`, which lets
+//! the sweep accumulate plain `u64` counts in a flat grid and materialise
+//! exact [`StreamingStats`](crate::stats::StreamingStats) histograms
+//! afterwards.
+//!
+//! The columns are built in one pass over the readings. Each reading's
+//! value key gets a provisional id, in first-seen order, from a hash map
+//! of its sensor's distinct keys; a sensor's consecutive readings mostly
+//! repeat, so a reading equal to its sensor's previous one skips the map.
+//! Then each sensor's distinct keys are sorted once and every provisional
+//! id is remapped in place to `base + rank`. Beyond the output columns the
+//! build holds O(distinct keys). Each map draws its own random seed, so no
+//! trace can aim collisions at it, and the output does not depend on the
+//! seed.
 
 use crate::stats::f64_key;
+use std::collections::HashMap;
 use tempest_sensors::{SensorId, SensorReading};
 
 /// Column-major sensor samples with dictionary-encoded values.
@@ -30,20 +39,17 @@ use tempest_sensors::{SensorId, SensorReading};
 pub struct SampleColumns {
     /// Sample timestamps, ascending.
     pub timestamp_ns: Vec<u64>,
-    /// Dense sensor slot per sample (index into [`Self::sensor_ids`]).
-    pub sensor_slot: Vec<u32>,
     /// Global value slot per sample: `value_base[sensor] + rank` of the
-    /// sample's value in its sensor's dictionary. Indexes a flat
-    /// `n_total_values`-wide axis shared by every sensor.
+    /// sample's value among its sensor's distinct values. Indexes the
+    /// flat value axis, [`Self::flat_values`], shared by every sensor.
     pub value_slot: Vec<u32>,
     /// Sensor slot → sensor id, in first-appearance order.
     pub sensor_ids: Vec<SensorId>,
-    /// Per sensor slot: ascending distinct value keys (order-preserving
-    /// `f64` bit keys of the Fahrenheit readings — see `stats::f64_key`).
-    pub value_dicts: Vec<Vec<u64>>,
-    /// Per sensor slot: offset of its dictionary in the flat value axis.
+    /// Per sensor slot: offset of its values in [`Self::flat_values`].
     pub value_base: Vec<u32>,
-    /// All dictionaries concatenated; `flat_values[value_slot[i]]` is the
+    /// Each sensor slot's ascending distinct value keys (order-preserving
+    /// `f64` bit keys of the Fahrenheit readings — see `stats::f64_key`),
+    /// concatenated in slot order; `flat_values[value_slot[i]]` is the
     /// value key of sample `i`.
     pub flat_values: Vec<u64>,
     /// True when the input samples were out of timestamp order and the
@@ -62,14 +68,13 @@ impl SampleColumns {
         let n = samples.len();
         let mut cols = SampleColumns {
             timestamp_ns: Vec::with_capacity(n),
-            sensor_slot: Vec::with_capacity(n),
+            value_slot: Vec::with_capacity(n),
             ..Default::default()
         };
-        let mut keys: Vec<u64> = Vec::with_capacity(n);
         // Sensor id → slot, a direct table over the `u16` id.
         let mut slot_of: Vec<u32> = Vec::new();
-        // Per sensor slot, the keys that differ from its previous reading.
-        let mut runs: Vec<Vec<u64>> = Vec::new();
+        let mut sensors: Vec<SensorKeys> = Vec::new();
+        let mut distinct = 0u32;
         for s in samples {
             let id = usize::from(s.sensor.0);
             if slot_of.len() <= id {
@@ -78,17 +83,23 @@ impl SampleColumns {
             if slot_of[id] == NO_SLOT {
                 slot_of[id] = cols.sensor_ids.len() as u32;
                 cols.sensor_ids.push(s.sensor);
-                runs.push(Vec::new());
+                sensors.push(SensorKeys::default());
             }
-            let slot = slot_of[id];
             let key = f64_key(s.temperature.fahrenheit());
-            let run = &mut runs[slot as usize];
-            if run.last() != Some(&key) {
-                run.push(key);
-            }
+            let keys = &mut sensors[slot_of[id] as usize];
+            let provisional = match keys.last {
+                Some((last, provisional)) if last == key => provisional,
+                _ => {
+                    let provisional = *keys.ids.entry(key).or_insert(distinct);
+                    if provisional == distinct {
+                        distinct += 1;
+                    }
+                    keys.last = Some((key, provisional));
+                    provisional
+                }
+            };
             cols.timestamp_ns.push(s.timestamp_ns);
-            cols.sensor_slot.push(slot);
-            keys.push(key);
+            cols.value_slot.push(provisional);
         }
 
         // Recovering sort: the sweep is only correct on time-sorted
@@ -98,45 +109,26 @@ impl SampleColumns {
             let mut order: Vec<u32> = (0..n as u32).collect();
             order.sort_by_key(|&i| cols.timestamp_ns[i as usize]);
             cols.timestamp_ns = permute(&order, &cols.timestamp_ns);
-            cols.sensor_slot = permute(&order, &cols.sensor_slot);
-            keys = permute(&order, &keys);
+            cols.value_slot = permute(&order, &cols.value_slot);
         }
 
-        // Per-sensor value dictionaries: ascending distinct keys.
-        for mut d in runs {
-            d.sort_unstable();
-            d.dedup();
-            cols.value_dicts.push(d);
-        }
-        let mut base = 0u32;
-        for d in &cols.value_dicts {
+        // Sort each sensor's distinct keys once; its provisional ids map
+        // to `base + rank` on the flat axis.
+        let mut remap = vec![0u32; distinct as usize];
+        cols.flat_values.reserve(distinct as usize);
+        for sensor in sensors {
+            let base = cols.flat_values.len() as u32;
             cols.value_base.push(base);
-            cols.flat_values.extend_from_slice(d);
-            base += d.len() as u32;
+            let mut keys: Vec<(u64, u32)> = sensor.ids.into_iter().collect();
+            keys.sort_unstable_by_key(|&(key, _)| key);
+            for (rank, (key, provisional)) in keys.into_iter().enumerate() {
+                remap[provisional as usize] = base + rank as u32;
+                cols.flat_values.push(key);
+            }
         }
-
-        // Encode each sample as its global value slot; a sample that
-        // repeats its sensor's previous key reuses that key's rank.
-        let mut prev: Vec<Option<(u64, u32)>> = vec![None; cols.sensor_ids.len()];
-        cols.value_slot = keys
-            .iter()
-            .zip(&cols.sensor_slot)
-            .map(|(&k, &s)| {
-                let s = s as usize;
-                let rank = match prev[s] {
-                    Some((key, rank)) if key == k => rank,
-                    _ => {
-                        let rank = cols.value_dicts[s]
-                            .binary_search(&k)
-                            .expect("every sample key is in its sensor's dictionary")
-                            as u32;
-                        prev[s] = Some((k, rank));
-                        rank
-                    }
-                };
-                cols.value_base[s] + rank
-            })
-            .collect();
+        for slot in &mut cols.value_slot {
+            *slot = remap[*slot as usize];
+        }
         cols
     }
 
@@ -154,6 +146,15 @@ impl SampleColumns {
     pub fn total_values(&self) -> usize {
         self.flat_values.len()
     }
+}
+
+/// One sensor's distinct value keys with their provisional ids, hashed
+/// with std's per-map random seed, and its previous key with that key's
+/// id.
+#[derive(Default)]
+struct SensorKeys {
+    ids: HashMap<u64, u32>,
+    last: Option<(u64, u32)>,
 }
 
 fn permute<T: Copy>(order: &[u32], values: &[T]) -> Vec<T> {
@@ -181,8 +182,8 @@ mod tests {
         assert_eq!(cols.len(), 4);
         assert!(!cols.resorted);
         assert_eq!(cols.sensor_ids, vec![SensorId(0), SensorId(1)]);
-        assert_eq!(cols.value_dicts[0].len(), 2, "two distinct values on s0");
-        assert_eq!(cols.value_dicts[1].len(), 1);
+        // Two distinct values on s0, then one on s1.
+        assert_eq!(cols.value_base, vec![0, 2]);
         assert_eq!(cols.total_values(), 3);
         // Repeated value maps to the same slot.
         assert_eq!(cols.value_slot[0], cols.value_slot[3]);
@@ -200,7 +201,9 @@ mod tests {
         ]);
         assert!(cols.resorted);
         assert_eq!(cols.timestamp_ns, vec![10, 10, 20]);
-        assert_eq!(cols.sensor_slot, vec![0, 1, 0]);
+        // s0's values take slots 0 (40 °C) and 1 (42 °C), s1's 41 °C slot 2.
+        assert_eq!(cols.value_base, vec![0, 2]);
+        assert_eq!(cols.value_slot, vec![0, 2, 1]);
     }
 
     #[test]

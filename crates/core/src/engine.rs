@@ -16,8 +16,12 @@
 //! cluster-wide fan-out never multiplies into `files × shards` threads.
 //!
 //! [`Engine::render_files`] layers the [`AnalysisCache`] over the same
-//! pipeline: each trace's raw bytes are hashed first, and on a cache hit
-//! the decode/timeline/correlate/render work is skipped entirely.
+//! pipeline. A lookup keys each trace by a CRC streamed through
+//! [`Crc32::update_from`]'s one 64 KiB buffer, so a hit never holds the
+//! file and skips decode, timeline, correlate and render entirely. A
+//! miss, like every uncached analysis, reads the file whole once, keys its
+//! store by the bytes it decodes, and frees them once they are decoded:
+//! no raw trace bytes are alive while the timeline is built.
 //!
 //! [`ClusterProfile`]: crate::merge::ClusterProfile
 
@@ -25,8 +29,7 @@ use crate::cache::{AnalysisCache, CacheKey};
 use crate::parser::{analyze_trace_salvaged, AnalysisOptions};
 use crate::profile::NodeProfile;
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::io::Read;
+use tempest_probe::crc::Crc32;
 use tempest_probe::limits::{CancelToken, DecodeLimits};
 use tempest_probe::trace::Trace;
 
@@ -95,10 +98,12 @@ impl Engine {
     ) -> Vec<Result<NodeProfile, String>> {
         let options = self.budget_shards(paths.len(), options);
         let paths: Vec<String> = paths.to_vec();
-        self.map(paths, move |path| analyze_one(&path, options))
+        self.map(paths, move |path| {
+            analyze_one(&path, options, None).map(|(p, _)| p)
+        })
     }
 
-    /// Read → hash → (cache hit | decode → analyze → render → store) for
+    /// Key → (cache hit | read → decode → analyze → render → store) for
     /// each path, concurrently and in input order. `render` turns one
     /// node's profile into its final output text; that text — cached under
     /// the trace's content hash and the options/`format` fingerprint — is
@@ -119,30 +124,31 @@ impl Engine {
         let format = format.to_string();
         let paths: Vec<String> = paths.to_vec();
         self.map(paths, move |path| {
-            with_file_bytes(&path, |bytes| {
-                let key = cache.map(|c| (c, CacheKey::new(bytes, options, &format)));
-                if let Some((cache, key)) = &key {
-                    if let Some(text) = cache.lookup(key) {
-                        return Ok(text);
-                    }
+            if let Some(cache) = cache {
+                if let Some(text) = cache.lookup(&stream_key(&path, options, &format)?) {
+                    return Ok(text);
                 }
-                let profile = decode_and_analyze(bytes, &path, options)?;
-                let text = {
-                    let _stage = tempest_obs::stage("render");
-                    render(&profile)
-                };
-                if let Some((cache, key)) = &key {
-                    // Best-effort: an unwritable cache dir degrades to
-                    // uncached operation, it doesn't fail the report.
-                    // Profiles bounded by a limit or deadline are partial
-                    // by policy, not a property of the input bytes — they
-                    // must never be served as the full answer later.
-                    if !profile.quality.was_limited() {
-                        let _ = cache.store(key, &text);
-                    }
+            }
+            // The store is keyed by the bytes decoded, not by those looked
+            // up: a file rewritten since the lookup is stored under its
+            // new content.
+            let keyed = cache.map(|_| format.as_str());
+            let (profile, key) = analyze_one(&path, options, keyed)?;
+            let text = {
+                let _stage = tempest_obs::stage("render");
+                render(&profile)
+            };
+            if let (Some(cache), Some(key)) = (cache, key) {
+                // Best-effort: an unwritable cache dir degrades to
+                // uncached operation, it doesn't fail the report.
+                // Profiles bounded by a limit or deadline are partial
+                // by policy, not a property of the input bytes — they
+                // must never be served as the full answer later.
+                if !profile.quality.was_limited() {
+                    let _ = cache.store(&key, &text);
                 }
-                Ok(text)
-            })?
+            }
+            Ok(text)
         })
     }
 
@@ -159,40 +165,27 @@ impl Engine {
     }
 }
 
-thread_local! {
-    /// Per-worker scratch buffer for raw trace bytes, reused across files
-    /// so a multi-node analysis does one large allocation per worker
-    /// instead of one per file.
-    static READ_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+/// The cache key of `path` as it is now, its CRC streamed through
+/// [`Crc32::update_from`]'s one 64 KiB buffer: a lookup never holds the
+/// whole file.
+fn stream_key(path: &str, options: AnalysisOptions, format: &str) -> Result<CacheKey, String> {
+    let mut crc = Crc32::new();
+    let len = std::fs::File::open(path)
+        .and_then(|mut file| crc.update_from(&mut file))
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(CacheKey::from_content(crc.finish(), len, options, format))
 }
 
-/// Read `path` into the worker's reusable scratch buffer and hand the
-/// bytes to `f`. The buffer keeps its capacity between files (bounded by
-/// the largest trace this worker has seen) but is shrunk when a small
-/// file follows a much larger one, so peak RSS tracks the working set
-/// rather than the high-water mark.
-fn with_file_bytes<R>(path: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R, String> {
-    READ_BUF.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        buf.clear();
-        let mut file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        file.read_to_end(&mut buf)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let out = f(&buf);
-        if buf.capacity() > 4 * buf.len().max(64 * 1024) {
-            buf.shrink_to_fit();
-        }
-        Ok(out)
-    })
-}
-
-/// One node's pipeline minus the file read: decode (salvaging when
-/// recovery is on), then analyze.
-fn decode_and_analyze(
-    bytes: &[u8],
+/// One node's pipeline: read the whole file, key it for `format` when
+/// one is given, decode (salvaging when recovery is on), free the bytes,
+/// then analyze.
+fn analyze_one(
     path: &str,
     options: AnalysisOptions,
-) -> Result<NodeProfile, String> {
+    format: Option<&str>,
+) -> Result<(NodeProfile, Option<CacheKey>), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let key = format.map(|format| CacheKey::new(&bytes, options, format));
     let cancel = CancelToken::until_opt(options.deadline);
     let limits = DecodeLimits::default();
     let (trace, salvage) = {
@@ -201,22 +194,20 @@ fn decode_and_analyze(
         // deadline trip mid-decode must yield the partial prefix, not an
         // error that discards everything already decoded.
         if options.recover || options.deadline.is_some() {
-            let (t, r) = Trace::decode_salvage_with(bytes, &limits, &cancel)
+            let (t, r) = Trace::decode_salvage_with(&bytes, &limits, &cancel)
                 .map_err(|e| format!("{path}: {e}"))?;
             (t, Some(r))
         } else {
             (
-                Trace::decode_with(bytes, &limits, &cancel).map_err(|e| format!("{path}: {e}"))?,
+                Trace::decode_with(&bytes, &limits, &cancel).map_err(|e| format!("{path}: {e}"))?,
                 None,
             )
         }
     };
-    analyze_trace_salvaged(&trace, salvage.as_ref(), options).map_err(|e| format!("{path}: {e}"))
-}
-
-/// One node's pipeline: read the whole file, decode, analyze.
-fn analyze_one(path: &str, options: AnalysisOptions) -> Result<NodeProfile, String> {
-    with_file_bytes(path, |bytes| decode_and_analyze(bytes, path, options))?
+    drop(bytes);
+    let profile = analyze_trace_salvaged(&trace, salvage.as_ref(), options)
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok((profile, key))
 }
 
 #[cfg(test)]
@@ -439,6 +430,65 @@ mod tests {
             "changed trace re-renders"
         );
         assert_eq!(third[1].as_ref().unwrap(), second[1].as_ref().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The lookup's streamed key is the key of the file's bytes, whether
+    /// the file is empty, fits one read buffer or spans several.
+    #[test]
+    fn streamed_key_equals_the_key_of_the_file_bytes() {
+        let (dir, paths) = write_traces("stream-key", 1);
+        let long = dir.join("long.bin");
+        std::fs::write(&long, (0..200_003u32).map(|i| i as u8).collect::<Vec<u8>>()).unwrap();
+        let empty = dir.join("empty.bin");
+        std::fs::write(&empty, b"").unwrap();
+        let options = AnalysisOptions::recovering();
+        for path in [
+            paths[0].as_str(),
+            long.to_str().unwrap(),
+            empty.to_str().unwrap(),
+        ] {
+            let bytes = std::fs::read(path).unwrap();
+            assert_eq!(
+                stream_key(path, options, "csv").unwrap(),
+                CacheKey::new(&bytes, options, "csv"),
+                "{path}"
+            );
+        }
+        let err = stream_key("/nonexistent/gone.trace", options, "csv").unwrap_err();
+        assert!(err.starts_with("/nonexistent/gone.trace:"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A trace overwritten in place by other bytes of the same length is
+    /// analysed afresh, and its entry is stored under the new bytes' key.
+    #[test]
+    fn a_trace_replaced_by_same_length_bytes_misses_and_stores_its_new_content() {
+        let (dir, paths) = write_traces("replaced", 1);
+        let cache = AnalysisCache::open(&dir.join("cache")).unwrap();
+        let engine = Engine::new(2);
+        let options = AnalysisOptions::default();
+        let render = |cache| {
+            engine.render_files(&paths, options, cache, "text", crate::report::render_stdout)[0]
+                .clone()
+                .unwrap()
+        };
+        let old_text = render(Some(&cache));
+        assert_eq!(render(Some(&cache)), old_text);
+
+        let old_bytes = std::fs::read(&paths[0]).unwrap();
+        let mut new_bytes = Vec::new();
+        mini_trace(2).encode_into(&mut new_bytes);
+        assert_eq!(new_bytes.len(), old_bytes.len(), "same length by design");
+        assert_ne!(new_bytes, old_bytes);
+        std::fs::write(&paths[0], &new_bytes).unwrap();
+        let new_key = CacheKey::new(&new_bytes, options, "text");
+        assert_eq!(cache.lookup(&new_key), None);
+
+        let new_text = render(Some(&cache));
+        assert_ne!(new_text, old_text, "the old entry was served");
+        assert_eq!(new_text, render(None), "differs from an uncached render");
+        assert_eq!(cache.lookup(&new_key).as_deref(), Some(new_text.as_str()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1901,18 +1901,31 @@ impl Recovery<'_> {
 }
 
 /// Build a placeholder symbol table (ids only) for an event stream whose
-/// real symbol table was lost to a crash.
+/// real symbol table was lost to a crash, in ascending id order. An id
+/// below the number of events is marked in a table of that bound, as the
+/// timeline's direct id tables are; only larger ids are sorted.
 fn synthesize_functions(events: &[Event]) -> Vec<FunctionDef> {
-    let mut ids: Vec<u32> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Enter { func } | EventKind::Exit { func } => Some(func.0),
-            _ => None,
-        })
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter()
+    let mut seen: Vec<bool> = Vec::new();
+    let mut large: Vec<u32> = Vec::new();
+    for e in events {
+        if let EventKind::Enter { func } | EventKind::Exit { func } = e.kind {
+            let id = func.0 as usize;
+            if id >= events.len() {
+                large.push(func.0);
+            } else {
+                if seen.len() <= id {
+                    seen.resize(id + 1, false);
+                }
+                seen[id] = true;
+            }
+        }
+    }
+    large.sort_unstable();
+    large.dedup();
+    // Every marked index came from a `u32` id.
+    let marked = (0..seen.len()).filter(|&id| seen[id]).map(|id| id as u32);
+    marked
+        .chain(large)
         .map(|id| FunctionDef {
             id: FunctionId(id),
             name: format!("fn#{id}"),
@@ -2460,6 +2473,40 @@ mod tests {
         let (trace, report) = recover(&dir).unwrap();
         assert!(!report.clean_shutdown);
         assert_eq!(trace.function(FunctionId(7)).unwrap().name, "fn#7");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Ids below the event count are marked in a table and larger ones
+    /// sorted; together they list as the sort of every id would.
+    #[test]
+    fn synthesized_functions_match_sorting_every_id() {
+        let ids = [63, u32::MAX, 5, 0, 5, 63, u32::MAX, 0];
+        let dir = temp_spool_dir("nosym-ids");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        let batch: Vec<Event> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| Event::enter(i as u64, ThreadId(0), FunctionId(id)))
+            .collect();
+        w.append_batch(&batch).unwrap();
+        drop(w); // crash before any rotation/finish: no symbol frame
+
+        let (trace, report) = recover(&dir).unwrap();
+        assert!(!report.clean_shutdown);
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let expected: Vec<FunctionDef> = sorted
+            .into_iter()
+            .map(|id| FunctionDef {
+                id: FunctionId(id),
+                name: format!("fn#{id}"),
+                address: 0x400000 + 16 * id as u64,
+                kind: ScopeKind::Function,
+            })
+            .collect();
+        assert_eq!(trace.functions, expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 

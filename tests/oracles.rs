@@ -19,7 +19,13 @@
 //! * the **walk reference** is the parser's symbol and timestamp check
 //!   as a pass of its own that copies out the events it keeps, which the
 //!   two references above then analyse; `analyze_trace` checks the
-//!   events inside its one replay instead.
+//!   events inside its one replay instead;
+//! * the **columns reference** is the sample-column builder that
+//!   `SampleColumns::from_readings` replaced: a value key per reading,
+//!   per-sensor dictionaries sorted from the keys that differ from their
+//!   sensor's previous one, and each changed reading's rank
+//!   binary-searched. The one-pass builder gives provisional ids and
+//!   remaps them, and must produce the same columns.
 //!
 //! The generated streams mix threads and function ids (sparse ones and
 //! ones from the whole `u32` range included), equal timestamps,
@@ -43,6 +49,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use tempest_core::columns::SampleColumns;
 use tempest_core::correlate::{correlate_with, Correlation, FunctionSamples};
 use tempest_core::profile::build_profiles;
 use tempest_core::stats::StreamingStats;
@@ -260,6 +267,106 @@ fn reference_correlation(tl: &Timeline, samples: &[SensorReading]) -> (Reference
     (per_function, unattributed)
 }
 
+/// What the columns reference computes: every field of `SampleColumns`.
+#[derive(Debug, PartialEq)]
+struct ReferenceColumns {
+    timestamp_ns: Vec<u64>,
+    value_slot: Vec<u32>,
+    sensor_ids: Vec<SensorId>,
+    value_base: Vec<u32>,
+    flat_values: Vec<u64>,
+    resorted: bool,
+}
+
+/// The order-preserving `f64` key the columns store: unsigned key order
+/// is numeric order.
+fn value_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The sample columns built with a key per reading: sensor slots in
+/// first-appearance order, a stable re-sort when the stream is out of
+/// order, per-sensor dictionaries of the sorted distinct keys, and each
+/// reading's rank binary-searched unless it repeats its sensor's previous
+/// key.
+fn reference_columns(samples: &[SensorReading]) -> ReferenceColumns {
+    let mut timestamp_ns = Vec::new();
+    let mut sensor_slot: Vec<u32> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
+    let mut sensor_ids: Vec<SensorId> = Vec::new();
+    // Per sensor slot, the keys that differ from its previous reading.
+    let mut runs: Vec<Vec<u64>> = Vec::new();
+    for s in samples {
+        let slot = match sensor_ids.iter().position(|&id| id == s.sensor) {
+            Some(slot) => slot,
+            None => {
+                sensor_ids.push(s.sensor);
+                runs.push(Vec::new());
+                sensor_ids.len() - 1
+            }
+        };
+        let key = value_key(s.temperature.fahrenheit());
+        if runs[slot].last() != Some(&key) {
+            runs[slot].push(key);
+        }
+        timestamp_ns.push(s.timestamp_ns);
+        sensor_slot.push(slot as u32);
+        keys.push(key);
+    }
+
+    let resorted = !timestamp_ns.windows(2).all(|w| w[0] <= w[1]);
+    if resorted {
+        let mut order: Vec<usize> = (0..samples.len()).collect();
+        order.sort_by_key(|&i| timestamp_ns[i]);
+        timestamp_ns = order.iter().map(|&i| timestamp_ns[i]).collect();
+        sensor_slot = order.iter().map(|&i| sensor_slot[i]).collect();
+        keys = order.iter().map(|&i| keys[i]).collect();
+    }
+
+    let mut dicts = Vec::new();
+    for mut d in runs {
+        d.sort_unstable();
+        d.dedup();
+        dicts.push(d);
+    }
+    let (mut value_base, mut flat_values) = (Vec::new(), Vec::new());
+    for d in &dicts {
+        value_base.push(flat_values.len() as u32);
+        flat_values.extend_from_slice(d);
+    }
+
+    let mut prev: Vec<Option<(u64, u32)>> = vec![None; sensor_ids.len()];
+    let value_slot = keys
+        .iter()
+        .zip(&sensor_slot)
+        .map(|(&k, &s)| {
+            let s = s as usize;
+            let rank = match prev[s] {
+                Some((key, rank)) if key == k => rank,
+                _ => {
+                    let rank = dicts[s].binary_search(&k).expect("key in its dictionary") as u32;
+                    prev[s] = Some((k, rank));
+                    rank
+                }
+            };
+            value_base[s] + rank
+        })
+        .collect();
+    ReferenceColumns {
+        timestamp_ns,
+        value_slot,
+        sensor_ids,
+        value_base,
+        flat_values,
+        resorted,
+    }
+}
+
 // ---------- generated inputs ------------------------------------------------
 
 /// One generated step: thread, function, operation, time advance.
@@ -318,6 +425,38 @@ fn arb_samples() -> impl Strategy<Value = Vec<SensorReading>> {
             })
             .collect()
     })
+}
+
+/// Sensor ids the columns generator draws from: dense, sparse and the
+/// largest.
+const SENSOR_IDS: [u16; 5] = [0, 1, 9, 300, u16::MAX];
+
+/// Readings from one to five of `SENSOR_IDS`, each value on a 0.25 °C
+/// grid or unquantised, with runs of equal timestamps; in about half the
+/// streams some readings step back in time and take the re-sort.
+fn arb_column_readings() -> impl Strategy<Value = Vec<SensorReading>> {
+    let reading = (0usize..5, 0u32..12, 0.0f64..1.0, prop::bool::ANY, -3i64..5);
+    (
+        1usize..6,
+        0usize..SENSOR_IDS.len(),
+        prop::bool::ANY,
+        prop::collection::vec(reading, 0..200),
+    )
+        .prop_map(|(sensors, first, ordered, raw)| {
+            let mut t = 0i64;
+            raw.into_iter()
+                .map(|(sensor, grid, frac, quantised, step)| {
+                    t = (t + if ordered { step.max(0) } else { step }).max(0);
+                    let id = SENSOR_IDS[(first + sensor % sensors) % SENSOR_IDS.len()];
+                    let celsius = if quantised {
+                        30.0 + f64::from(grid) * 0.25
+                    } else {
+                        20.0 + 80.0 * frac
+                    };
+                    SensorReading::new(SensorId(id), t as u64, Temperature::from_celsius(celsius))
+                })
+                .collect()
+        })
 }
 
 /// A trace for the parser: the generated stream over two thread ids and
@@ -556,6 +695,20 @@ proptest! {
             );
             prop_assert_eq!(q.nonfinite_samples_skipped, report.nonfinite_samples_skipped);
         }
+    }
+
+    #[test]
+    fn one_pass_columns_match_the_dictionary_reference(samples in arb_column_readings()) {
+        let got = SampleColumns::from_readings(&samples);
+        let got = ReferenceColumns {
+            timestamp_ns: got.timestamp_ns,
+            value_slot: got.value_slot,
+            sensor_ids: got.sensor_ids,
+            value_base: got.value_base,
+            flat_values: got.flat_values,
+            resorted: got.resorted,
+        };
+        prop_assert_eq!(got, reference_columns(&samples));
     }
 
     #[test]
